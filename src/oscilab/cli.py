@@ -1,9 +1,10 @@
-"""Command-line entry point: run orchestration and artifact output.
+"""Command-line entry point: argument parsing, parameter resolution and
+artifact output over the experiment registry.
 
 Every run writes a manifest echoing the fully resolved configuration; for a
-fixed manifest the report and CSV bytes are identical across runs (and
-across --workers settings).  Tiers scale Monte Carlo effort only; every
-tolerance is pinned in code.
+fixed manifest and BLAS thread count the report and CSV bytes are identical
+across runs (and across --workers settings).  Tiers scale Monte Carlo effort
+only; every tolerance is pinned in code.
 """
 
 from __future__ import annotations
@@ -13,148 +14,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import acceptance
-from .ensembles import make_ensemble, verify_tail
-from .fields import (
-    NormSpec,
-    SpectralField,
-    evaluate_norm,
-    smoothing_functional,
-    embed_field,
-    unit_field,
-)
-from .hermite import build_basis, cached_basis, gram_deviation, load_basis, save_basis
-from .lens import (
-    AliasingGuardError,
-    frame_l2_norm,
-    free_propagate,
-    lens_forward,
-    lens_time_inverse,
-    lens_time_map,
-)
-from .picard import (
-    DivergenceError,
-    SolverConfig,
-    contraction_factor,
-    geometric_fit_r2,
-    global_nls_solution,
-    load_trajectory,
-    mass_curve,
-    picard_solve,
-    residual,
-    save_trajectory,
-    scattering_extract,
-)
-from .proba import (
-    CutoffSpec,
-    TailExperiment,
-    chernoff_tail,
-    count_23_cycle_permutations,
-    cycle_23_bound_constant,
-    eigenfunction_lp_decay,
-    good_set_probability,
-    khinchin_growth,
-    norm_tail,
-    odd_moment_witness,
-    paley_zygmund_check,
-)
+from .experiments import DEFAULT_SEED, EXPERIMENTS, TIERS, ConfigError, Context, Result
+from .lens import AliasingGuardError
+from .picard import DivergenceError
 from .reports import write_csv, write_manifest, write_report
-from .ensembles import sample_gain_matrix
 
-COMMANDS = (
-    "basis-check",
-    "norms",
-    "smoothing",
-    "lens-check",
-    "solve-nlsh",
-    "solve-nls",
-    "scattering",
-    "khinchin",
-    "b2p",
-    "tails",
-    "omega",
-    "paley-zygmund",
-    "eigen-lp",
-    "chernoff",
-    "acceptance",
-)
+REGISTRY = {e.name: e for e in (*EXPERIMENTS, acceptance.EXPERIMENT)}
 
-# per-tier resolution presets; tolerances live in the command bodies
-PRESETS = {
-    "basis-check": {
-        "smoke": {"N": 32, "quad": 66, "recurrence_N": 100},
-        "reference": {"N": 64, "quad": 256, "recurrence_N": 200},
-        "extended": {"N": 128, "quad": 512, "recurrence_N": 200},
-    },
-    "norms": {
-        "smoke": {"N": 32, "modes": [0, 1, 5], "T": 1.0, "time_nodes": 33},
-        "reference": {"N": 64, "modes": [0, 1, 5, 20], "T": 1.0, "time_nodes": 65},
-        "extended": {"N": 128, "modes": [0, 1, 5, 20, 50], "T": 1.0, "time_nodes": 129},
-    },
-    "smoothing": {
-        "smoke": {"N_coarse": 32, "N_fine": 64, "draws": 10, "time_nodes": 65},
-        "reference": {"N_coarse": 128, "N_fine": 256, "draws": 100, "time_nodes": 129},
-        "extended": {"N_coarse": 128, "N_fine": 256, "draws": 200, "time_nodes": 257},
-    },
-    "lens-check": {
-        "smoke": {"N": 32, "times": [0.25, 0.5]},
-        "reference": {"N": 64, "times": [0.25, 0.5, 1.0]},
-        "extended": {"N": 96, "times": [0.25, 0.5, 1.0, 1.5]},
-    },
-    "solve-nlsh": {
-        "smoke": {"N": 16, "time_nodes": 33, "amplitude": 0.1, "mode": 0, "p": 5, "K": 1},
-        "reference": {"N": 32, "time_nodes": 65, "amplitude": 0.1, "mode": 0, "p": 5, "K": 1},
-        "extended": {"N": 48, "time_nodes": 129, "amplitude": 0.1, "mode": 0, "p": 5, "K": 1},
-    },
-    "solve-nls": {
-        "smoke": {"N": 16, "time_nodes": 33, "amplitude": 0.1, "times": [0.5, 2.0]},
-        "reference": {"N": 32, "time_nodes": 65, "amplitude": 0.1, "times": [0.5, 2.0, 10.0]},
-        "extended": {"N": 48, "time_nodes": 129, "amplitude": 0.1, "times": [0.5, 2.0, 10.0, 50.0]},
-    },
-    "scattering": {
-        "smoke": {"N": 16, "time_nodes": 33, "amplitudes": [0.05, 0.1]},
-        "reference": {"N": 32, "time_nodes": 65, "amplitudes": [0.05, 0.1]},
-        "extended": {"N": 48, "time_nodes": 129, "amplitudes": [0.02, 0.05, 0.1]},
-    },
-    "khinchin": {
-        "smoke": {"n_samples": 10**5, "n_modes": 32, "q_max": 8},
-        "reference": {"n_samples": 10**6, "n_modes": 32, "q_max": 12},
-        "extended": {"n_samples": 2 * 10**6, "n_modes": 64, "q_max": 12},
-    },
-    "b2p": {
-        "smoke": {"p": 3},
-        "reference": {"p": 4},
-        "extended": {"p": 5},
-    },
-    "tails": {
-        "smoke": {"n_tail": 10**4, "n_verify": 10**5},
-        "reference": {"n_tail": 10**5, "n_verify": 10**6},
-        "extended": {"n_tail": 2 * 10**5, "n_verify": 2 * 10**6},
-    },
-    "omega": {
-        "smoke": {"n_samples": 10**3, "n_modes": 16, "thresholds": [1.0, 1.5, 2.0, 3.0]},
-        "reference": {"n_samples": 10**4, "n_modes": 16, "thresholds": [1.0, 1.5, 2.0, 3.0]},
-        "extended": {"n_samples": 10**5, "n_modes": 16, "thresholds": [0.75, 1.0, 1.5, 2.0, 3.0]},
-    },
-    "paley-zygmund": {
-        "smoke": {"n_samples": 2 * 10**3},
-        "reference": {"n_samples": 10**4},
-        "extended": {"n_samples": 10**5},
-    },
-    "eigen-lp": {
-        "smoke": {"n_max": 100},
-        "reference": {"n_max": 400},
-        "extended": {"n_max": 400},
-    },
-    "chernoff": {
-        "smoke": {"n_samples": 5 * 10**4},
-        "reference": {"n_samples": 10**6},
-        "extended": {"n_samples": 2 * 10**6},
-    },
-    "acceptance": {"smoke": {}, "reference": {}, "extended": {}},
-}
+COMMANDS = tuple(REGISTRY)
 
 GNUPLOT_TEMPLATE = """# gnuplot script for {csv}
 set datafile separator ','
@@ -164,12 +32,8 @@ plot '{csv}' using 1:2 with linespoints
 """
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _resolve_params(command: str, args) -> dict:
-    params = dict(PRESETS[command][args.tier])
+    params = dict(REGISTRY[command].params_by_tier[args.tier])
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -180,509 +44,26 @@ def _resolve_params(command: str, args) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         section = loaded.get(command, loaded)
         for key, value in section.items():
-            if key not in params and key not in ("seed",):
+            if key not in params:
                 raise ConfigError(f"unknown config field {key!r} for command {command!r}")
             params[key] = value
-    for key, value in (args.override or {}).items():
+    for item in args.override or ():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         if key not in params:
             raise ConfigError(f"unknown override field {key!r} for command {command!r}")
         params[key] = type(params[key])(value) if not isinstance(params[key], list) else json.loads(value)
     return params
 
 
-def _emit_plot_script(out_dir: Path, csv_name: str) -> None:
-    (out_dir / f"{csv_name}.gp").write_text(GNUPLOT_TEMPLATE.format(csv=f"{csv_name}.csv"))
-
-
-# ---------------------------------------------------------------------------
-# command bodies; each returns (exit_code, summary_lines)
-
-
-def cmd_basis_check(params, seed, out_dir, workers):
-    basis = build_basis(1, params["N"], params["quad"])
-    gram = gram_deviation(basis)
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    u = SpectralField(basis, c)
-    from .fields import analyze, synthesize
-
-    vals = synthesize(u)
-    parseval = abs(float(np.sum(basis.weights * np.abs(vals) ** 2)) - u.l2_norm**2)
-    roundtrip = float(np.max(np.abs(analyze(vals, basis).coeffs - u.coeffs)))
-    from .hermite import hermite_function_values, audit_axis
-
-    table = hermite_function_values(params["recurrence_N"], audit_axis(params["recurrence_N"], 1))
-    recurrence_sup = float(np.abs(table).max())
-    worst_rayleigh = 0.0
-    from .fields import rayleigh_quotient
-
-    for n in range(0, min(params["N"], 40) + 1):
-        worst_rayleigh = max(
-            worst_rayleigh, abs(rayleigh_quotient(unit_field(basis, n)) - (2 * n + 1))
-        )
-    cache_path = out_dir / f"basis_d1_N{params['N']}_q{params['quad']}_v1.npz"
-    save_basis(basis, cache_path)
-    reloaded = load_basis(cache_path)
-    cache_identical = bool(
-        np.array_equal(reloaded.nodes, basis.nodes)
-        and np.array_equal(reloaded.weights, basis.weights)
-        and np.array_equal(reloaded.eval_table, basis.eval_table)
-    )
-    ok = (
-        gram <= 1e-10
-        and parseval <= 1e-10 * u.l2_norm**2
-        and worst_rayleigh <= 1e-6
-        and recurrence_sup <= 0.76
-        and cache_identical
-    )
-    stats = {
-        "gram_deviation": gram,
-        "parseval_defect": parseval,
-        "analyze_synthesize_roundtrip": roundtrip,
-        "rayleigh_worst": worst_rayleigh,
-        "recurrence_sup": recurrence_sup,
-        "cache_bit_identical": cache_identical,
-    }
-    write_report("basis_check", stats, out_dir, verdict=ok, meta={"N": params["N"], "quad": params["quad"], "seed": seed})
-    return (0 if ok else 1), [f"Gram deviation {gram:.3e} (<= 1e-10)", f"Rayleigh worst {worst_rayleigh:.3e}"]
-
-
-def cmd_norms(params, seed, out_dir, workers):
-    basis = build_basis(1, params["N"], 2 * (params["N"] + 1))
-    rows = {"norm_kind": [], "s": [], "r": [], "q": [], "T": [], "N": [], "value": []}
-    specs = [
-        NormSpec("harmonic_sobolev", s=1.0),
-        NormSpec("classical_sobolev", s=0.5),
-        NormSpec("weighted_x", s=1.0),
-        NormSpec("fractional_laplacian_L2", s=1.0),
-        NormSpec("lebesgue_Lr", r=4.0),
-        NormSpec("sup_norm"),
-        NormSpec("harmonic_sobolev_sup", s=1.0 / 7.0),
-    ]
-    from .fields import spacetime_norm
-
-    for mode in params["modes"]:
-        u = unit_field(basis, mode)
-        for spec in specs:
-            rows["norm_kind"].append(spec.kind)
-            rows["s"].append(spec.s)
-            rows["r"].append(spec.r)
-            rows["q"].append(float("nan"))
-            rows["T"].append(float("nan"))
-            rows["N"].append(params["N"])
-            rows["value"].append(evaluate_norm(u, spec))
-        st = spacetime_norm(u, 2.0, NormSpec("harmonic_sobolev", s=0.0), params["T"], params["time_nodes"])
-        rows["norm_kind"].append("spacetime_L2_L2")
-        rows["s"].append(0.0)
-        rows["r"].append(2.0)
-        rows["q"].append(2.0)
-        rows["T"].append(params["T"])
-        rows["N"].append(params["N"])
-        rows["value"].append(st)
-    write_csv("norms", rows, out_dir)
-    _emit_plot_script(out_dir, "norms")
-    write_report("norms", {"rows_written": len(rows["value"])}, out_dir, verdict=True, meta={"seed": seed})
-    return 0, [f"{len(rows['value'])} norm rows written"]
-
-
-def cmd_smoothing(params, seed, out_dir, workers):
-    coarse = cached_basis(1, params["N_coarse"], 2 * (params["N_coarse"] + 1))
-    fine = cached_basis(1, params["N_fine"], 2 * (params["N_fine"] + 1))
-    gains = sample_gain_matrix(
-        make_ensemble("gaussian", seed=seed), np.arange(params["draws"]), coarse.size
-    )
-    stats = {}
-    worst = 0.0
-    for variant in ("sqrtH", "fractional_grad"):
-        for eps in (0.05, 0.25, 0.45):
-            sup_c = sup_f = 0.0
-            for row in gains:
-                u = SpectralField(coarse, (row / np.linalg.norm(row)).astype(complex))
-                sup_c = max(sup_c, smoothing_functional(u, eps, variant, params["time_nodes"]))
-                sup_f = max(
-                    sup_f, smoothing_functional(embed_field(u, fine), eps, variant, params["time_nodes"])
-                )
-            change = abs(sup_f - sup_c) / sup_f
-            worst = max(worst, change)
-            stats[f"{variant}_eps{eps}"] = {"coarse": sup_c, "fine": sup_f, "rel_change": change}
-    ok = worst < 0.05
-    write_report(
-        "smoothing",
-        {"ratios": stats, "worst_rel_change": worst},
-        out_dir,
-        verdict=ok,
-        meta={"draws": params["draws"], "seed": seed, "weight_note": "audit-grid sup proxies; eps swept over {0.05, 0.25, 0.45}"},
-    )
-    return (0 if ok else 1), [f"worst refinement change {worst:.2%} (< 5%)"]
-
-
-def cmd_lens_check(params, seed, out_dir, workers):
-    n = params["N"]
-    basis = cached_basis(1, n, 2 * (n + 1))
-    u0 = SpectralField(basis, 0.1 * unit_field(basis, 0).coeffs)
-    cfg = SolverConfig(dim=1, N=n, time_nodes=65, nonlinear=False)
-    traj = picard_solve(u0, cfg)
-    worst_conj = 0.0
-    for t in params["times"]:
-        frame = global_nls_solution(traj, t)
-        free = free_propagate(u0, t, points=frame.grid)
-        dx = float(frame.grid[1] - frame.grid[0])
-        worst_conj = max(worst_conj, float(np.sqrt(dx * np.sum(np.abs(frame.values - free.values) ** 2))))
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    u = SpectralField(basis, c / np.linalg.norm(c))
-    worst_iso = max(
-        abs(frame_l2_norm(lens_forward(u, t)) - 1.0) for t in (0.5, 2.0, 10.0)
-    )
-    tmap_ok = lens_time_map(0.0) == 0.0 and abs(lens_time_inverse(np.pi / 8) - 0.5) < 1e-12
-    ok = worst_conj <= 1e-6 and worst_iso <= 1e-10 and tmap_ok
-    write_report(
-        "lens_check",
-        {"conjugation_worst_l2": worst_conj, "isometry_worst": worst_iso, "time_map_ok": tmap_ok},
-        out_dir,
-        verdict=ok,
-        meta={"N": n, "times": params["times"], "seed": seed},
-    )
-    return (0 if ok else 1), [f"conjugation worst {worst_conj:.3e} (<= 1e-6)"]
-
-
-def _solve_from_params(params):
-    n = params["N"]
-    basis = cached_basis(1, n, 2 * (n + 1))
-    u0 = SpectralField(basis, params["amplitude"] * unit_field(basis, params.get("mode", 0)).coeffs)
-    cfg = SolverConfig(
-        dim=1,
-        nonlinearity_p=params.get("p", 5),
-        K=params.get("K", 1),
-        N=n,
-        time_nodes=params["time_nodes"],
-    )
-    return u0, cfg
-
-
-def cmd_solve_nlsh(params, seed, out_dir, workers, resume=False):
-    checkpoint = out_dir / "trajectory.npz"
-    u0, cfg = _solve_from_params(params)
-    if resume and checkpoint.exists():
-        traj = load_trajectory(checkpoint)
-        resumed = True
-    else:
-        traj = picard_solve(u0, cfg)
-        save_trajectory(traj, checkpoint)
-        resumed = False
-    mc = mass_curve(traj)
-    stats = {
-        "iterations": traj.iterations,
-        "contraction_factor": contraction_factor(traj),
-        "geometric_fit_r2": geometric_fit_r2(traj),
-        "final_update": traj.contraction_history[-1],
-        "residual": residual(traj),
-        "mass_drift": mc["drift"],
-        "resumed": resumed,
-    }
-    write_csv("mass_curve", {"t": mc["times"], "mass": mc["mass"]}, out_dir)
-    _emit_plot_script(out_dir, "mass_curve")
-    ok = stats["residual"] <= 1e-6 and stats["mass_drift"] <= 1e-8
-    write_report("solve_nlsh", stats, out_dir, verdict=ok, meta={"config": cfg.as_dict(), "seed": seed})
-    return (0 if ok else 1), [
-        f"converged in {traj.iterations} iterations, residual {stats['residual']:.3e}, "
-        f"mass drift {stats['mass_drift']:.3e}"
-    ]
-
-
-def cmd_solve_nls(params, seed, out_dir, workers, resume=False):
-    checkpoint = out_dir / "trajectory.npz"
-    u0, cfg = _solve_from_params(params)
-    if resume and checkpoint.exists():
-        traj = load_trajectory(checkpoint)
-    else:
-        traj = picard_solve(u0, cfg)
-        save_trajectory(traj, checkpoint)
-    masses = []
-    for t in params["times"]:
-        frame = global_nls_solution(traj, t)
-        name = f"frame_t{t}"
-        write_csv(
-            name,
-            {"x": frame.grid, "re_u": frame.values.real, "im_u": frame.values.imag},
-            out_dir,
-        )
-        _emit_plot_script(out_dir, name)
-        masses.append({"t": t, "mass": frame_l2_norm(frame)})
-    drift = max(abs(m["mass"] - u0.l2_norm) for m in masses)
-    ok = drift <= 1e-8
-    write_report(
-        "solve_nls",
-        {"masses": masses, "worst_mass_deviation": drift},
-        out_dir,
-        verdict=ok,
-        meta={"config": cfg.as_dict(), "seed": seed},
-    )
-    return (0 if ok else 1), [f"{len(masses)} frames written, worst mass deviation {drift:.3e}"]
-
-
-def cmd_scattering(params, seed, out_dir, workers):
-    norms = []
-    curve_out = None
-    for amp in params["amplitudes"]:
-        run = dict(params)
-        run["amplitude"] = amp
-        u0, cfg = _solve_from_params(run)
-        traj = picard_solve(u0, cfg)
-        pair = scattering_extract(traj, u0)
-        from .fields import harmonic_sobolev_norm
-
-        norms.append(harmonic_sobolev_norm(pair.L_plus, cfg.s))
-        curve_out = pair.residual_curve
-    la = np.log(params["amplitudes"])
-    slope = float(np.polyfit(la, np.log(norms), 1)[0])
-    curve_vals = [r for _, r in curve_out]
-    decreasing = all(curve_vals[i + 1] < curve_vals[i] for i in range(len(curve_vals) - 1))
-    ok = decreasing and curve_vals[-1] <= 1e-3 and abs(slope - params.get("p", 5)) <= 0.3
-    write_csv(
-        "scattering_residual",
-        {"t": [t for t, _ in curve_out], "residual": curve_vals},
-        out_dir,
-    )
-    _emit_plot_script(out_dir, "scattering_residual")
-    write_report(
-        "scattering",
-        {"amplitude_slope": slope, "residual_curve": curve_out, "profile_norms": norms},
-        out_dir,
-        verdict=ok,
-        meta={"amplitudes": params["amplitudes"], "seed": seed},
-    )
-    return (0 if ok else 1), [f"profile-amplitude slope {slope:.3f} (target p +- 0.3)"]
-
-
-def cmd_khinchin(params, seed, out_dir, workers):
-    spread = np.ones(params["n_modes"]) / np.sqrt(params["n_modes"])
-    n = params["n_samples"]
-    qs = tuple(range(2, params["q_max"] + 1, 2))
-    runs = {
-        "gaussian": khinchin_growth(make_ensemble("gaussian", seed=seed), spread, qs, n_samples=n),
-        "rademacher_single": khinchin_growth(
-            make_ensemble("rademacher", seed=seed), np.array([1.0]), qs, n_samples=max(n // 10, 10**4)
-        ),
-        "weibull_1.0": khinchin_growth(
-            make_ensemble("symmetric_weibull", seed=seed, gamma=1.0), spread, qs, n_samples=n
-        ),
-        "weibull_1.5": khinchin_growth(
-            make_ensemble("symmetric_weibull", seed=seed, gamma=1.5), spread, qs, n_samples=n
-        ),
-    }
-    ok = all(r["verdict"] for r in runs.values())
-    write_report("khinchin", {"runs": runs}, out_dir, verdict=ok, meta={"seed": seed, "n_samples": n})
-    lines = [
-        f"{name}: exponent {r['fitted_exponent']:.3f} <= {r['exponent_bound']:.3f} [{r['hypothesis_branch']}]"
-        for name, r in runs.items()
-    ]
-    return (0 if ok else 1), lines
-
-
-def cmd_b2p(params, seed, out_dir, workers):
-    p = params["p"]
-    rows = {"two_p": [], "closed_form": [], "brute_force": []}
-    agree = True
-    for k in range(1, p + 1):
-        closed = count_23_cycle_permutations(k, "closed_form")
-        brute = count_23_cycle_permutations(k, "brute_force") if 2 * k <= 10 else None
-        rows["two_p"].append(2 * k)
-        rows["closed_form"].append(closed)
-        rows["brute_force"].append(-1 if brute is None else brute)
-        if brute is not None:
-            agree = agree and brute == closed
-    bound = cycle_23_bound_constant(max(p, 12))
-    write_csv("b2p_counts", rows, out_dir)
-    # the probabilistic witness behind the counting: product moments vanish
-    # without a pair/triple structure, and the two-point triple is nonzero
-    witnesses = {
-        "gaussian_distinct": odd_moment_witness(
-            make_ensemble("gaussian", seed=seed), (1, 2, 3), 10**5
-        ),
-        "rademacher_pairs": odd_moment_witness(
-            make_ensemble("rademacher", seed=seed), (1, 1, 2, 2), 10**4
-        ),
-        "two_point_triple": odd_moment_witness(
-            make_ensemble("centered_two_point", seed=seed), (1, 1, 1), 10**5
-        ),
-    }
-    witness_ok = all(w["verdict"] for w in witnesses.values())
-    agree = agree and witness_ok
-    write_report(
-        "b2p",
-        {
-            "counts": rows,
-            "brute_equals_closed": agree,
-            "fitted_C": bound["fitted_C"],
-            "moment_witnesses": witnesses,
-        },
-        out_dir,
-        verdict=agree,
-        meta={"p": p},
-    )
-    lines = [
-        f"count(2p={two_p}) = {closed}" + (" [brute-force agreed]" if brute >= 0 else "")
-        for two_p, closed, brute in zip(rows["two_p"], rows["closed_form"], rows["brute_force"])
-    ]
-    return (0 if agree else 1), lines + [f"fitted C = {bound['fitted_C']:.4f}"]
-
-
-def cmd_tails(params, seed, out_dir, workers):
-    reports = {}
-    reports["verify_gaussian"] = verify_tail(
-        make_ensemble("gaussian", seed=seed), params["n_verify"], np.linspace(1, 4, 13)
-    )
-    reports["verify_weibull_1.0"] = verify_tail(
-        make_ensemble("symmetric_weibull", seed=seed, gamma=1.0),
-        max(params["n_verify"] // 5, 10**5),
-        np.linspace(1, 8, 15),
-    )
-    reports["verify_rademacher"] = verify_tail(
-        make_ensemble("rademacher", seed=seed), 10**5, np.linspace(0.5, 2.0, 7)
-    )
-    basis = cached_basis(1, 31, 64)
-    base = SpectralField(basis, (np.ones(32) / np.sqrt(32.0)).astype(complex))
-    nt = norm_tail(
-        base,
-        make_ensemble("gaussian", seed=seed),
-        np.linspace(0.6, 2.4, 25),
-        n_samples=params["n_tail"],
-        workers=workers,
-    )
-    reports["norm_tail_gaussian"] = {k: v for k, v in nt.items() if k not in ("survival", "t_grid")}
-    write_csv("norm_tail_survival", {"t": nt["t_grid"], "survival": nt["survival"]}, out_dir)
-    _emit_plot_script(out_dir, "norm_tail_survival")
-    ok = all(r["verdict"] for r in reports.values())
-    write_report("tails", reports, out_dir, verdict=ok, meta={"seed": seed})
-    return (0 if ok else 1), [
-        f"gaussian gamma_hat {reports['verify_gaussian']['gamma_hat']:.3f}",
-        f"norm tail fit R^2 {nt['fit_r2']:.4f} (>= 0.9)",
-    ]
-
-
-def cmd_omega(params, seed, out_dir, workers):
-    basis = cached_basis(1, params["n_modes"] - 1, 2 * params["n_modes"] + 2)
-    base = SpectralField(basis, (np.ones(params["n_modes"]) / np.sqrt(params["n_modes"]) / 2).astype(complex))
-    ens = make_ensemble("gaussian", seed=seed)
-    exp = TailExperiment(
-        base=base, ensemble=ens, thresholds=tuple(params["thresholds"]), n_samples=params["n_samples"]
-    )
-    rep = good_set_probability(exp, workers=workers)
-    rows = rep["rows"]
-    write_csv(
-        "good_set_probability",
-        {
-            "t": [r["t"] for r in rows],
-            "p_hat": [r["p_hat"] for r in rows],
-            "wilson_lo": [r["wilson_lo"] for r in rows],
-            "wilson_hi": [r["wilson_hi"] for r in rows],
-            "p_data_norm_exceeds": [r["p_data_norm_exceeds"] for r in rows],
-            "p_flow_norm_exceeds": [r["p_flow_norm_exceeds"] for r in rows],
-        },
-        out_dir,
-    )
-    _emit_plot_script(out_dir, "good_set_probability")
-    positive = any(r["wilson_lo"] > 0 for r in rows)
-    ok = positive and rep["monotone"]
-    write_report(
-        "omega",
-        {"rows": rows, "monotone": rep["monotone"]},
-        out_dir,
-        verdict=ok,
-        meta={"seed": seed, "n_samples": params["n_samples"], "proxy_note": "sup norms over the audit grid"},
-    )
-    return (0 if ok else 1), [
-        f"P(good set) at t={rows[-1]['t']}: {rows[-1]['p_hat']:.4f} "
-        f"(Wilson lower {rows[-1]['wilson_lo']:.4f})"
-    ]
-
-
-def cmd_paley_zygmund(params, seed, out_dir, workers):
-    n = params["n_samples"]
-    basis = cached_basis(1, 15, 34)
-    runs = {}
-    runs["rademacher_single"] = paley_zygmund_check(
-        SpectralField(basis, unit_field(basis, 2).coeffs),
-        make_ensemble("rademacher", seed=seed),
-        CutoffSpec(N=8, s=0.0),
-        n_samples=min(n, 2000),
-    )
-    runs["gaussian_flat_s0"] = paley_zygmund_check(
-        SpectralField(basis, (np.ones(16) / 4.0).astype(complex)),
-        make_ensemble("gaussian", seed=seed),
-        CutoffSpec(N=8, s=0.0),
-        n_samples=n,
-    )
-    big = cached_basis(1, 40, 84)
-    decay = 1.0 / np.sqrt(big.lambda2)
-    decay /= np.linalg.norm(decay)
-    for scale in (4, 8, 16):
-        runs[f"gaussian_s05_N{scale}"] = paley_zygmund_check(
-            SpectralField(big, decay.astype(complex)),
-            make_ensemble("gaussian", seed=seed),
-            CutoffSpec(N=scale, s=0.5),
-            n_samples=n,
-        )
-    ok = all(r["verdict"] for r in runs.values())
-    write_report("paley_zygmund", {"runs": runs}, out_dir, verdict=ok, meta={"seed": seed})
-    return (0 if ok else 1), [
-        f"{k}: P = {v['lhs_probability']:.4f} >= {v['rhs_bound']:.4f} - 3sigma" for k, v in runs.items()
-    ]
-
-
-def cmd_eigen_lp(params, seed, out_dir, workers):
-    reports = {}
-    for p in (4.0, float("inf")):
-        rep = eigenfunction_lp_decay(p, params["n_max"])
-        key = "inf" if np.isinf(p) else str(p)
-        reports[key] = {k: v for k, v in rep.items() if k != "ratios"}
-        write_csv(
-            f"eigen_lp_p{key}",
-            {"n": np.arange(params["n_max"] + 1), "normalized_norm": rep["ratios"]},
-            out_dir,
-        )
-        _emit_plot_script(out_dir, f"eigen_lp_p{key}")
-    ok = all(r["verdict"] for r in reports.values())
-    write_report("eigen_lp", reports, out_dir, verdict=ok, meta={"n_max": params["n_max"]})
-    return (0 if ok else 1), [
-        f"p={k}: max ratio / ratio(10) = {v['ratio_max']/v['ratio_at_10']:.4f}, "
-        f"spearman {v['spearman_rho']:.3f}" for k, v in reports.items()
-    ]
-
-
-def cmd_chernoff(params, seed, out_dir, workers):
-    c16 = np.ones(16) / 4.0
-    runs = {
-        "gaussian": chernoff_tail(
-            make_ensemble("gaussian", seed=seed), c16, np.linspace(1.0, 4.5, 15), n_samples=params["n_samples"]
-        ),
-        "weibull_1.5": chernoff_tail(
-            make_ensemble("symmetric_weibull", seed=seed, gamma=1.5),
-            c16,
-            np.linspace(1.0, 6.0, 21),
-            n_samples=params["n_samples"],
-        ),
-    }
-    ok = all(r["verdict"] for r in runs.values())
-    write_report("chernoff", {"runs": runs}, out_dir, verdict=ok, meta={"seed": seed})
-    return (0 if ok else 1), [
-        f"{k}: mgf c {v['mgf_c_hat']:.3f}, tail R^2 {v['tail_r2']:.3f}, growth {v['growth_exponent']:.3f}"
-        for k, v in runs.items()
-    ]
-
-
-def cmd_acceptance(params, seed, out_dir, workers, tier="reference"):
-    results = acceptance.run_all(tier, seed=seed)
-    lines = [r.line() for r in results]
-    # runtimes stay on the console: report bytes must not vary between runs
-    stats = {
-        f"criterion_{r.cid:02d}": {"name": r.name, "passed": r.passed, **r.details}
-        for r in results
-    }
-    ok = all(r.passed for r in results)
-    write_report("acceptance", stats, out_dir, verdict=ok, meta={"tier": tier, "seed": seed})
-    return (0 if ok else 1), lines
+def _write(name: str, result: Result, out_dir: Path) -> None:
+    """Each curve as CSV plus a gnuplot script, each table as CSV, then the report."""
+    for csv_name, columns in {**result.curves, **result.tables}.items():
+        write_csv(csv_name, columns, out_dir)
+    for csv_name in result.curves:
+        (out_dir / f"{csv_name}.gp").write_text(GNUPLOT_TEMPLATE.format(csv=f"{csv_name}.csv"))
+    write_report(name, result.stats, out_dir, verdict=result.verdict, meta=result.meta)
 
 
 def main(argv=None) -> int:
@@ -691,22 +72,19 @@ def main(argv=None) -> int:
         description="Spectral and Monte Carlo experiments for the harmonic oscillator laboratory",
     )
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--tier", choices=acceptance.TIERS, default="reference")
-    parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    parser.add_argument("--tier", choices=TIERS, default="reference")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", type=Path, default=Path("runs"))
     parser.add_argument("--workers", type=int, default=1, help="worker threads; never changes results")
     parser.add_argument("--config", type=Path, default=None, help="JSON file of parameter overrides")
     parser.add_argument(
-        "--set",
-        dest="override",
-        metavar="KEY=VALUE",
-        action=_KeyValue,
-        help="override one preset field (repeatable)",
+        "--set", dest="override", metavar="KEY=VALUE", action="append", help="override one preset field (repeatable)"
     )
     parser.add_argument("--resume", action="store_true", help="reload the trajectory checkpoint if present")
     args = parser.parse_args(argv)
 
-    out_dir = args.out / args.command.replace("-", "_")
+    name = args.command.replace("-", "_")
+    out_dir = args.out / name
     try:
         params = _resolve_params(args.command, args)
     except ConfigError as exc:
@@ -714,29 +92,9 @@ def main(argv=None) -> int:
         return 2
 
     write_manifest(out_dir, args.command, {"params": params, "seed": args.seed, "tier": args.tier, "workers": args.workers})
-    handlers = {
-        "basis-check": cmd_basis_check,
-        "norms": cmd_norms,
-        "smoothing": cmd_smoothing,
-        "lens-check": cmd_lens_check,
-        "khinchin": cmd_khinchin,
-        "b2p": cmd_b2p,
-        "tails": cmd_tails,
-        "omega": cmd_omega,
-        "paley-zygmund": cmd_paley_zygmund,
-        "eigen-lp": cmd_eigen_lp,
-        "chernoff": cmd_chernoff,
-        "scattering": cmd_scattering,
-    }
+    ctx = Context(seed=args.seed, workers=args.workers, tier=args.tier, out_dir=out_dir, resume=args.resume)
     try:
-        if args.command == "acceptance":
-            code, lines = cmd_acceptance(params, args.seed, out_dir, args.workers, tier=args.tier)
-        elif args.command == "solve-nlsh":
-            code, lines = cmd_solve_nlsh(params, args.seed, out_dir, args.workers, resume=args.resume)
-        elif args.command == "solve-nls":
-            code, lines = cmd_solve_nls(params, args.seed, out_dir, args.workers, resume=args.resume)
-        else:
-            code, lines = handlers[args.command](params, args.seed, out_dir, args.workers)
+        result = REGISTRY[args.command].run(params, ctx)
     except (DivergenceError, AliasingGuardError, ValueError) as exc:
         write_report(
             "error",
@@ -746,20 +104,11 @@ def main(argv=None) -> int:
             meta={"command": args.command, "seed": args.seed},
         )
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    for line in lines:
+        return 2 if isinstance(exc, ConfigError) else 3
+    _write(name, result, out_dir)
+    for line in result.lines:
         print(line)
-    return code
-
-
-class _KeyValue(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        current = getattr(namespace, self.dest) or {}
-        if "=" not in values:
-            parser.error(f"--set expects KEY=VALUE, got {values!r}")
-        key, _, value = values.partition("=")
-        current[key] = value
-        setattr(namespace, self.dest, current)
+    return 0 if result.verdict else 1
 
 
 if __name__ == "__main__":

@@ -15,15 +15,12 @@ from .hermite import BasisGrid, BasisError, build_basis, cached_basis
 __all__ = [
     "SpectralField",
     "NormSpec",
-    "zero_field",
     "unit_field",
-    "field_from_coeffs",
     "embed_field",
     "synthesize",
     "analyze",
     "out_of_span_energy",
     "derivative_coefficients",
-    "position_multiply",
     "rayleigh_quotient",
     "harmonic_sobolev_norm",
     "propagate_linear",
@@ -88,21 +85,10 @@ class NormSpec:
             raise ValueError(f"Lebesgue exponent r must be >= 2, got {self.r}")
 
 
-def zero_field(basis: BasisGrid) -> SpectralField:
-    return SpectralField(basis, np.zeros(basis.size, dtype=complex))
-
-
 def unit_field(basis: BasisGrid, index) -> SpectralField:
     """Field equal to a single basis function h_index."""
     c = np.zeros(basis.size, dtype=complex)
     c[basis.index_position(index)] = 1.0
-    return SpectralField(basis, c)
-
-
-def field_from_coeffs(basis: BasisGrid, coeffs) -> SpectralField:
-    c = np.zeros(basis.size, dtype=complex)
-    arr = np.asarray(coeffs, dtype=complex)
-    c[: arr.size] = arr
     return SpectralField(basis, c)
 
 
@@ -175,25 +161,6 @@ def derivative_coefficients(u: SpectralField, axis: int = 0) -> SpectralField:
         up = _shift_index(basis, target, n, axis, +1)
         if up is not None:
             out[up] -= c * np.sqrt((na + 1) / 2.0)
-    return SpectralField(target, out)
-
-
-def position_multiply(u: SpectralField, axis: int = 0) -> SpectralField:
-    """Coefficients of x_axis * u, in a basis of degree N + 1."""
-    basis = u.basis
-    target = cached_basis(basis.dim, basis.max_degree + 1, basis.quad_per_axis + 2)
-    out = np.zeros(target.size, dtype=complex)
-    for k, n in enumerate(basis.indices):
-        c = u.coeffs[k]
-        if c == 0:
-            continue
-        na = n[axis]
-        down = _shift_index(basis, target, n, axis, -1)
-        if down is not None:
-            out[down] += c * np.sqrt(na / 2.0)
-        up = _shift_index(basis, target, n, axis, +1)
-        if up is not None:
-            out[up] += c * np.sqrt((na + 1) / 2.0)
     return SpectralField(target, out)
 
 

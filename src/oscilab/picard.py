@@ -121,10 +121,6 @@ class Trajectory:
     contraction_history: list[float]
     converged: bool
 
-    def u_at_node(self, j: int) -> np.ndarray:
-        t = self.times[j]
-        return np.exp(-1j * t * self.basis.lambda2) * self.u0 + self.v[j]
-
     def u_matrix(self) -> np.ndarray:
         phases = np.exp(-1j * np.outer(self.times, self.basis.lambda2))
         return phases * self.u0[None, :] + self.v

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .ensembles import EnsembleSpec, _fit_tail_exponent, sample_block, sample_gain_matrix
 from .fields import SpectralField, product_quadrature
@@ -37,9 +36,6 @@ __all__ = [
     "chernoff_tail",
     "wilson_interval",
 ]
-
-_GAIN_CHUNK = 4096  # fixed chunk size keeps results independent of worker count
-
 
 def concentration_exponent(gamma: float, he1: bool) -> float:
     """Tail exponent m(gamma) for the good-set complement.
@@ -261,7 +257,7 @@ def _data_norm_samples(
         gains = sample_gain_matrix(spec, omega_ids[a:b], base.basis.size)
         out[a:b] = np.sqrt(((gains * w[None, :]) ** 2).sum(axis=1))
 
-    run_chunked(len(omega_ids), kernel, workers=workers, chunk_size=_GAIN_CHUNK)
+    run_chunked(len(omega_ids), kernel, workers=workers)
     return out
 
 
@@ -376,7 +372,7 @@ def flow_sup_norm_samples(exp: TailExperiment, q_time: float, workers: int = 1) 
         ratio_int = np.sum(tw[:, None] * (sups / safe[None, :]) ** q_time, axis=0)
         out[a:b] = vmax * ratio_int ** (1.0 / q_time)
 
-    run_chunked(exp.n_samples, kernel, workers=workers, chunk_size=_GAIN_CHUNK)
+    run_chunked(exp.n_samples, kernel, workers=workers)
     return out
 
 
@@ -460,6 +456,7 @@ def paley_zygmund_check(
     spec: EnsembleSpec,
     cutoff: CutoffSpec,
     n_samples: int = 10**4,
+    workers: int = 1,
 ) -> dict:
     """Second-moment lower bound for the filtered randomized Sobolev mass.
 
@@ -480,9 +477,9 @@ def paley_zygmund_check(
     fourier_phase = (-1j) ** basis.degrees
 
     s_sq = np.empty(n_samples)
-    for start in range(0, n_samples, _GAIN_CHUNK):
-        ids = np.arange(start, min(start + _GAIN_CHUNK, n_samples))
-        gains = sample_gain_matrix(spec, ids, basis.size)
+
+    def kernel(a, b):
+        gains = sample_gain_matrix(spec, np.arange(a, b), basis.size)
         filtered = gains * (chi_vals * base.coeffs)[None, :]
         l2_sq = np.sum(np.abs(filtered) ** 2, axis=1)
         if cutoff.s == 0:
@@ -490,7 +487,9 @@ def paley_zygmund_check(
         else:
             hat_vals = (filtered * fourier_phase[None, :]) @ table
             frac_sq = np.sum(weights[None, :] * xi_pow[None, :] * np.abs(hat_vals) ** 2, axis=1)
-        s_sq[ids] = l2_sq + frac_sq
+        s_sq[a:b] = l2_sq + frac_sq
+
+    run_chunked(n_samples, kernel, workers=workers)
 
     m2 = float(np.mean(s_sq))
     m4 = float(np.mean(s_sq**2))
@@ -552,7 +551,8 @@ def eigenfunction_lp_decay(p_exp: float, n_max: int, dim: int = 1) -> dict:
 
     lo = 10
     window = ratio[lo : n_max + 1]
-    rho = float(spearmanr(np.arange(lo, n_max + 1), window).statistic)
+    # Spearman's rho: the ranks of n are 0, 1, ...; the window has no ties
+    rho = float(np.corrcoef(np.arange(window.size), np.argsort(np.argsort(window)))[0, 1])
     return {
         "dim": dim,
         "p": float(p_exp),

@@ -70,10 +70,11 @@ def test_cli_rejects_even_nonlinearity(tmp_path, capsys):
 
 def test_cli_rejects_unknown_config_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"b2p": {"nonsense_field": 1}}))
-    code = run_cli(["b2p", "--out", str(tmp_path), "--config", str(cfg)])
-    assert code == 2
-    assert "nonsense_field" in capsys.readouterr().err
+    for field in ("nonsense_field", "seed"):  # the seed comes from --seed only
+        cfg.write_text(json.dumps({"b2p": {field: 1}}))
+        code = run_cli(["b2p", "--out", str(tmp_path), "--config", str(cfg)])
+        assert code == 2
+        assert repr(field) in capsys.readouterr().err
 
 
 def test_cli_b2p_override(tmp_path, capsys):
@@ -92,16 +93,24 @@ def test_cli_solve_resume_identical(tmp_path, capsys):
     assert second["resumed"] is True
     for key in ("residual", "mass_drift", "iterations", "final_update"):
         assert first[key] == second[key]
+    # a checkpoint of another problem is refused, not reported as this one
+    stale = ["solve-nlsh", "--tier", "smoke", "--out", out, "--resume", "--set", "N=24", "--set", "amplitude=0.05"]
+    assert run_cli(stale) == 2
+    assert "another problem" in capsys.readouterr().err
+    error_report = json.loads((tmp_path / "solve_nlsh" / "error.json").read_text())
+    assert error_report["stats"]["error_type"] == "ConfigError"
 
 
-def test_cli_deterministic_artifacts(tmp_path):
+@pytest.mark.parametrize("command", ["omega", "paley-zygmund"])
+def test_cli_deterministic_artifacts(tmp_path, command):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli(["omega", "--tier", "smoke", "--out", str(a), "--workers", "1"]) == 0
-    assert run_cli(["omega", "--tier", "smoke", "--out", str(b), "--workers", "4"]) == 0
-    assert digest(a / "omega" / "omega.json") == digest(b / "omega" / "omega.json")
-    assert digest(a / "omega" / "good_set_probability.csv") == digest(
-        b / "omega" / "good_set_probability.csv"
-    )
+    assert run_cli([command, "--tier", "smoke", "--out", str(a), "--workers", "1"]) == 0
+    assert run_cli([command, "--tier", "smoke", "--out", str(b), "--workers", "4"]) == 0
+    name = command.replace("-", "_")
+    written = sorted(p.name for p in (a / name).iterdir() if p.name != "manifest.json")
+    assert written == sorted(p.name for p in (b / name).iterdir() if p.name != "manifest.json")
+    for artifact in written:
+        assert digest(a / name / artifact) == digest(b / name / artifact)
 
 
 def test_cli_frame_dump(tmp_path):
