@@ -42,7 +42,9 @@ def _resolve_params(command: str, args) -> dict:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        section = loaded.get(command, loaded)
+        section = loaded.get(command, loaded) if isinstance(loaded, dict) else loaded
+        if not isinstance(section, dict):
+            raise ConfigError(f"config for {command!r} must be a JSON object, got {section!r}")
         for key, value in section.items():
             if key not in params:
                 raise ConfigError(f"unknown config field {key!r} for command {command!r}")
@@ -53,7 +55,14 @@ def _resolve_params(command: str, args) -> dict:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         if key not in params:
             raise ConfigError(f"unknown override field {key!r} for command {command!r}")
-        params[key] = type(params[key])(value) if not isinstance(params[key], list) else json.loads(value)
+        kind = type(params[key])
+        try:
+            parsed = json.loads(value) if kind is list else kind(value)
+        except ValueError:  # json.JSONDecodeError is a ValueError
+            parsed = None
+        if not isinstance(parsed, kind):
+            raise ConfigError(f"--set {key}: cannot read {value!r} as {kind.__name__}")
+        params[key] = parsed
     return params
 
 

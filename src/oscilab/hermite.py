@@ -132,15 +132,21 @@ def eigenvalue(index, dim: int) -> float:
     return float(2 * total + dim)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass
 class BasisGrid:
     """Hermite basis of R^dim truncated at total degree max_degree.
 
-    Immutable after construction; shareable across workers.  ``weights`` are
-    adjusted so that ``sum_j weights[j] f(nodes[j])`` approximates the
-    integral of f over R^dim for smooth decaying f, and is exact when f is a
-    polynomial of per-axis degree <= 2*quad_per_axis - 1 times the squared
-    Gaussian.  ``eval_table[k, j]`` holds h_{indices[k]}(nodes[j]).
+    Immutable after construction; its arrays are read-only, so worker threads
+    share them safely.  ``weights`` are adjusted so that
+    ``sum_j weights[j] f(nodes[j])`` approximates the integral of f over R^dim
+    for smooth decaying f, and is exact when f is a polynomial of per-axis
+    degree <= 2*quad_per_axis - 1 times the squared Gaussian.
+    ``eval_table[k, j]`` holds h_{indices[k]}(nodes[j]).
     """
 
     dim: int
@@ -158,6 +164,8 @@ class BasisGrid:
     def __post_init__(self):
         self.degrees = np.array([sum(n) for n in self.indices], dtype=int)
         self.lambda2 = 2.0 * self.degrees + self.dim
+        for name in ("nodes", "weights", "eval_table", "axis_nodes", "axis_weights", "degrees", "lambda2"):
+            _read_only(getattr(self, name))
         self._aux: dict = {}
 
     @property
@@ -206,12 +214,12 @@ class BasisGrid:
             else:
                 grids = np.meshgrid(*([ax] * self.dim), indexing="ij")
                 pts = np.stack([g.ravel() for g in grids], axis=1)
-            self._aux["audit_points"] = pts
+            self._aux["audit_points"] = _read_only(pts)
         return self._aux["audit_points"]
 
     def audit_table(self) -> np.ndarray:
         if "audit_table" not in self._aux:
-            self._aux["audit_table"] = self.eval_at(self.audit_points())
+            self._aux["audit_table"] = _read_only(self.eval_at(self.audit_points()))
         return self._aux["audit_table"]
 
     def audit_cell_volume(self) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 from oscilab.acceptance import CRITERIA, run_criterion
 
-RUNTIME_BUDGETS = {1: 10.0, 4: 300.0, 6: 120.0, 10: 600.0}
+RUNTIME_BUDGETS = {1: 10.0, 4: 30.0, 6: 120.0, 10: 600.0}
 
 
 @pytest.mark.parametrize("cid,name", [(c, n) for c, n, _ in CRITERIA])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oscilab.fields import (
@@ -12,6 +14,7 @@ from oscilab.fields import (
     fourier_transform,
     fractional_laplacian_L2_norm,
     harmonic_sobolev_norm,
+    product_quadrature,
     propagate_linear,
     rayleigh_quotient,
     smoothing_functional,
@@ -19,7 +22,7 @@ from oscilab.fields import (
     unit_field,
     weighted_x_L2_norm,
 )
-from oscilab.hermite import build_basis
+from oscilab.hermite import build_basis, cached_basis
 
 
 def random_unit_field(basis, rng):
@@ -253,3 +256,95 @@ def test_smoothing_validation(basis32):
         smoothing_functional(u, 0.25, "bogus")
     with pytest.raises(ValueError):
         smoothing_functional(SpectralField(basis32, np.zeros(basis32.size, complex)), 0.25, "sqrtH")
+
+
+# ------------------------------------------- smoothing as a quadratic form
+
+
+def per_time_smoothing(u, eps, variant, time_nodes):
+    """The smoothing ratio by the direct formula: the flow at every time node,
+    synthesized on the de-aliased grid, weighted, summed by the trapezoid rule."""
+    basis = u.basis
+    d = basis.dim
+    denom = u.l2_norm if variant == "sqrtH" or d == 1 else harmonic_sobolev_norm(u, (d - 1) / 2.0)
+    nodes, weights, table = product_quadrature(basis, 2 * basis.max_degree)
+    times = np.linspace(-2 * np.pi, 2 * np.pi, time_nodes)
+    phases = np.exp(1j * np.outer(times, basis.lambda2))
+    if variant == "sqrtH":
+        coeff_mat = phases * (basis.lambda2 ** ((0.5 - 2 * eps) / 2.0) * u.coeffs)[None, :]
+    else:
+        mult = np.sum(nodes**2, axis=1) ** ((d / 2.0 - 2 * eps) / 2.0)
+        grid_vals = (phases * ((-1j) ** basis.degrees * u.coeffs)[None, :]) @ table
+        coeff_mat = ((grid_vals * mult[None, :]) @ (table * weights).T) * (1j) ** basis.degrees[None, :]
+    grid_vals = coeff_mat @ table
+    weight_sq = (1.0 + np.sum(nodes**2, axis=1)) ** (-(0.5 - eps))
+    space_sq = np.sum(weights * weight_sq * np.abs(grid_vals) ** 2, axis=1)
+    tw = np.full(time_nodes, times[1] - times[0])
+    tw[0] = tw[-1] = tw[0] / 2.0
+    return float(np.sqrt(np.sum(tw * space_sq))) / denom
+
+
+@st.composite
+def smoothing_batches(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 12) if dim == 1 else st.integers(1, 5))
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fields = [
+        SpectralField(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    eps = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    return fields, eps, draw(st.sampled_from(["sqrtH", "fractional_grad"])), draw(st.sampled_from([17, 33, 65]))
+
+
+SMOOTHING_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@SMOOTHING_SETTINGS
+@given(smoothing_batches())
+def test_smoothing_batch_matches_per_time_reference(case):
+    fields, eps, variant, time_nodes = case
+    got = smoothing_functional(fields, eps, variant, time_nodes)
+    want = np.array([per_time_smoothing(u, eps, variant, time_nodes) for u in fields])
+    assert got.shape == (len(fields),)
+    assert np.max(np.abs(got - want) / want) < 1e-13
+
+
+@SMOOTHING_SETTINGS
+@given(smoothing_batches())
+def test_smoothing_rows_independent_of_batch(case):
+    fields, eps, variant, time_nodes = case
+    batch = smoothing_functional(fields, eps, variant, time_nodes)
+    single = [smoothing_functional(u, eps, variant, time_nodes) for u in fields]
+    assert all(isinstance(v, float) for v in single)
+    assert np.array_equal(batch, single)
+
+
+@SMOOTHING_SETTINGS
+@given(smoothing_batches(), st.floats(0.0, 2 * np.pi))
+def test_smoothing_global_phase_invariance(case, theta):
+    fields, eps, variant, time_nodes = case
+    rotated = [SpectralField(u.basis, np.exp(1j * theta) * u.coeffs) for u in fields]
+    a = smoothing_functional(fields, eps, variant, time_nodes)
+    b = smoothing_functional(rotated, eps, variant, time_nodes)
+    assert np.max(np.abs(a - b) / a) < 1e-14
+
+
+@SMOOTHING_SETTINGS
+@given(smoothing_batches(), st.integers(-40, 40))
+def test_smoothing_power_of_two_scaling_bitwise(case, k):
+    fields, eps, variant, time_nodes = case
+    scaled = [SpectralField(u.basis, 2.0**k * u.coeffs) for u in fields]
+    a = smoothing_functional(fields, eps, variant, time_nodes)
+    assert np.array_equal(smoothing_functional(scaled, eps, variant, time_nodes), a)
+
+
+def test_smoothing_batch_validation(basis32, basis16):
+    u = unit_field(basis32, 0)
+    with pytest.raises(ValueError):
+        smoothing_functional([], 0.25)
+    with pytest.raises(ValueError):
+        smoothing_functional([u, unit_field(basis16, 0)], 0.25)
+    with pytest.raises(ValueError):
+        smoothing_functional([u, SpectralField(basis32, np.zeros(basis32.size, complex))], 0.25)

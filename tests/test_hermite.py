@@ -13,7 +13,7 @@ from oscilab.hermite import (
     load_basis,
     save_basis,
 )
-from oscilab.fields import SpectralField, analyze, synthesize, unit_field
+from oscilab.fields import SpectralField, analyze, product_quadrature, synthesize, unit_field
 
 
 def test_ground_state_value(basis64):
@@ -140,6 +140,20 @@ def test_cache_roundtrip_bit_identical(tmp_path, basis32):
     assert np.array_equal(loaded.weights, basis32.weights)
     assert np.array_equal(loaded.eval_table, basis32.eval_table)
     assert loaded.indices == basis32.indices
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 4)])
+def test_shared_tables_read_only(tmp_path, dim, n):
+    # worker threads share these arrays; an in-place write must fail, not race
+    built = build_basis(dim, n, 2 * (n + 1))
+    save_basis(built, tmp_path / "basis.npz")
+    for basis in (built, load_basis(tmp_path / "basis.npz")):
+        tables = [getattr(basis, name) for name in (
+            "nodes", "weights", "eval_table", "axis_nodes", "axis_weights", "degrees", "lambda2")]
+        tables += [basis.audit_points(), basis.audit_table(), *product_quadrature(basis, 2 * n)]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
 
 
 def test_multidim_basis_orthonormal():

@@ -77,6 +77,26 @@ def test_cli_rejects_unknown_config_field(tmp_path, capsys):
         assert repr(field) in capsys.readouterr().err
 
 
+def test_cli_rejects_unconvertible_override(tmp_path, capsys):
+    code = run_cli(["solve-nlsh", "--tier", "smoke", "--out", str(tmp_path), "--set", "amplitude=abc"])
+    assert code == 2
+    assert "amplitude" in capsys.readouterr().err
+
+
+def test_cli_rejects_config_section_not_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b2p": 5}))
+    assert run_cli(["b2p", "--out", str(tmp_path), "--config", str(cfg)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_cli_rejects_list_override_not_json_list(tmp_path, capsys):
+    for value in ("abc", "0.5", "[0.25"):
+        code = run_cli(["lens-check", "--tier", "smoke", "--out", str(tmp_path), "--set", f"times={value}"])
+        assert code == 2
+        assert "times" in capsys.readouterr().err
+
+
 def test_cli_b2p_override(tmp_path, capsys):
     code = run_cli(["b2p", "--out", str(tmp_path), "--set", "p=3"])
     assert code == 0
