@@ -105,9 +105,12 @@ def main(argv=None) -> int:
     try:
         result = REGISTRY[args.command].run(params, ctx)
     except (DivergenceError, AliasingGuardError, ValueError) as exc:
+        stats = {"error_type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, DivergenceError):
+            stats.update(time_node=exc.time_node, history=[float(h) for h in exc.history])
         write_report(
             "error",
-            {"error_type": type(exc).__name__, "message": str(exc)},
+            stats,
             out_dir,
             verdict=False,
             meta={"command": args.command, "seed": args.seed},

@@ -3,10 +3,19 @@ certificates (tail exponent, moment symmetry class, support near zero).
 
 Sampling is counter-based and fully deterministic: the draw for a given
 (seed, omega_id, coeff_index) never depends on evaluation order, chunking,
-or worker count.  Each omega gets its own Philox stream keyed by
+or worker count.  Each omega gets its own Philox4x64-10 stream keyed by
 (seed, omega_id); variate k of that stream is the gain of coefficient k.
 One uniform is consumed per variate (inverse-CDF transforms throughout),
 which is what makes the position addressing exact.
+
+Variate k is word k % 4 of the block at counter (k // 4 + 1, 0, 0, 0) (numpy
+increments the counter before its first block), read as the uniform
+(word >> 11) * 2**-53.  ``sample_gain_matrix`` wants many short streams:
+``_philox_uniforms`` runs the ten Philox rounds in numpy over the whole
+(omega x block) grid at once, bit-identical to numpy's ``Philox`` and about
+15x faster than one ``Generator`` per omega.  ``sample_gains``, ``sample``
+and ``sample_block`` read one stream each through numpy's ``Generator``,
+whose C loop is about 10x faster than the array kernel on a long stream.
 """
 
 from __future__ import annotations
@@ -160,10 +169,42 @@ def _stream(seed: int, omega_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(omega_id)]))
 
 
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray):
+    """High and low words of the 128-bit product m * x, from 32-bit halves."""
+    m_lo, m_hi, x_lo, x_hi = m & _MASK32, m >> _SHIFT32, x & _MASK32, x >> _SHIFT32
+    lh, hl = x_lo * m_hi, x_hi * m_lo
+    mid = ((x_lo * m_lo) >> _SHIFT32) + (lh & _MASK32) + (hl & _MASK32)
+    return x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32), x * m
+
+
+def _philox_uniforms(seed: int, omega_ids, count: int) -> np.ndarray:
+    """Row r equals Generator(Philox(key=[seed, omega_ids[r]])).random(count), in one pass."""
+    blocks = -(-count // 4)
+    zero = np.zeros((1, 1), dtype=np.uint64)  # 2-D arrays wrap silently where scalars warn
+    k0 = np.full((1, 1), seed, dtype=np.uint64)
+    k1 = np.asarray(omega_ids, dtype=np.uint64).reshape(-1, 1)
+    c0, c1, c2, c3 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :], zero, zero, zero
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        (hi0, lo0), (hi1, lo1) = _mulhilo(_PHILOX_M[0], c0), _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1).reshape(len(k1), 4 * blocks)
+    return (words[:, :count] >> np.uint64(11)) * 2.0**-53
+
+
 def sample(spec: EnsembleSpec, omega_id: int, coeff_index: int) -> float:
-    """Single variate for the stream triple (seed, omega_id, coeff_index)."""
-    u = _stream(spec.seed, omega_id).random(coeff_index + 1)
-    return float(_from_uniforms(spec, u[coeff_index : coeff_index + 1])[0])
+    """Single variate for the stream triple (seed, omega_id, coeff_index), read from its block."""
+    gen = _stream(spec.seed, omega_id)
+    gen.bit_generator.advance(coeff_index // 4)
+    u = gen.random(coeff_index % 4 + 1)
+    return float(_from_uniforms(spec, u[-1:])[0])
 
 
 def sample_gains(spec: EnsembleSpec, omega_id: int, count: int) -> np.ndarray:
@@ -173,11 +214,9 @@ def sample_gains(spec: EnsembleSpec, omega_id: int, count: int) -> np.ndarray:
 
 
 def sample_gain_matrix(spec: EnsembleSpec, omega_ids, count: int) -> np.ndarray:
-    """Stacked gains for many omegas, shape (len(omega_ids), count)."""
-    out = np.empty((len(omega_ids), count))
-    for row, omega in enumerate(omega_ids):
-        out[row] = sample_gains(spec, int(omega), count)
-    return out
+    """Stacked gains for many omegas, shape (len(omega_ids), count); row r is
+    sample_gains(spec, omega_ids[r], count)."""
+    return _from_uniforms(spec, _philox_uniforms(spec.seed, omega_ids, count))
 
 
 _BLOCK_CHUNK = 1 << 20

@@ -97,9 +97,9 @@ def embed_field(u: SpectralField, basis: BasisGrid) -> SpectralField:
     """Re-express u in a finer basis of the same dimension (degree >= original)."""
     if basis.dim != u.basis.dim or basis.max_degree < u.basis.max_degree:
         raise BasisError("target basis must have same dim and at least the same degree")
+    # the graded enumeration of degree <= N is a prefix of every finer one
     c = np.zeros(basis.size, dtype=complex)
-    for k, n in enumerate(u.basis.indices):
-        c[basis.index_position(n)] = u.coeffs[k]
+    c[: u.basis.size] = u.coeffs
     return SpectralField(basis, c)
 
 
@@ -218,9 +218,12 @@ def product_quadrature(basis: BasisGrid, product_degree: int):
     Returns (nodes, weights, table) with table[k, j] = h_{indices[k]} at the
     de-aliased nodes.  Used to integrate nonlinear products and non-polynomial
     weights; sized so that (product of fields) x (basis function) stays inside
-    the exactness degree.  The cached arrays are a BasisGrid's, read-only.
+    the exactness degree.  The arrays are a BasisGrid's, read-only: the input's
+    own when its grid is already fine enough, else a cached finer one.
     """
     per_axis = max(basis.quad_per_axis, int(np.ceil((product_degree + basis.max_degree) / 2)) + 1)
+    if per_axis == basis.quad_per_axis:
+        return basis.nodes, basis.weights, basis.eval_table
     key = (basis.dim, basis.max_degree, basis.quad_per_axis, per_axis)
     if key not in _PRODUCT_QUAD_CACHE:
         fine = build_basis(basis.dim, basis.max_degree, per_axis)

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from oscilab.ensembles import (
+    FAMILIES,
     EnsembleSpec,
     _fit_tail_exponent,
+    _from_uniforms,
     empirical_moment,
     make_ensemble,
     randomize,
     sample,
     sample_block_array,
+    sample_gain_matrix,
     sample_gains,
     verify_tail,
 )
@@ -97,10 +102,45 @@ def test_stream_determinism():
     long = sample_gains(g, 7, 16)
     assert np.array_equal(long[:5], sample_gains(g, 7, 5))
     assert sample(g, 7, 3) == long[3]
+    # single draws read their own Philox block: k crosses block boundaries,
+    # the key runs up to 2^64 - 1
+    for omega in (7, 2**63, 2**64 - 1):
+        stream = sample_gains(g, omega, 403)
+        for k in (0, 1, 3, 4, 5, 17, 400, 402):
+            assert sample(g, omega, k) == stream[k]
     # distinct omegas and seeds decorrelate
     assert not np.array_equal(long, sample_gains(g, 8, 16))
     g2 = make_ensemble("gaussian", seed=SEED + 1)
     assert not np.array_equal(long, sample_gains(g2, 7, 16))
+
+
+def reference_uniforms(seed, omega, count):
+    """Uniforms of one omega's stream, drawn by numpy's own Philox generator."""
+    return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(omega)])).random(count)
+
+
+@st.composite
+def gain_matrix_cases(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    gamma = draw(st.sampled_from([0.5, 1.0, 2.0])) if family == "symmetric_weibull" else None
+    spec = make_ensemble(family, seed=draw(st.integers(0, 2**64 - 1)), gamma=gamma)
+    omega_ids = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
+    count = draw(st.integers(1, 300))
+    split = draw(st.integers(0, len(omega_ids)))
+    return spec, omega_ids, count, split
+
+
+@settings(max_examples=80, deadline=None)
+@given(gain_matrix_cases())
+def test_gain_matrix_is_counter_addressed(case):
+    spec, omega_ids, count, split = case
+    gains = sample_gain_matrix(spec, omega_ids, count)
+    assert gains.shape == (len(omega_ids), count)
+    for row, omega in zip(gains, omega_ids):
+        assert np.array_equal(row, _from_uniforms(spec, reference_uniforms(spec.seed, omega, count)))
+        assert np.array_equal(row, sample_gains(spec, omega, count))
+    parts = [sample_gain_matrix(spec, ids, count) for ids in (omega_ids[:split], omega_ids[split:])]
+    assert np.array_equal(np.concatenate(parts), gains)
 
 
 def test_independence_surrogate():

@@ -247,6 +247,14 @@ def test_smoothing_refinement_stability(rng):
         b = smoothing_functional(embed_field(u, fine), 0.25, variant)
         assert abs(a - b) / b < 0.05
 
+    # d = 2: every coefficient lands on its own multi-index, the rest stay zero
+    small, big = build_basis(2, 3, 8), build_basis(2, 5, 12)
+    v = SpectralField(small, rng.standard_normal(small.size) + 1j * rng.standard_normal(small.size))
+    w = embed_field(v, big)
+    for k, n in enumerate(big.indices):
+        expected = v.coeffs[small.index_position(n)] if sum(n) <= small.max_degree else 0.0
+        assert w.coeffs[k] == expected
+
 
 def test_smoothing_validation(basis32):
     u = unit_field(basis32, 0)

@@ -156,6 +156,17 @@ def test_shared_tables_read_only(tmp_path, dim, n):
                 table[...] = 0
 
 
+@pytest.mark.parametrize("n", [8, 40])
+def test_product_quadrature_reuses_a_fine_enough_basis(n):
+    basis = build_basis(1, n, 2 * (n + 1))
+    nodes, weights, table = product_quadrature(basis, 2 * n)
+    assert nodes is basis.nodes and weights is basis.weights and table is basis.eval_table
+    # a quintic product needs ceil(6n / 2) + 1 > 2(n + 1) nodes: a finer grid is built
+    nodes, weights, table = product_quadrature(basis, 5 * n)
+    assert nodes.shape == (3 * n + 1, 1) and table.shape == (basis.size, 3 * n + 1)
+    assert table is not basis.eval_table
+
+
 def test_multidim_basis_orthonormal():
     basis = build_basis(2, 3, 16)
     assert basis.size == 10

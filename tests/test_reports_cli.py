@@ -68,6 +68,16 @@ def test_cli_rejects_even_nonlinearity(tmp_path, capsys):
     assert error_report["verdict"] is False
 
 
+def test_cli_divergence_keeps_diagnostics(tmp_path, capsys):
+    code = run_cli(["solve-nlsh", "--tier", "smoke", "--out", str(tmp_path), "--set", "amplitude=3.0"])
+    assert code == 3
+    assert "blow-up guard tripped" in capsys.readouterr().err
+    stats = json.loads((tmp_path / "solve_nlsh" / "error.json").read_text())["stats"]
+    assert stats["error_type"] == "DivergenceError"
+    assert abs(stats["time_node"] + np.pi / 4) < 1e-6
+    assert stats["history"] and all(isinstance(h, float) for h in stats["history"])
+
+
 def test_cli_rejects_unknown_config_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for field in ("nonsense_field", "seed"):  # the seed comes from --seed only
