@@ -84,7 +84,9 @@ def main(argv=None) -> int:
     parser.add_argument("--tier", choices=TIERS, default="reference")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", type=Path, default=Path("runs"))
-    parser.add_argument("--workers", type=int, default=1, help="worker threads; never changes results")
+    parser.add_argument(
+        "--workers", type=int, default=1, help="worker threads of omega, tails and paley-zygmund; never changes results"
+    )
     parser.add_argument("--config", type=Path, default=None, help="JSON file of parameter overrides")
     parser.add_argument(
         "--set", dest="override", metavar="KEY=VALUE", action="append", help="override one preset field (repeatable)"
@@ -102,8 +104,11 @@ def main(argv=None) -> int:
 
     write_manifest(out_dir, args.command, {"params": params, "seed": args.seed, "tier": args.tier, "workers": args.workers})
     ctx = Context(seed=args.seed, workers=args.workers, tier=args.tier, out_dir=out_dir, resume=args.resume)
+    experiment = REGISTRY[args.command]
     try:
-        result = REGISTRY[args.command].run(params, ctx)
+        if args.workers > 1 and not experiment.parallel:
+            raise ConfigError(f"{args.command} runs on one worker; --workers {args.workers} would be ignored")
+        result = experiment.run(params, ctx)
     except (DivergenceError, AliasingGuardError, ValueError) as exc:
         stats = {"error_type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, DivergenceError):

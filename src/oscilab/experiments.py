@@ -30,7 +30,7 @@ from .fields import (
     synthesize,
     unit_field,
 )
-from .hermite import audit_axis, build_basis, cached_basis, gram_deviation, hermite_function_values, load_basis, save_basis
+from .hermite import BasisError, audit_axis, build_basis, cached_basis, gram_deviation, hermite_function_values, load_basis, save_basis
 from .lens import frame_l2_norm, free_propagate, lens_forward, lens_time_inverse, lens_time_map
 from .picard import (
     SolverConfig,
@@ -95,6 +95,7 @@ class Experiment:
     name: str
     params_by_tier: dict
     run: Callable[[dict, Context], Result]
+    parallel: bool = False  # run reads ctx.workers; other experiments take one worker only
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +250,18 @@ def lens_check(params, ctx):
 
 
 def _solve_from_params(params):
-    """Initial field (amplitude times h_mode) and solver config of one d = 1 solve."""
-    n = params["N"]
-    basis = cached_basis(1, n, 2 * (n + 1))
-    u0 = SpectralField(basis, params["amplitude"] * unit_field(basis, params.get("mode", 0)).coeffs)
+    """Initial field and solver config of one solve in dimension params["dim"] (default 1).
+
+    The field is the amplitude times the basis function at position "mode"
+    of the graded enumeration (at d = 1, h_mode).
+    """
+    n, dim, mode = params["N"], params.get("dim", 1), params.get("mode", 0)
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    if not 0 <= mode < basis.size:
+        raise BasisError(f"mode {mode} outside the {basis.size} basis functions of d={dim}, N={n}")
+    u0 = SpectralField(basis, params["amplitude"] * unit_field(basis, basis.indices[mode]).coeffs)
     cfg = SolverConfig(
-        dim=1,
+        dim=dim,
         nonlinearity_p=params.get("p", 5),
         K=params.get("K", 1),
         N=n,
@@ -615,9 +622,9 @@ EXPERIMENTS = (
         {"N": 96, "times": [0.25, 0.5, 1.0, 1.5]},
     ), lens_check),
     Experiment("solve-nlsh", _tiers(
-        {"N": 16, "time_nodes": 33, "amplitude": 0.1, "mode": 0, "p": 5, "K": 1},
-        {"N": 32, "time_nodes": 65, "amplitude": 0.1, "mode": 0, "p": 5, "K": 1},
-        {"N": 48, "time_nodes": 129, "amplitude": 0.1, "mode": 0, "p": 5, "K": 1},
+        {"N": 16, "time_nodes": 33, "amplitude": 0.1, "mode": 0, "p": 5, "K": 1, "dim": 1},
+        {"N": 32, "time_nodes": 65, "amplitude": 0.1, "mode": 0, "p": 5, "K": 1, "dim": 1},
+        {"N": 48, "time_nodes": 129, "amplitude": 0.1, "mode": 0, "p": 5, "K": 1, "dim": 1},
     ), solve_nlsh),
     Experiment("solve-nls", _tiers(
         {"N": 16, "time_nodes": 33, "amplitude": 0.1, "times": [0.5, 2.0]},
@@ -639,15 +646,15 @@ EXPERIMENTS = (
         {"n_tail": 10**4, "n_verify": 10**5},
         {"n_tail": 10**5, "n_verify": 10**6},
         {"n_tail": 2 * 10**5, "n_verify": 2 * 10**6},
-    ), tails),
+    ), tails, parallel=True),
     Experiment("omega", _tiers(
         {"n_samples": 10**3, "n_modes": 16, "thresholds": [1.0, 1.5, 2.0, 3.0]},
         {"n_samples": 10**4, "n_modes": 16, "thresholds": [1.0, 1.5, 2.0, 3.0]},
         {"n_samples": 10**5, "n_modes": 16, "thresholds": [0.75, 1.0, 1.5, 2.0, 3.0]},
-    ), omega),
+    ), omega, parallel=True),
     Experiment("paley-zygmund", _tiers(
         {"n_samples": 2 * 10**3}, {"n_samples": 10**4}, {"n_samples": 10**5}
-    ), paley_zygmund),
+    ), paley_zygmund, parallel=True),
     Experiment("eigen-lp", _tiers({"n_max": 100}, {"n_max": 400}, {"n_max": 400}), eigen_lp),
     Experiment("chernoff", _tiers(
         {"n_samples": 5 * 10**4}, {"n_samples": 10**6}, {"n_samples": 2 * 10**6}

@@ -261,13 +261,9 @@ def classical_sobolev_norm(u: SpectralField, s: float) -> float:
     return float(np.hypot(u.l2_norm, fractional_laplacian_L2_norm(u, s)))
 
 
-def _audit_values(u: SpectralField) -> np.ndarray:
-    return u.coeffs @ u.basis.audit_table()
-
-
 def lebesgue_audit_norm(u: SpectralField, r: float) -> float:
     """L^r norm over the uniform audit grid (Riemann sum); r = inf is the sup."""
-    vals = np.abs(_audit_values(u))
+    vals = np.abs(u.basis.grid_values(u.coeffs, u.basis.audit_table()))
     if np.isinf(r):
         return float(vals.max())
     cell = u.basis.audit_cell_volume()

@@ -4,6 +4,12 @@ Provides orthonormal Hermite functions on R^d with total-degree truncation,
 Gauss-Hermite quadrature adapted to function space (the Gaussian factor is
 folded into the weights analytically, so nothing overflows at large node
 counts), and analysis/synthesis between coefficient and physical space.
+
+Fields are evaluated on tensor grids (the uniform audit grid, scaled lens
+grids) by sum factorization: the coefficients fill the (N+1)^d box, zero
+above total degree N, and the box is contracted with the 1-D Hermite table
+one axis at a time, never with a (modes x grid points) table.  Sup norms
+over the audit grid are reduced tile by tile along the grid's first axis.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ __all__ = [
     "hermite_function_values",
     "gauss_hermite_nodes",
     "audit_axis",
+    "tensor_grid",
     "save_basis",
     "load_basis",
 ]
@@ -35,6 +42,12 @@ DEFAULT_COEFF_BUDGET = 200_000
 
 AUDIT_POINTS_PER_UNIT = 16
 AUDIT_MARGIN = 4.0
+
+# largest tile of audit-grid values that BasisGrid.audit_sup holds at once
+AUDIT_TILE_BYTES = 8 * 2**20
+
+# ceiling on the bytes of a basis's eval_table; build_basis refuses beyond it
+TABLE_BYTES_BUDGET = 2**30
 
 
 class BasisError(ValueError):
@@ -147,6 +160,13 @@ class BasisGrid:
     for smooth decaying f, and is exact when f is a polynomial of per-axis
     degree <= 2*quad_per_axis - 1 times the squared Gaussian.
     ``eval_table[k, j]`` holds h_{indices[k]}(nodes[j]).
+
+    The audit grid is the tensor grid of one axis; ``audit_table()`` is the
+    per-axis table h_n(y_j) of shape (N+1, P).  ``grid_values`` synthesizes
+    coefficient rows on such a grid by contracting the coefficient box with
+    the per-axis table one axis at a time, at most N+1 multiply-adds per
+    grid value and axis instead of one per basis function, and
+    ``audit_sup`` reduces the sup norm tile by tile.
     """
 
     dim: int
@@ -192,39 +212,109 @@ class BasisGrid:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise BasisError(f"points must have shape (m, {self.dim})")
-        axis_tables = [hermite_function_values(self.max_degree, pts[:, a]) for a in range(self.dim)]
-        out = np.ones((self.size, pts.shape[0]))
-        for k, n in enumerate(self.indices):
-            row = axis_tables[0][n[0]]
-            for a in range(1, self.dim):
-                row = row * axis_tables[a][n[a]]
-            out[k] = row
+        idx = self._index_array()
+        out = hermite_function_values(self.max_degree, pts[:, 0])[idx[:, 0]]
+        for a in range(1, self.dim):
+            out = out * hermite_function_values(self.max_degree, pts[:, a])[idx[:, a]]
         return out
 
     def audit_points(self) -> np.ndarray:
         """Uniform audit grid on [-L, L]^dim used for sup and L^r norms.
 
         L = sqrt(2N + d) + 4 covers the classically allowed region plus a
-        margin; the eigenfunctions decay super-exponentially beyond it.
+        margin; the eigenfunctions decay super-exponentially beyond it.  The
+        points are the tensor grid of audit_axis in C order, the order of
+        grid_values.
         """
         if "audit_points" not in self._aux:
-            ax = audit_axis(self.max_degree, self.dim)
-            if self.dim == 1:
-                pts = ax.reshape(-1, 1)
-            else:
-                grids = np.meshgrid(*([ax] * self.dim), indexing="ij")
-                pts = np.stack([g.ravel() for g in grids], axis=1)
-            self._aux["audit_points"] = _read_only(pts)
+            self._aux["audit_points"] = _read_only(tensor_grid(audit_axis(self.max_degree, self.dim), self.dim))
         return self._aux["audit_points"]
 
     def audit_table(self) -> np.ndarray:
+        """Per-axis audit table h_n(y_j), shape (N+1, P), for the axis y of audit_points."""
         if "audit_table" not in self._aux:
-            self._aux["audit_table"] = _read_only(self.eval_at(self.audit_points()))
+            table = hermite_function_values(self.max_degree, audit_axis(self.max_degree, self.dim))
+            self._aux["audit_table"] = _read_only(table)
         return self._aux["audit_table"]
 
     def audit_cell_volume(self) -> float:
         ax = audit_axis(self.max_degree, self.dim)
         return float((ax[1] - ax[0]) ** self.dim)
+
+    def grid_values(self, coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Values of coefficient rows on the tensor grid of a per-axis table.
+
+        ``coeffs`` has shape (..., size) and ``table[n, j] = h_n(y_j)`` shape
+        (N+1, P); the result has shape (..., P^dim), the points y^dim in C
+        order.  At d = 1 this is the matmul ``coeffs @ table``; above, the
+        coefficients are scattered into the (N+1)^dim box and contracted with
+        the table one axis at a time.
+        """
+        coeffs = np.asarray(coeffs)
+        if self.dim == 1:
+            return coeffs @ table
+        vals = self._contract(self._box(coeffs.reshape(-1, self.size)), table, range(self.dim))
+        return np.moveaxis(vals, -1, 0).reshape(coeffs.shape[:-1] + (-1,))
+
+    def audit_sup(self, coeffs: np.ndarray) -> np.ndarray:
+        """max |u| over the audit grid for each row of ``coeffs`` (shape (m, size)).
+
+        Above d = 1 the grid is reduced tile by tile along its first axis, a
+        tile holding about AUDIT_TILE_BYTES of values (at least one slice), so
+        the (m, P^dim) values never exist at once.  Every tile runs the same
+        equal-shape contractions, so the result does not depend on the tile
+        size.  At d = 1 the (m, P) values are the one matmul of grid_values.
+        """
+        coeffs = np.asarray(coeffs)
+        table = self.audit_table()
+        if self.dim == 1:
+            return np.abs(self.grid_values(coeffs, table)).max(axis=1)
+        m = coeffs.shape[0]
+        partial = self._contract(self._box(coeffs), table, range(1))
+        tile = max(1, AUDIT_TILE_BYTES // (partial.itemsize * m * table.shape[1] ** (self.dim - 1)))
+        sup = np.zeros(m)
+        for lo in range(0, len(partial), tile):
+            vals = self._contract(partial[lo : lo + tile], table, range(1, self.dim))
+            np.maximum(sup, np.abs(vals).reshape(-1, m).max(axis=0), out=sup)
+        return sup
+
+    def _index_array(self) -> np.ndarray:
+        if "index_array" not in self._aux:
+            self._aux["index_array"] = _read_only(np.array(self.indices, dtype=np.intp).reshape(self.size, self.dim))
+        return self._aux["index_array"]
+
+    def _box(self, rows: np.ndarray) -> np.ndarray:
+        """(m, size) rows scattered into the coefficient box (N+1, ..., N+1, m), zero above degree N."""
+        n = self.max_degree + 1
+        if "box_positions" not in self._aux:
+            flat = np.ravel_multi_index(tuple(self._index_array().T), (n,) * self.dim)
+            self._aux["box_positions"] = _read_only(flat)
+        box = np.zeros((n**self.dim, rows.shape[0]), dtype=np.result_type(rows, float))
+        box[self._aux["box_positions"]] = rows.T
+        return box.reshape((n,) * self.dim + (rows.shape[0],))
+
+    @staticmethod
+    def _contract(vals: np.ndarray, table: np.ndarray, axes) -> np.ndarray:
+        """Contract the degree axes ``axes`` of a box with the per-axis table, in order.
+
+        The axes before each one are grid axes already contracted.  Axis a
+        is contracted by a stack of equal-shape real matmuls, one per point
+        of the grid axes before it (complex values are viewed as real pairs
+        along the trailing batch axis), so a slice of a contracted axis gives
+        the same bits as the whole.
+        """
+        for a in axes:
+            vals = np.ascontiguousarray(vals)
+            lead = vals.shape[:a]
+            stack = vals.view(float).reshape(int(np.prod(lead)), table.shape[0], -1)
+            vals = (table.T @ stack).view(vals.dtype).reshape(lead + (table.shape[1],) + vals.shape[a + 1 :])
+        return vals
+
+
+def tensor_grid(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The dim-fold tensor grid of a 1-D axis as points, shape (len(axis)^dim, dim), C order."""
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def audit_axis(max_degree: int, dim: int) -> np.ndarray:
@@ -261,26 +351,23 @@ def build_basis(
         raise BasisError(
             f"enumeration size {len(indices)} exceeds coefficient budget {coeff_budget}"
         )
+    table_bytes = len(indices) * quad_per_axis**dim * 8
+    if table_bytes > TABLE_BYTES_BUDGET:
+        raise BasisError(
+            f"eval_table of {len(indices)} functions x {quad_per_axis}^{dim} nodes needs "
+            f"{table_bytes} B, over the budget of {TABLE_BYTES_BUDGET} B"
+        )
     axis_nodes, axis_weights = gauss_hermite_nodes(quad_per_axis)
     axis_table = hermite_function_values(max_degree, axis_nodes)
-
-    if dim == 1:
-        nodes = axis_nodes.reshape(-1, 1)
-        weights = axis_weights.copy()
-        eval_table = np.array([axis_table[n[0]] for n in indices])
-    else:
-        grids = np.meshgrid(*([axis_nodes] * dim), indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=1)
-        wgrids = np.meshgrid(*([axis_weights] * dim), indexing="ij")
-        weights = np.ones(nodes.shape[0])
-        for w in wgrids:
-            weights = weights * w.ravel()
-        eval_table = np.empty((len(indices), nodes.shape[0]))
-        for k, n in enumerate(indices):
-            prod = axis_table[n[0]]
-            for a in range(1, dim):
-                prod = np.multiply.outer(prod, axis_table[n[a]])
-            eval_table[k] = prod.ravel()
+    nodes = tensor_grid(axis_nodes, dim)
+    weights = np.ones(nodes.shape[0])
+    for w in tensor_grid(axis_weights, dim).T:
+        weights = weights * w
+    idx = np.array(indices, dtype=np.intp)
+    eval_table = axis_table[idx[:, 0]]
+    for a in range(1, dim):
+        # row k on the tensor grid: the outer product of its per-axis rows
+        eval_table = (eval_table[:, :, None] * axis_table[idx[:, a]][:, None, :]).reshape(len(indices), -1)
 
     return BasisGrid(
         dim=dim,

@@ -16,8 +16,8 @@ from math import comb
 
 import numpy as np
 
-from .fields import SpectralField, fourier_transform, inverse_fourier_transform, synthesize
-from .hermite import cached_basis
+from .fields import SpectralField, embed_field, fourier_transform, inverse_fourier_transform, synthesize
+from .hermite import audit_axis, cached_basis, hermite_function_values, tensor_grid
 
 __all__ = [
     "PhysicalFrame",
@@ -70,12 +70,13 @@ def lens_time_inverse(s: float) -> float:
     return 0.5 * np.tan(2.0 * s)
 
 
-def _scaled_grid(basis, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Audit grid stretched by sqrt(1 + 4 t^2), where the frame has its mass."""
-    scale = np.sqrt(1.0 + 4.0 * t * t)
-    pts = basis.audit_points()
-    scaled = scale * pts
-    return (scaled[:, 0] if basis.dim == 1 else scaled), pts
+def _scaled_axis(basis, t: float) -> np.ndarray:
+    """Audit axis stretched by sqrt(1 + 4 t^2); the frame has its mass on its tensor grid."""
+    return np.sqrt(1.0 + 4.0 * t * t) * audit_axis(basis.max_degree, basis.dim)
+
+
+def _frame_grid(axis: np.ndarray, dim: int) -> np.ndarray:
+    return axis if dim == 1 else tensor_grid(axis, dim)
 
 
 def lens_forward(u_internal: SpectralField, t: float, points: np.ndarray | None = None) -> PhysicalFrame:
@@ -89,13 +90,15 @@ def lens_forward(u_internal: SpectralField, t: float, points: np.ndarray | None 
     basis = u_internal.basis
     alpha = 1.0 + 4.0 * t * t
     if points is None:
-        grid, unscaled = _scaled_grid(basis, t)
+        # the scaled grid's preimage x / sqrt(1 + 4t^2) is the audit grid itself
+        grid = _frame_grid(_scaled_axis(basis, t), basis.dim)
+        inner = basis.grid_values(u_internal.coeffs, basis.audit_table())
     else:
         grid = np.asarray(points, dtype=float)
         unscaled = grid / np.sqrt(alpha)
         if basis.dim == 1:
             unscaled = unscaled.reshape(-1, 1)
-    inner = synthesize(u_internal, unscaled)
+        inner = synthesize(u_internal, unscaled)
     x2 = grid**2 if basis.dim == 1 else np.sum(grid**2, axis=1)
     values = alpha ** (-basis.dim / 4.0) * inner * np.exp(1j * x2 * t / alpha)
     return PhysicalFrame(grid=grid, values=values, time=float(t))
@@ -181,12 +184,7 @@ def free_propagate_field(u0: SpectralField, t: float, degree_cap: int = DEFAULT_
             f"free propagation span (degree {big_degree}, dim {dim}) is too large to tabulate"
         )
     big = cached_basis(dim, big_degree, 2 * (big_degree + 1))
-    coeffs = np.zeros(big.size, dtype=complex)
-    for k, n in enumerate(u0.basis.indices):
-        coeffs[big.index_position(n)] = u0.coeffs[k]
-    u_big = SpectralField(big, coeffs)
-
-    uhat = fourier_transform(u_big)
+    uhat = fourier_transform(embed_field(u0, big))
     vals = synthesize(uhat)
     xi2 = np.sum(big.nodes**2, axis=1)
     vals = np.exp(-1j * t * xi2) * vals
@@ -203,8 +201,11 @@ def free_propagate(
     """exp(it del^2) u0 sampled on a spatial grid (default: scaled audit grid)."""
     out = free_propagate_field(u0, t, degree_cap)
     if points is None:
-        grid, _ = _scaled_grid(u0.basis, t)
-    else:
-        grid = np.asarray(points, dtype=float)
+        axis = _scaled_axis(u0.basis, t)
+        table = hermite_function_values(out.basis.max_degree, axis)
+        return PhysicalFrame(
+            grid=_frame_grid(axis, u0.basis.dim), values=out.basis.grid_values(out.coeffs, table), time=float(t)
+        )
+    grid = np.asarray(points, dtype=float)
     pts = grid.reshape(-1, 1) if u0.basis.dim == 1 else grid
     return PhysicalFrame(grid=grid, values=synthesize(out, pts), time=float(t))

@@ -350,7 +350,6 @@ def flow_sup_norm_samples(exp: TailExperiment, q_time: float, workers: int = 1) 
     """
     base, spec = exp.base, exp.ensemble
     basis = base.basis
-    table = basis.audit_table()  # (size, n_audit)
     filt = basis.lambda2 ** (exp.sup_regularity / 2.0)
     times = np.linspace(-2 * np.pi, 2 * np.pi, exp.time_nodes)
     step = float(times[1] - times[0])
@@ -365,8 +364,7 @@ def flow_sup_norm_samples(exp: TailExperiment, q_time: float, workers: int = 1) 
         draws = (gains * base.coeffs[None, :]) * filt[None, :]  # (n, size)
         sups = np.empty((exp.time_nodes, b - a))
         for k in range(exp.time_nodes):
-            vals = (draws * phases[k][None, :]) @ table
-            sups[k] = np.abs(vals).max(axis=1)
+            sups[k] = basis.audit_sup(draws * phases[k][None, :])
         vmax = sups.max(axis=0)
         safe = np.where(vmax > 0, vmax, 1.0)
         ratio_int = np.sum(tw[:, None] * (sups / safe[None, :]) ** q_time, axis=0)

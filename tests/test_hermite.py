@@ -1,6 +1,11 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oscilab import hermite
 from oscilab.hermite import (
     BasisError,
     audit_axis,
@@ -194,3 +199,67 @@ def test_off_node_evaluation_matches_table(basis16):
     pts = basis16.nodes[:, 0][:5]
     table = basis16.eval_at(pts)
     assert np.allclose(table, basis16.eval_table[:, :5], atol=1e-13)
+
+
+def test_eval_table_too_large_is_refused_before_allocating():
+    # 12341 functions x 82^3 nodes x 8 B is 54 GB: refused from the sizes alone
+    start = time.perf_counter()
+    with pytest.raises(BasisError, match="eval_table"):
+        build_basis(3, 40, 82)
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("dim,n", [(1, 0), (1, 6), (2, 1), (2, 6), (3, 2), (3, 6)])
+def test_factored_audit_values_match_eval_at(dim, n):
+    basis = build_basis(dim, n, 2 * (n + 1))
+    rng = np.random.default_rng(dim * 100 + n)
+    coeffs = rng.normal(size=(3, basis.size)) + 1j * rng.normal(size=(3, basis.size))
+    values = basis.grid_values(coeffs, basis.audit_table())
+    points = basis.audit_points()
+    assert basis.audit_table().shape == (n + 1, audit_axis(n, dim).size)
+    assert values.shape == (3, points.shape[0])
+    subset = rng.choice(points.shape[0], size=min(500, points.shape[0]), replace=False)
+    want = coeffs @ basis.eval_at(points[subset])
+    if dim == 1:
+        assert np.array_equal(values[:, subset], want)
+    else:
+        assert np.max(np.abs(values[:, subset] - want)) <= 1e-13 * np.max(np.abs(want))
+    # one field synthesizes like a row of the batch
+    single = basis.grid_values(coeffs[1], basis.audit_table())
+    assert np.max(np.abs(single - values[1])) <= 1e-13 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eval_at_on_nodes_is_the_eval_table(dim):
+    basis = build_basis(dim, 3, 8)
+    assert np.array_equal(basis.eval_at(basis.nodes), basis.eval_table)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 6), (2, 4), (2, 6), (3, 2)])
+def test_audit_sup_does_not_depend_on_tile_size(monkeypatch, dim, n):
+    basis = build_basis(dim, n, 2 * (n + 1))
+    rng = np.random.default_rng(7)
+    coeffs = rng.normal(size=(5, basis.size)) + 1j * rng.normal(size=(5, basis.size))
+    sups = []
+    for tile_bytes in (1, 3 * 2**10, 2**16, hermite.AUDIT_TILE_BYTES, 2**40):
+        monkeypatch.setattr(hermite, "AUDIT_TILE_BYTES", tile_bytes)
+        sups.append(basis.audit_sup(coeffs))
+    assert all(np.array_equal(sup, sups[0]) for sup in sups)
+    full = np.abs(basis.grid_values(coeffs, basis.audit_table())).max(axis=1)
+    assert np.max(np.abs(sups[0] - full) / full) <= 1e-13
+
+
+@st.composite
+def fields_on_bases(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, {1: 12, 2: 8, 3: 4}[dim]))
+    basis = hermite.cached_basis(dim, n, 2 * (n + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SpectralField(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields_on_bases())
+def test_analysis_inverts_synthesis(u):
+    back = analyze(synthesize(u), u.basis)
+    assert np.max(np.abs(back.coeffs - u.coeffs)) <= 1e-13 * np.max(np.abs(u.coeffs))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,19 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(back.times, traj.times)
     assert back.config == traj.config
     assert back.iterations == traj.iterations
+
+
+def test_d2_solve_and_frames_stay_small():
+    # the dense (modes x audit points) table alone was 122 MB here (476 MiB peak)
+    basis = cached_basis(2, 16, 34)
+    u0 = SpectralField(basis, 0.1 * unit_field(basis, (0, 0)).coeffs)
+    cfg = SolverConfig(dim=2, N=16, time_nodes=65)
+    tracemalloc.start()
+    try:
+        traj = picard_solve(u0, cfg)
+        frames = [global_nls_solution(traj, t) for t in (0.5, 2.0)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert all(abs(frame_l2_norm(f) - u0.l2_norm) <= 1e-8 for f in frames)

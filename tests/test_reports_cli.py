@@ -131,6 +131,28 @@ def test_cli_solve_resume_identical(tmp_path, capsys):
     assert error_report["stats"]["error_type"] == "ConfigError"
 
 
+def test_cli_solve_nlsh_in_two_dimensions(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run_cli(["solve-nlsh", "--tier", "smoke", "--out", out, "--set", "dim=2"]) == 0
+    report = json.loads((tmp_path / "solve_nlsh" / "solve_nlsh.json").read_text())
+    assert report["verdict"] is True
+    assert report["meta"]["config"]["dim"] == 2
+    manifest = json.loads((tmp_path / "solve_nlsh" / "manifest.json").read_text())
+    assert manifest["config"]["params"]["dim"] == 2
+    # the d = 2 checkpoint does not answer a d = 1 resume
+    assert run_cli(["solve-nlsh", "--tier", "smoke", "--out", out, "--resume"]) == 2
+    assert "another problem" in capsys.readouterr().err
+
+
+def test_cli_rejects_workers_where_ignored(tmp_path, capsys):
+    assert run_cli(["khinchin", "--tier", "smoke", "--out", str(tmp_path), "--workers", "2"]) == 2
+    assert "--workers 2" in capsys.readouterr().err
+    error_report = json.loads((tmp_path / "khinchin" / "error.json").read_text())
+    assert error_report["stats"]["error_type"] == "ConfigError"
+    assert not (tmp_path / "khinchin" / "khinchin.json").exists()
+    assert run_cli(["b2p", "--tier", "smoke", "--out", str(tmp_path), "--workers", "1"]) == 0
+
+
 @pytest.mark.parametrize("command", ["omega", "paley-zygmund"])
 def test_cli_deterministic_artifacts(tmp_path, command):
     a, b = tmp_path / "a", tmp_path / "b"
