@@ -84,8 +84,9 @@ def main(argv=None) -> int:
     parser.add_argument("--tier", choices=TIERS, default="reference")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", type=Path, default=Path("runs"))
+    parallel = ", ".join(e.name for e in EXPERIMENTS if e.parallel)
     parser.add_argument(
-        "--workers", type=int, default=1, help="worker threads of omega, tails and paley-zygmund; never changes results"
+        "--workers", type=int, default=1, help=f"worker threads of {parallel}; never changes results"
     )
     parser.add_argument("--config", type=Path, default=None, help="JSON file of parameter overrides")
     parser.add_argument(

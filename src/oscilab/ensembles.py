@@ -13,9 +13,12 @@ increments the counter before its first block), read as the uniform
 (word >> 11) * 2**-53.  ``sample_gain_matrix`` wants many short streams:
 ``_philox_uniforms`` runs the ten Philox rounds in numpy over the whole
 (omega x block) grid at once, bit-identical to numpy's ``Philox`` and about
-15x faster than one ``Generator`` per omega.  ``sample_gains``, ``sample``
-and ``sample_block`` read one stream each through numpy's ``Generator``,
-whose C loop is about 10x faster than the array kernel on a long stream.
+15x faster than one ``Generator`` per omega.  ``sample``, ``sample_gains``
+and ``sample_block`` read one range of one stream through numpy's
+``Generator`` (about 10x faster on a long range), advanced to the range's
+first block.  ``sample_block(spec, start, stop, width)`` is rows [start, stop)
+of the (n, width) matrix with variate (i, k) at position i * width + k;
+``fold_block`` sums a bulk experiment's chunks of it through ``mc.run_chunked``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .fields import SpectralField
+from .mc import run_chunked
 
 __all__ = [
     "EnsembleSpec",
@@ -35,6 +39,7 @@ __all__ = [
     "sample",
     "sample_gains",
     "sample_block",
+    "fold_block",
     "randomize",
     "verify_tail",
     "empirical_moment",
@@ -165,10 +170,6 @@ def _from_uniforms(spec: EnsembleSpec, u: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown family {spec.family!r}")
 
 
-def _stream(seed: int, omega_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(omega_id)]))
-
-
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11)
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
@@ -199,18 +200,22 @@ def _philox_uniforms(seed: int, omega_ids, count: int) -> np.ndarray:
     return (words[:, :count] >> np.uint64(11)) * 2.0**-53
 
 
+def _read(spec: EnsembleSpec, stream_id: int, start: int, count: int) -> np.ndarray:
+    """Variates start .. start+count-1 of the stream keyed (seed, stream_id)."""
+    gen = np.random.Generator(np.random.Philox(key=[np.uint64(spec.seed), np.uint64(stream_id)]))
+    gen.bit_generator.advance(start // 4)
+    gen.random(start % 4)
+    return _from_uniforms(spec, gen.random(count))
+
+
 def sample(spec: EnsembleSpec, omega_id: int, coeff_index: int) -> float:
-    """Single variate for the stream triple (seed, omega_id, coeff_index), read from its block."""
-    gen = _stream(spec.seed, omega_id)
-    gen.bit_generator.advance(coeff_index // 4)
-    u = gen.random(coeff_index % 4 + 1)
-    return float(_from_uniforms(spec, u[-1:])[0])
+    """Single variate for the stream triple (seed, omega_id, coeff_index)."""
+    return float(_read(spec, omega_id, coeff_index, 1)[0])
 
 
 def sample_gains(spec: EnsembleSpec, omega_id: int, count: int) -> np.ndarray:
     """Gains g_0 .. g_{count-1} for one omega (positions 0..count-1 of its stream)."""
-    u = _stream(spec.seed, omega_id).random(count)
-    return _from_uniforms(spec, u)
+    return _read(spec, omega_id, 0, count)
 
 
 def sample_gain_matrix(spec: EnsembleSpec, omega_ids, count: int) -> np.ndarray:
@@ -219,29 +224,34 @@ def sample_gain_matrix(spec: EnsembleSpec, omega_ids, count: int) -> np.ndarray:
     return _from_uniforms(spec, _philox_uniforms(spec.seed, omega_ids, count))
 
 
-_BLOCK_CHUNK = 1 << 20
+def sample_block(spec: EnsembleSpec, start: int, stop: int, width: int = 1, stream_id: int = 0) -> np.ndarray:
+    """Rows [start, stop) of the (n, width) bulk matrix of the stream keyed
+    (seed, stream_id); variate (i, k) sits at position i * width + k."""
+    return _read(spec, stream_id, start * width, (stop - start) * width).reshape(stop - start, width)
 
 
-def sample_block(spec: EnsembleSpec, n_samples: int, width: int = 1, stream_id: int = 0):
-    """Bulk iid variates for distribution-level experiments.
+def fold_block(spec: EnsembleSpec, n_samples: int, width: int, partial, workers: int = 1):
+    """Sum of partial(rows) over the chunks of the (n_samples, width) bulk matrix.
 
-    Yields row-major chunks of a (n_samples, width) matrix drawn from the
-    single stream keyed (seed, stream_id); variate (i, k) sits at position
-    i * width + k.  The fixed chunk size makes the output independent of how
-    the consumer parallelizes.
+    partial maps a chunk of rows to an array of partial sums.  Chunks hold
+    max(1, 2**20 // width) rows and their partials are added left to right in
+    chunk order, so the result is bitwise independent of workers.
     """
-    gen = _stream(spec.seed, stream_id)
-    total = n_samples * width
-    done = 0
-    while done < total:
-        take = min(_BLOCK_CHUNK // width * width if width > 1 else _BLOCK_CHUNK, total - done)
-        u = gen.random(take)
-        yield _from_uniforms(spec, u).reshape(-1, width) if width > 1 else _from_uniforms(spec, u)
-        done += take
+    held = [None]
 
+    def kernel(a, b):
+        # the previous chunk stays referenced: freeing every array of a chunk lets
+        # malloc trim the heap, and the next chunk page-faults it all back in.
+        # held is state shared by all threads, but no result ever reads it.
+        rows = sample_block(spec, a, b, width)
+        part = partial(rows)
+        held[0] = rows
+        return part
 
-def sample_block_array(spec: EnsembleSpec, n_samples: int, width: int = 1, stream_id: int = 0):
-    return np.concatenate(list(sample_block(spec, n_samples, width, stream_id)), axis=0)
+    acc = 0.0
+    for part in run_chunked(n_samples, kernel, workers, max(1, 2**20 // width)):
+        acc += part
+    return acc
 
 
 @dataclass
@@ -300,7 +310,7 @@ def _fit_tail_exponent(rho: np.ndarray, survival: np.ndarray, n_samples: int) ->
     }
 
 
-def verify_tail(spec: EnsembleSpec, n_samples: int, rho_grid) -> dict:
+def verify_tail(spec: EnsembleSpec, n_samples: int, rho_grid, workers: int = 1) -> dict:
     """Fit the empirical tail against C rho^{-k} exp(-c rho^gamma), report gamma_hat.
 
     The verdict is one-sided (gamma_hat >= certified gamma - 0.15): the
@@ -313,11 +323,11 @@ def verify_tail(spec: EnsembleSpec, n_samples: int, rho_grid) -> dict:
         raise ValueError(f"verify_tail needs n_samples >= 1e5, got {n_samples}")
     if rho_grid.size < 2 or np.any(np.diff(rho_grid) <= 0):
         raise ValueError("rho_grid must be strictly increasing with >= 2 points")
-    survival = np.zeros(rho_grid.size)
-    for chunk in sample_block(spec, n_samples):
-        a = np.abs(chunk)
-        survival += (a[None, :] >= rho_grid[:, None]).sum(axis=1)
-    survival /= n_samples
+
+    def partial(rows):
+        return (np.abs(rows.ravel())[None, :] >= rho_grid[:, None]).sum(axis=1)
+
+    survival = fold_block(spec, n_samples, 1, partial, workers) / n_samples
 
     # keep points with at least 20 hits so the log survival is trustworthy
     usable = (survival >= 20.0 / n_samples) & (survival < 1)
@@ -347,16 +357,16 @@ def verify_tail(spec: EnsembleSpec, n_samples: int, rho_grid) -> dict:
     }
 
 
-def empirical_moment(spec: EnsembleSpec, order: int, n_samples: int) -> dict:
+def empirical_moment(spec: EnsembleSpec, order: int, n_samples: int, workers: int = 1) -> dict:
     """Monte Carlo E|X|^order with a standard-error estimate."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    total = 0.0
-    total_sq = 0.0
-    for chunk in sample_block(spec, n_samples):
-        p = np.abs(chunk) ** order
-        total += p.sum()
-        total_sq += (p * p).sum()
+
+    def partial(rows):
+        p = np.abs(rows.ravel()) ** order
+        return np.array([p.sum(), (p * p).sum()])
+
+    total, total_sq = fold_block(spec, n_samples, 1, partial, workers)
     mean = total / n_samples
     var = max(total_sq / n_samples - mean**2, 0.0)
     return {

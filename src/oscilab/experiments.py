@@ -368,15 +368,15 @@ def khinchin(params, ctx):
     n = params["n_samples"]
     qs = tuple(range(2, params["q_max"] + 1, 2))
     runs = {
-        "gaussian": khinchin_growth(make_ensemble("gaussian", seed=seed), spread, qs, n_samples=n),
+        "gaussian": khinchin_growth(make_ensemble("gaussian", seed=seed), spread, qs, n_samples=n, workers=ctx.workers),
         "rademacher_single": khinchin_growth(
-            make_ensemble("rademacher", seed=seed), np.array([1.0]), qs, n_samples=max(n // 10, 10**4)
+            make_ensemble("rademacher", seed=seed), np.array([1.0]), qs, n_samples=max(n // 10, 10**4), workers=ctx.workers
         ),
         "weibull_1.0": khinchin_growth(
-            make_ensemble("symmetric_weibull", seed=seed, gamma=1.0), spread, qs, n_samples=n
+            make_ensemble("symmetric_weibull", seed=seed, gamma=1.0), spread, qs, n_samples=n, workers=ctx.workers
         ),
         "weibull_1.5": khinchin_growth(
-            make_ensemble("symmetric_weibull", seed=seed, gamma=1.5), spread, qs, n_samples=n
+            make_ensemble("symmetric_weibull", seed=seed, gamma=1.5), spread, qs, n_samples=n, workers=ctx.workers
         ),
     }
     lines = [
@@ -458,15 +458,16 @@ def tails(params, ctx):
     seed = ctx.seed
     reports = {}
     reports["verify_gaussian"] = verify_tail(
-        make_ensemble("gaussian", seed=seed), params["n_verify"], np.linspace(1, 4, 13)
+        make_ensemble("gaussian", seed=seed), params["n_verify"], np.linspace(1, 4, 13), workers=ctx.workers
     )
     reports["verify_weibull_1.0"] = verify_tail(
         make_ensemble("symmetric_weibull", seed=seed, gamma=1.0),
         max(params["n_verify"] // 5, 10**5),
         np.linspace(1, 8, 15),
+        workers=ctx.workers,
     )
     reports["verify_rademacher"] = verify_tail(
-        make_ensemble("rademacher", seed=seed), 10**5, np.linspace(0.5, 2.0, 7)
+        make_ensemble("rademacher", seed=seed), 10**5, np.linspace(0.5, 2.0, 7), workers=ctx.workers
     )
     nt = gaussian_norm_tail(params["n_tail"], ctx)
     reports["norm_tail_gaussian"] = {k: v for k, v in nt.items() if k not in ("survival", "t_grid")}
@@ -572,13 +573,15 @@ def chernoff(params, ctx):
     c16 = np.ones(16) / 4.0
     runs = {
         "gaussian": chernoff_tail(
-            make_ensemble("gaussian", seed=ctx.seed), c16, np.linspace(1.0, 4.5, 15), n_samples=params["n_samples"]
+            make_ensemble("gaussian", seed=ctx.seed), c16, np.linspace(1.0, 4.5, 15), n_samples=params["n_samples"],
+            workers=ctx.workers,
         ),
         "weibull_1.5": chernoff_tail(
             make_ensemble("symmetric_weibull", seed=ctx.seed, gamma=1.5),
             c16,
             np.linspace(1.0, 6.0, 21),
             n_samples=params["n_samples"],
+            workers=ctx.workers,
         ),
     }
     return Result(
@@ -640,7 +643,7 @@ EXPERIMENTS = (
         {"n_samples": 10**5, "n_modes": 32, "q_max": 8},
         {"n_samples": 10**6, "n_modes": 32, "q_max": 12},
         {"n_samples": 2 * 10**6, "n_modes": 64, "q_max": 12},
-    ), khinchin),
+    ), khinchin, parallel=True),
     Experiment("b2p", _tiers({"p": 3}, {"p": 4}, {"p": 5}), b2p),
     Experiment("tails", _tiers(
         {"n_tail": 10**4, "n_verify": 10**5},
@@ -658,5 +661,5 @@ EXPERIMENTS = (
     Experiment("eigen-lp", _tiers({"n_max": 100}, {"n_max": 400}, {"n_max": 400}), eigen_lp),
     Experiment("chernoff", _tiers(
         {"n_samples": 5 * 10**4}, {"n_samples": 10**6}, {"n_samples": 2 * 10**6}
-    ), chernoff),
+    ), chernoff, parallel=True),
 )

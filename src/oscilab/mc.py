@@ -14,14 +14,15 @@ __all__ = ["run_chunked"]
 DEFAULT_CHUNK = 4096
 
 
-def run_chunked(total: int, kernel, workers: int = 1):
-    """Evaluate kernel(start, stop) over [0, total) in chunks of DEFAULT_CHUNK.
+def run_chunked(total: int, kernel, workers: int = 1, chunk_size: int = DEFAULT_CHUNK):
+    """Evaluate kernel(start, stop) over [0, total) in chunks of chunk_size.
 
-    kernel must be a pure function of its index range.  Returns the ordered
-    list of chunk results; callers reduce with an associative, order-fixed
-    combine (concatenate, sum of counts).
+    kernel's result must be a pure function of its index range (state it keeps
+    may only hold memory, as ``ensembles.fold_block`` does).  Returns the ordered
+    list of chunk results; callers reduce them in that order (concatenation,
+    or a left fold of partial sums).
     """
-    ranges = [(start, min(start + DEFAULT_CHUNK, total)) for start in range(0, total, DEFAULT_CHUNK)]
+    ranges = [(start, min(start + chunk_size, total)) for start in range(0, total, chunk_size)]
     if workers <= 1 or len(ranges) == 1:
         return [kernel(a, b) for a, b in ranges]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -2,7 +2,12 @@
 moment growth of random series, norm tails, good-data probabilities,
 second-moment lower bounds, and eigenfunction L^p decay.
 
-Every Monte Carlo verdict carries a standard error and uses a 3 sigma margin.
+Verdicts with a standard error and a 3 sigma margin: ``odd_moment_witness``,
+``paley_zygmund_check`` and the Wilson intervals of ``good_set_probability``.
+The others use fixed margins: ``khinchin_growth`` slope <= 1/m(gamma) + 0.15,
+``chernoff_tail`` growth <= 1/gamma + 0.1 (and fit R^2 >= 0.9, as in
+``norm_tail``), ``ensembles.verify_tail`` gamma_hat >= gamma - 0.15; ROADMAP
+item 1 calibrates them.
 All measured norms are degree-1 homogeneous in the base field sample-wise:
 scaling the base by a power of two scales each sample exactly.
 """
@@ -15,7 +20,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, _fit_tail_exponent, sample_block, sample_gain_matrix
+from .ensembles import EnsembleSpec, _fit_tail_exponent, fold_block, sample_gain_matrix
 from .fields import SpectralField, product_quadrature
 from .mc import run_chunked
 from .hermite import audit_axis, hermite_function_values
@@ -73,6 +78,7 @@ def khinchin_growth(
     coeffs,
     q_grid=(2, 4, 6, 8, 10, 12),
     n_samples: int = 10**6,
+    workers: int = 1,
 ) -> dict:
     """Empirical L^q(Omega) norms of sum_n c_n g_n and their growth exponent.
 
@@ -88,14 +94,15 @@ def khinchin_growth(
     if q_grid[0] < 2 or q_grid[-1] > 24 or np.any(q_grid % 2):
         raise ValueError("q_grid must be even integers inside [2, 24]")
 
-    sums = np.zeros(q_grid.size)
-    sums_sq = np.zeros(q_grid.size)
-    for chunk in sample_block(spec, n_samples, width=coeffs.size):
-        s = np.abs(chunk.reshape(-1, coeffs.size) @ coeffs)
+    def partial(rows):
+        s = np.abs(rows @ coeffs)
+        part = np.zeros((q_grid.size, 2))
         for i, q in enumerate(q_grid):
             p = s**q
-            sums[i] += p.sum()
-            sums_sq[i] += (p * p).sum()
+            part[i] = p.sum(), (p * p).sum()
+        return part
+
+    sums, sums_sq = fold_block(spec, n_samples, coeffs.size, partial, workers).T
     means = sums / n_samples
     variances = np.maximum(sums_sq / n_samples - means**2, 0.0)
     rel_se = np.sqrt(variances / n_samples) / np.where(means > 0, means, 1.0)
@@ -200,7 +207,7 @@ def admits_pair_triple_structure(indices) -> bool:
     return all(m >= 2 for m in counts.values())
 
 
-def odd_moment_witness(spec: EnsembleSpec, indices, n_samples: int = 10**5) -> dict:
+def odd_moment_witness(spec: EnsembleSpec, indices, n_samples: int = 10**5, workers: int = 1) -> dict:
     """Estimate E(X_{n_1} ... X_{n_k}) for an index tuple of length 3, 4 or 6.
 
     For mean-zero families the product moment can only be nonzero when the
@@ -211,13 +218,12 @@ def odd_moment_witness(spec: EnsembleSpec, indices, n_samples: int = 10**5) -> d
     indices = tuple(int(i) for i in indices)
     if len(indices) not in (3, 4, 6):
         raise ValueError(f"tuple length must be 3, 4 or 6, got {len(indices)}")
-    width = max(indices) + 1
-    total = 0.0
-    total_sq = 0.0
-    for chunk in sample_block(spec, n_samples, width=width):
-        prod = np.prod(chunk.reshape(-1, width)[:, list(indices)], axis=1)
-        total += prod.sum()
-        total_sq += (prod * prod).sum()
+
+    def partial(rows):
+        prod = np.prod(rows[:, list(indices)], axis=1)
+        return np.array([prod.sum(), (prod * prod).sum()])
+
+    total, total_sq = fold_block(spec, n_samples, max(indices) + 1, partial, workers)
     mean = total / n_samples
     var = max(total_sq / n_samples - mean**2, 0.0)
     se = float(np.sqrt(var / n_samples))
@@ -576,6 +582,7 @@ def chernoff_tail(
     n_samples: int = 10**6,
     q_grid=(2, 4, 6, 8, 10),
     mgf_points: int = 21,
+    workers: int = 1,
 ) -> dict:
     """Three-part check for mean-zero families with gamma in (1, 2]:
 
@@ -594,21 +601,19 @@ def chernoff_tail(
     t_grid = np.linspace(-1.0, 1.0, mgf_points)
     rho_grid = np.asarray(rho_grid, dtype=float)
 
-    mgf = np.zeros(t_grid.size)
-    survival = np.zeros(rho_grid.size)
     q_grid = np.asarray(sorted(q_grid), dtype=int)
-    qsums = np.zeros(q_grid.size)
-    for chunk in sample_block(spec, n_samples, width=coeffs.size):
-        chunk = chunk.reshape(-1, coeffs.size)
-        x = chunk[:, 0]
-        mgf += np.exp(np.outer(t_grid, x)).sum(axis=1)
-        s = np.abs(chunk @ coeffs)
-        survival += (s[None, :] >= rho_grid[:, None]).sum(axis=1)
-        for i, q in enumerate(q_grid):
-            qsums[i] += (s**q).sum()
-    mgf /= n_samples
-    survival /= n_samples
-    lq_norms = (qsums / n_samples) ** (1.0 / q_grid)
+
+    def partial(rows):
+        s = np.abs(rows @ coeffs)
+        return np.concatenate([
+            np.exp(np.outer(t_grid, rows[:, 0])).sum(axis=1),
+            (s[None, :] >= rho_grid[:, None]).sum(axis=1),
+            [(s**q).sum() for q in q_grid],
+        ])
+
+    sums = fold_block(spec, n_samples, coeffs.size, partial, workers) / n_samples
+    mgf, survival, qsums = np.split(sums, [t_grid.size, t_grid.size + rho_grid.size])
+    lq_norms = qsums ** (1.0 / q_grid)
 
     # (i) quadratic MGF envelope
     away = np.abs(t_grid) >= 0.25

@@ -13,12 +13,13 @@ from oscilab.ensembles import (
     make_ensemble,
     randomize,
     sample,
-    sample_block_array,
+    sample_block,
     sample_gain_matrix,
     sample_gains,
     verify_tail,
 )
 from oscilab.fields import SpectralField, harmonic_sobolev_norm, unit_field
+from oscilab.proba import chernoff_tail, khinchin_growth, odd_moment_witness
 
 SEED = 1
 
@@ -49,14 +50,14 @@ def test_flag_consistency_enforced():
 
 def test_gaussian_marginals():
     g = make_ensemble("gaussian", seed=SEED)
-    x = sample_block_array(g, 10**6)
+    x = sample_block(g, 0, 10**6)
     assert abs(np.mean(x * x) - 1.0) <= 0.01
     assert abs(np.mean(x)) <= 0.005
 
 
 def test_two_point_values_and_moments():
     tp = make_ensemble("centered_two_point", seed=SEED)
-    x = sample_block_array(tp, 10**6)
+    x = sample_block(tp, 0, 10**6)
     assert set(np.unique(x)) == {-0.5, 2.0}
     assert abs(np.mean(x)) <= 0.005
     # (1/5) 8 + (4/5)(-1/8) = 1.5
@@ -65,20 +66,20 @@ def test_two_point_values_and_moments():
 
 def test_rademacher_support():
     r = make_ensemble("rademacher", seed=SEED)
-    x = sample_block_array(r, 10**4)
+    x = sample_block(r, 0, 10**4)
     assert set(np.unique(x)) == {-1.0, 1.0}
 
 
 def test_uniform_variance():
     u = make_ensemble("uniform_symmetric", seed=SEED)
-    x = sample_block_array(u, 10**6)
+    x = sample_block(u, 0, 10**6)
     assert np.abs(x).max() <= np.sqrt(3) + 1e-12
     assert abs(np.mean(x * x) - 1.0) <= 0.01
 
 
 def test_weibull_exact_tail_and_moment():
     w = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0)
-    x = sample_block_array(w, 10**6)
+    x = sample_block(w, 0, 10**6)
     # magnitude is standard exponential: E X^2 = 2
     assert abs(np.mean(x * x) - 2.0) <= 0.03
     emp = np.mean(np.abs(x) >= 2.0)
@@ -141,6 +142,98 @@ def test_gain_matrix_is_counter_addressed(case):
         assert np.array_equal(row, sample_gains(spec, omega, count))
     parts = [sample_gain_matrix(spec, ids, count) for ids in (omega_ids[:split], omega_ids[split:])]
     assert np.array_equal(np.concatenate(parts), gains)
+
+
+@st.composite
+def block_cases(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    gamma = draw(st.sampled_from([0.5, 1.0, 2.0])) if family == "symmetric_weibull" else None
+    spec = make_ensemble(family, seed=draw(st.integers(0, 2**64 - 1)), gamma=gamma)
+    stop = draw(st.integers(0, 120))
+    start = draw(st.integers(0, stop))
+    return spec, start, stop, draw(st.integers(1, 40)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_cases())
+def test_block_is_counter_addressed(case):
+    spec, start, stop, width, stream_id = case
+    rows = sample_block(spec, start, stop, width, stream_id)
+    assert rows.shape == (stop - start, width)
+    assert np.array_equal(rows, sample_block(spec, 0, stop, width, stream_id)[start:])
+    flat = _from_uniforms(spec, reference_uniforms(spec.seed, stream_id, stop * width))
+    assert np.array_equal(rows, flat[start * width :].reshape(-1, width))
+
+
+def test_block_wider_than_a_chunk():
+    # a row longer than the 2^20-variate chunk is read as a chunk of its own
+    g = make_ensemble("gaussian", seed=SEED)
+    width = 2**20 + 1
+    rows = sample_block(g, 0, 2, width)
+    assert np.array_equal(rows.ravel(), sample_gains(g, 0, 2 * width))
+    assert np.array_equal(sample_block(g, 1, 2, width), rows[1:])
+    e0 = np.zeros(width)
+    e0[0] = 1.0
+    rep = khinchin_growth(make_ensemble("rademacher", seed=SEED), e0, n_samples=3)
+    assert rep["lq_norms"] == [1.0] * 6
+
+
+def test_empirical_moment_matches_sequential_reference():
+    # the stream drawn in one pass and summed 2^20 variates at a time, in order
+    w = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5)
+    n = 2 * 2**20 + 12345
+    x = _from_uniforms(w, reference_uniforms(w.seed, 0, n))
+    total = total_sq = 0.0
+    for lo in range(0, n, 2**20):
+        p = np.abs(x[lo : lo + 2**20]) ** 3
+        total += p.sum()
+        total_sq += (p * p).sum()
+    mean = total / n
+    rep = empirical_moment(w, 3, n)
+    assert rep["value"] == mean
+    assert rep["std_error"] == np.sqrt(max(total_sq / n - mean**2, 0.0) / n)
+
+
+def test_khinchin_matches_sequential_reference():
+    # the stream drawn in one pass and summed 2^20 variates (2^15 rows of 32)
+    # at a time, in order: the chunked fold must reproduce it bit for bit
+    w = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5)
+    coeffs = np.ones(32) / np.sqrt(32)
+    q_grid = np.array([2, 4, 6, 8])
+    n = 10**5
+    x = _from_uniforms(w, reference_uniforms(w.seed, 0, n * 32)).reshape(n, 32)
+    sums, sums_sq = np.zeros(q_grid.size), np.zeros(q_grid.size)
+    for lo in range(0, n, 2**15):
+        s = np.abs(x[lo : lo + 2**15].copy() @ coeffs)
+        for i, q in enumerate(q_grid):
+            p = s**q
+            sums[i] += p.sum()
+            sums_sq[i] += (p * p).sum()
+    means = sums / n
+    rep = khinchin_growth(w, coeffs, tuple(q_grid), n)
+    assert rep["lq_norms"] == (means ** (1.0 / q_grid)).tolist()
+    rel_se = np.sqrt(np.maximum(sums_sq / n - means**2, 0.0) / n) / means
+    assert rep["rel_std_errors"] == rel_se.tolist()
+
+
+def bulk_estimators(workers):
+    """Every bulk-stream estimator, each over several chunks of its stream."""
+    g = make_ensemble("gaussian", seed=SEED)
+    w = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5)
+    n_long = 2 * 2**20 + 12345  # width 1: two full chunks and a partial one
+    return {
+        "verify_tail": verify_tail(g, n_long, np.linspace(1, 4, 13), workers),
+        "empirical_moment": empirical_moment(w, 3, n_long, workers),
+        "khinchin_growth": khinchin_growth(w, np.ones(32) / np.sqrt(32), (2, 4, 6, 8), 10**5, workers),
+        "odd_moment_witness": odd_moment_witness(g, (0, 2, 3), 6 * 10**5, workers),
+        "chernoff_tail": chernoff_tail(g, np.ones(16) / 4.0, np.linspace(1.0, 4.5, 15), 2 * 10**5, workers=workers),
+    }
+
+
+def test_bulk_estimators_independent_of_workers():
+    serial = bulk_estimators(1)
+    for workers in (2, 3):
+        assert bulk_estimators(workers) == serial
 
 
 def test_independence_surrogate():

@@ -145,15 +145,16 @@ def test_cli_solve_nlsh_in_two_dimensions(tmp_path, capsys):
 
 
 def test_cli_rejects_workers_where_ignored(tmp_path, capsys):
-    assert run_cli(["khinchin", "--tier", "smoke", "--out", str(tmp_path), "--workers", "2"]) == 2
+    assert run_cli(["smoothing", "--tier", "smoke", "--out", str(tmp_path), "--workers", "2"]) == 2
     assert "--workers 2" in capsys.readouterr().err
-    error_report = json.loads((tmp_path / "khinchin" / "error.json").read_text())
+    error_report = json.loads((tmp_path / "smoothing" / "error.json").read_text())
     assert error_report["stats"]["error_type"] == "ConfigError"
-    assert not (tmp_path / "khinchin" / "khinchin.json").exists()
+    assert not (tmp_path / "smoothing" / "smoothing.json").exists()
+    assert run_cli(["b2p", "--tier", "smoke", "--out", str(tmp_path), "--workers", "2"]) == 2
     assert run_cli(["b2p", "--tier", "smoke", "--out", str(tmp_path), "--workers", "1"]) == 0
 
 
-@pytest.mark.parametrize("command", ["omega", "paley-zygmund"])
+@pytest.mark.parametrize("command", ["omega", "paley-zygmund", "khinchin", "chernoff", "tails"])
 def test_cli_deterministic_artifacts(tmp_path, command):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli([command, "--tier", "smoke", "--out", str(a), "--workers", "1"]) == 0
