@@ -82,7 +82,7 @@ def criterion_03_eigenfunction_sup(tier: str, seed: int) -> dict:
 
 
 def criterion_04_smoothing_stability(tier: str, seed: int) -> dict:
-    draws = {"smoke": 10, "reference": 100, "extended": 200}[tier]
+    draws = {"smoke": 10, "reference": 100}[tier]
     res = experiments.smoothing({"N_coarse": 128, "N_fine": 256, "draws": draws, "time_nodes": 129}, Context(seed))
     sups = {
         k: {"N128": v["coarse"], "N256": v["fine"], "rel_change": v["rel_change"]}
@@ -176,7 +176,7 @@ def criterion_09_cycle_combinatorics(tier: str, seed: int) -> dict:
 
 
 def criterion_10_khinchin(tier: str, seed: int) -> dict:
-    n, q_max = {"smoke": (10**5, 8), "reference": (10**6, 12), "extended": (2 * 10**6, 12)}[tier]
+    n, q_max = {"smoke": (10**5, 8), "reference": (10**6, 12)}[tier]
     runs = experiments.khinchin({"n_samples": n, "n_modes": 32, "q_max": q_max}, Context(seed)).stats["runs"]
     passed = (
         abs(runs["gaussian"]["fitted_exponent"] - 0.5) <= 0.1
@@ -192,7 +192,7 @@ def criterion_10_khinchin(tier: str, seed: int) -> dict:
 
 
 def criterion_11_tail_bounds(tier: str, seed: int) -> dict:
-    n_tail, n_chern = {"smoke": (10**4, 2 * 10**4), "reference": (10**5, 10**6), "extended": (2 * 10**5, 2 * 10**6)}[tier]
+    n_tail, n_chern = {"smoke": (10**4, 2 * 10**4), "reference": (10**5, 10**6)}[tier]
     nt = experiments.gaussian_norm_tail(n_tail, Context(seed))
     ch = experiments.chernoff({"n_samples": n_chern}, Context(seed))
     return {
@@ -206,7 +206,7 @@ def criterion_11_tail_bounds(tier: str, seed: int) -> dict:
 
 
 def criterion_12_good_set(tier: str, seed: int) -> dict:
-    n = {"smoke": 10**3, "reference": 10**4, "extended": 2 * 10**4}[tier]
+    n = {"smoke": 10**3, "reference": 10**4}[tier]
     res = experiments.omega({"n_samples": n, "n_modes": 16, "thresholds": [1.0, 1.5, 2.0, 3.0]}, Context(seed), base_norm=1.0)
     moderate = res.stats["rows"][1]
     # sample-wise degree-1 homogeneity: halving the base halves every norm
@@ -226,7 +226,7 @@ def criterion_12_good_set(tier: str, seed: int) -> dict:
 
 
 def criterion_13_paley_zygmund(tier: str, seed: int) -> dict:
-    n = {"smoke": 10**3, "reference": 10**4, "extended": 2 * 10**4}[tier]
+    n = {"smoke": 10**3, "reference": 10**4}[tier]
     res = experiments.paley_zygmund({"n_samples": n}, Context(seed))
     runs = res.stats["runs"]
     sigmas = [runs[f"gaussian_s05_N{scale}"]["sigma_sq_exact"] for scale in (4, 8, 16)]

@@ -23,26 +23,22 @@ of the (n, width) matrix with variate (i, k) at position i * width + k;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .fields import SpectralField
 from .mc import run_chunked
 
 __all__ = [
     "EnsembleSpec",
-    "RandomFieldDraw",
     "make_ensemble",
     "FAMILIES",
     "sample",
     "sample_gains",
     "sample_block",
     "fold_block",
-    "randomize",
     "verify_tail",
-    "empirical_moment",
 ]
 
 FAMILIES = (
@@ -86,17 +82,6 @@ class EnsembleSpec:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.satisfies_HE1 and not self.satisfies_HE2:
             raise ValueError("HE1 (all odd moments vanish) implies HE2 (mean zero)")
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "satisfies_HE1": self.satisfies_HE1,
-            "satisfies_HE2": self.satisfies_HE2,
-            "satisfies_H01": self.satisfies_H01,
-            "satisfies_H02": self.satisfies_H02,
-        }
 
 
 def make_ensemble(family: str, seed: int, gamma: float | None = None) -> EnsembleSpec:
@@ -254,30 +239,6 @@ def fold_block(spec: EnsembleSpec, n_samples: int, width: int, partial, workers:
     return acc
 
 
-@dataclass
-class RandomFieldDraw:
-    """One randomized field: deterministic base c_n and draw c_n g_n(omega)."""
-
-    base: SpectralField
-    draw: SpectralField
-    omega_id: int
-
-    def __post_init__(self):
-        nz = self.base.coeffs != 0
-        ratio = self.draw.coeffs[nz] / self.base.coeffs[nz]
-        if ratio.size and np.max(np.abs(ratio.imag)) > 1e-12 * max(1.0, np.max(np.abs(ratio))):
-            raise ValueError("draw/base ratio must be real where the base is nonzero")
-
-
-def randomize(base: SpectralField, spec: EnsembleSpec, omega_id: int) -> RandomFieldDraw:
-    """Coefficient-wise multiplication by independent gains: sum c_n g_n(omega) h_n."""
-    if base.l2_norm == 0:
-        raise ValueError("cannot randomize the zero field")
-    gains = sample_gains(spec, omega_id, base.basis.size)
-    draw = SpectralField(base.basis, base.coeffs * gains)
-    return RandomFieldDraw(base=base, draw=draw, omega_id=omega_id)
-
-
 # ---------------------------------------------------------------------------
 # distribution diagnostics
 
@@ -354,25 +315,4 @@ def verify_tail(spec: EnsembleSpec, n_samples: int, rho_grid, workers: int = 1) 
         "survival": survival.tolist(),
         "rho_grid": rho_grid.tolist(),
         **fit,
-    }
-
-
-def empirical_moment(spec: EnsembleSpec, order: int, n_samples: int, workers: int = 1) -> dict:
-    """Monte Carlo E|X|^order with a standard-error estimate."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-
-    def partial(rows):
-        p = np.abs(rows.ravel()) ** order
-        return np.array([p.sum(), (p * p).sum()])
-
-    total, total_sq = fold_block(spec, n_samples, 1, partial, workers)
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean**2, 0.0)
-    return {
-        "family": spec.family,
-        "order": order,
-        "value": float(mean),
-        "std_error": float(np.sqrt(var / n_samples)),
-        "n_samples": n_samples,
     }

@@ -20,7 +20,6 @@ __all__ = [
     "embed_field",
     "synthesize",
     "analyze",
-    "out_of_span_energy",
     "derivative_coefficients",
     "rayleigh_quotient",
     "harmonic_sobolev_norm",
@@ -122,17 +121,6 @@ def analyze(values: np.ndarray, basis: BasisGrid) -> SpectralField:
         )
     coeffs = (basis.eval_table * basis.weights) @ values
     return SpectralField(basis, coeffs.astype(complex))
-
-
-def out_of_span_energy(values: np.ndarray, basis: BasisGrid) -> float:
-    """Quadrature mass of the component orthogonal to the truncated span.
-
-    Positive when the sampled function has content beyond degree N; used to
-    flag aliased input in reports.
-    """
-    u = analyze(values, basis)
-    total = float(np.sum(basis.weights * np.abs(np.asarray(values)) ** 2))
-    return max(total - u.l2_norm**2, 0.0)
 
 
 def _shift_index(basis: BasisGrid, target: BasisGrid, n: tuple, axis: int, delta: int):
@@ -262,10 +250,10 @@ def classical_sobolev_norm(u: SpectralField, s: float) -> float:
 
 
 def lebesgue_audit_norm(u: SpectralField, r: float) -> float:
-    """L^r norm over the uniform audit grid (Riemann sum); r = inf is the sup."""
-    vals = np.abs(u.basis.grid_values(u.coeffs, u.basis.audit_table()))
+    """L^r norm over the uniform audit grid (Riemann sum); r = inf is the tiled sup."""
     if np.isinf(r):
-        return float(vals.max())
+        return float(u.basis.audit_sup(u.coeffs[None, :])[0])
+    vals = np.abs(u.basis.grid_values(u.coeffs, u.basis.audit_table()))
     cell = u.basis.audit_cell_volume()
     vmax = vals.max()
     if vmax == 0:

@@ -25,17 +25,12 @@ __all__ = [
     "BasisError",
     "build_basis",
     "cached_basis",
-    "eigenvalue",
     "enumerate_multi_indices",
     "hermite_function_values",
     "gauss_hermite_nodes",
     "audit_axis",
     "tensor_grid",
-    "save_basis",
-    "load_basis",
 ]
-
-BASIS_CACHE_VERSION = 1
 
 # hard ceiling on the coefficient enumeration; build_basis refuses beyond it
 DEFAULT_COEFF_BUDGET = 200_000
@@ -132,17 +127,6 @@ def enumerate_multi_indices(dim: int, max_degree: int) -> tuple[tuple[int, ...],
     # graded lexicographic: sort each degree block lexicographically
     out.sort(key=lambda n: (sum(n), n))
     return tuple(out)
-
-
-def eigenvalue(index, dim: int) -> float:
-    """Eigenvalue of -del^2 + |x|^2 on the Hermite function h_n: 2|n| + d."""
-    if np.isscalar(index):
-        total = int(index)
-    else:
-        total = int(sum(index))
-    if total < 0:
-        raise BasisError(f"multi-index must be non-negative, got {index}")
-    return float(2 * total + dim)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -401,38 +385,3 @@ def gram_deviation(basis: BasisGrid) -> float:
     """Max |G - I| over the quadrature Gram matrix; orthonormality check."""
     g = gram_matrix(basis)
     return float(np.max(np.abs(g - np.eye(basis.size))))
-
-
-def save_basis(basis: BasisGrid, path) -> None:
-    """Serialize a basis to a versioned binary cache file."""
-    np.savez(
-        path,
-        version=np.array([BASIS_CACHE_VERSION]),
-        shape=np.array([basis.dim, basis.max_degree, basis.quad_per_axis]),
-        indices=np.array(basis.indices, dtype=np.int64),
-        nodes=basis.nodes,
-        weights=basis.weights,
-        eval_table=basis.eval_table,
-        axis_nodes=basis.axis_nodes,
-        axis_weights=basis.axis_weights,
-    )
-
-
-def load_basis(path) -> BasisGrid:
-    with np.load(path) as data:
-        version = int(data["version"][0])
-        if version != BASIS_CACHE_VERSION:
-            raise BasisError(f"basis cache version {version} unsupported")
-        dim, max_degree, quad = (int(v) for v in data["shape"])
-        indices = tuple(tuple(int(i) for i in row) for row in data["indices"])
-        return BasisGrid(
-            dim=dim,
-            max_degree=max_degree,
-            quad_per_axis=quad,
-            indices=indices,
-            nodes=data["nodes"],
-            weights=data["weights"],
-            eval_table=data["eval_table"],
-            axis_nodes=data["axis_nodes"],
-            axis_weights=data["axis_weights"],
-        )

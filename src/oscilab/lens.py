@@ -38,7 +38,8 @@ BANDWIDTH_RTOL = 1e-9
 # chirp-tail truncation target for the enlarged free-propagation span
 FREE_TAIL_TOL = 1e-10
 
-DEFAULT_DEGREE_CAP = 1024
+# largest Hermite degree the enlarged free-propagation span may reach
+DEGREE_CAP = 1024
 
 
 class AliasingGuardError(RuntimeError):
@@ -79,26 +80,19 @@ def _frame_grid(axis: np.ndarray, dim: int) -> np.ndarray:
     return axis if dim == 1 else tensor_grid(axis, dim)
 
 
-def lens_forward(u_internal: SpectralField, t: float, points: np.ndarray | None = None) -> PhysicalFrame:
+def lens_forward(u_internal: SpectralField, t: float) -> PhysicalFrame:
     """Lens image at external time t of the field u at internal time arctan(2t)/2.
 
     The caller supplies the field already at the matching internal time; the
     solver-facing wrapper in the fixed-point module handles the time lookup.
-    Off-node synthesis goes through the recurrence, so the x / sqrt(1 + 4t^2)
-    resampling is spectrally exact.
+    The frame sits on the audit grid scaled by sqrt(1 + 4t^2), whose preimage
+    x / sqrt(1 + 4t^2) is the audit grid itself, so the resampling is the
+    field's own audit-grid synthesis.
     """
     basis = u_internal.basis
     alpha = 1.0 + 4.0 * t * t
-    if points is None:
-        # the scaled grid's preimage x / sqrt(1 + 4t^2) is the audit grid itself
-        grid = _frame_grid(_scaled_axis(basis, t), basis.dim)
-        inner = basis.grid_values(u_internal.coeffs, basis.audit_table())
-    else:
-        grid = np.asarray(points, dtype=float)
-        unscaled = grid / np.sqrt(alpha)
-        if basis.dim == 1:
-            unscaled = unscaled.reshape(-1, 1)
-        inner = synthesize(u_internal, unscaled)
+    grid = _frame_grid(_scaled_axis(basis, t), basis.dim)
+    inner = basis.grid_values(u_internal.coeffs, basis.audit_table())
     x2 = grid**2 if basis.dim == 1 else np.sum(grid**2, axis=1)
     values = alpha ** (-basis.dim / 4.0) * inner * np.exp(1j * x2 * t / alpha)
     return PhysicalFrame(grid=grid, values=values, time=float(t))
@@ -143,37 +137,37 @@ def _free_span_degree(n_eff: int, t: float, dim: int) -> int:
     return int(np.ceil(center)) + margin
 
 
-def free_time_limit(u0: SpectralField, degree_cap: int = DEFAULT_DEGREE_CAP) -> float:
+def free_time_limit(u0: SpectralField) -> float:
     """Largest |t| the guard admits for this data under the degree cap."""
     n_eff = _effective_degree(u0)
     lo, hi = 0.0, 1.0
-    while _free_span_degree(n_eff, hi, u0.basis.dim) <= degree_cap and hi < 1e6:
+    while _free_span_degree(n_eff, hi, u0.basis.dim) <= DEGREE_CAP and hi < 1e6:
         lo, hi = hi, 2.0 * hi
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _free_span_degree(n_eff, mid, u0.basis.dim) <= degree_cap:
+        if _free_span_degree(n_eff, mid, u0.basis.dim) <= DEGREE_CAP:
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def free_propagate_field(u0: SpectralField, t: float, degree_cap: int = DEFAULT_DEGREE_CAP) -> SpectralField:
+def free_propagate_field(u0: SpectralField, t: float) -> SpectralField:
     """exp(it del^2) u0 as a spectral field on an internally enlarged span.
 
     Realized as the Fourier multiplier e^{-it |xi|^2}: transform, multiply on
     the quadrature grid, project back, inverse transform.  The span is grown
     until the chirp tail falls below FREE_TAIL_TOL; if that would exceed
-    degree_cap the call fails loudly rather than aliasing silently.
+    DEGREE_CAP the call fails loudly rather than aliasing silently.
     """
     if t == 0:
         return u0.copy()
     n_eff = _effective_degree(u0)
     need = _free_span_degree(n_eff, t, u0.basis.dim)
-    if need > degree_cap:
+    if need > DEGREE_CAP:
         raise AliasingGuardError(
-            f"free propagation to t={t} needs degree {need} > cap {degree_cap} "
-            f"(data degree {n_eff}); max admissible |t| is {free_time_limit(u0, degree_cap):.4g}"
+            f"free propagation to t={t} needs degree {need} > cap {DEGREE_CAP} "
+            f"(data degree {n_eff}); max admissible |t| is {free_time_limit(u0):.4g}"
         )
     dim = u0.basis.dim
     big_degree = max(need, u0.basis.max_degree)
@@ -192,20 +186,11 @@ def free_propagate_field(u0: SpectralField, t: float, degree_cap: int = DEFAULT_
     return inverse_fourier_transform(SpectralField(big, projected))
 
 
-def free_propagate(
-    u0: SpectralField,
-    t: float,
-    points: np.ndarray | None = None,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> PhysicalFrame:
-    """exp(it del^2) u0 sampled on a spatial grid (default: scaled audit grid)."""
-    out = free_propagate_field(u0, t, degree_cap)
-    if points is None:
-        axis = _scaled_axis(u0.basis, t)
-        table = hermite_function_values(out.basis.max_degree, axis)
-        return PhysicalFrame(
-            grid=_frame_grid(axis, u0.basis.dim), values=out.basis.grid_values(out.coeffs, table), time=float(t)
-        )
-    grid = np.asarray(points, dtype=float)
-    pts = grid.reshape(-1, 1) if u0.basis.dim == 1 else grid
-    return PhysicalFrame(grid=grid, values=synthesize(out, pts), time=float(t))
+def free_propagate(u0: SpectralField, t: float) -> PhysicalFrame:
+    """exp(it del^2) u0 sampled on the audit grid scaled by sqrt(1 + 4t^2), the lens frame's grid."""
+    out = free_propagate_field(u0, t)
+    axis = _scaled_axis(u0.basis, t)
+    table = hermite_function_values(out.basis.max_degree, axis)
+    return PhysicalFrame(
+        grid=_frame_grid(axis, u0.basis.dim), values=out.basis.grid_values(out.coeffs, table), time=float(t)
+    )

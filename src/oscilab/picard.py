@@ -19,11 +19,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .fields import (
-    SpectralField,
-    classical_sobolev_norm,
-    product_quadrature,
-)
+from .fields import SpectralField, _trapezoid_weights, classical_sobolev_norm, product_quadrature
 from .hermite import BasisGrid, cached_basis
 from .lens import PhysicalFrame, lens_forward, lens_time_map
 
@@ -33,7 +29,6 @@ __all__ = [
     "ScatteringPair",
     "DivergenceError",
     "picard_solve",
-    "duhamel_apply",
     "residual",
     "mass_curve",
     "uniqueness_probe",
@@ -187,8 +182,7 @@ class _Workspace:
         hs = np.sqrt(np.sum(self.basis.lambda2[None, :] ** self.cfg.s * np.abs(v_mat) ** 2, axis=1))
         sup_part = float(hs.max())
         sups = self.basis.audit_sup(v_mat * self.filter_s[None, :])
-        w = np.full(len(self.times), self.h)
-        w[0] = w[-1] = self.h / 2.0
+        w = _trapezoid_weights(len(self.times), self.h)
         l2t_part = float(np.sqrt(np.sum(w * sups**2)))
         return max(sup_part, l2t_part)
 
@@ -227,37 +221,6 @@ def _apply_duhamel(ws: _Workspace, u0: np.ndarray, v_mat: np.ndarray) -> np.ndar
     mid = (len(ws.times) - 1) // 2
     cumulative = _cumulative_from_zero(integrand, ws.h, mid)
     return -1j * ws.phases * cumulative
-
-
-def duhamel_apply(v: Trajectory, u0: SpectralField, cfg: SolverConfig) -> Trajectory:
-    """One application of the Duhamel map L to a trajectory (no iteration)."""
-    ws = _Workspace(cfg, u0.basis)
-    if v.v.shape != (cfg.time_nodes, u0.basis.size):
-        raise ValueError("trajectory grid does not match the solver config")
-    new_v = _apply_duhamel(ws, u0.coeffs, v.v)
-    return Trajectory(
-        config=cfg,
-        basis=u0.basis,
-        u0=u0.coeffs.copy(),
-        times=ws.times,
-        v=new_v,
-        iterations=v.iterations + 1,
-        contraction_history=list(v.contraction_history),
-        converged=False,
-    )
-
-
-def empty_trajectory(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
-    return Trajectory(
-        config=cfg,
-        basis=u0.basis,
-        u0=u0.coeffs.copy(),
-        times=cfg.times(),
-        v=np.zeros((cfg.time_nodes, u0.basis.size), dtype=complex),
-        iterations=0,
-        contraction_history=[],
-        converged=False,
-    )
 
 
 def picard_solve(

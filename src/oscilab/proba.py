@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
 from .ensembles import EnsembleSpec, _fit_tail_exponent, fold_block, sample_gain_matrix
-from .fields import SpectralField, product_quadrature
+from .fields import SpectralField, _trapezoid_weights, product_quadrature
 from .mc import run_chunked
 from .hermite import audit_axis, hermite_function_values
 
@@ -267,6 +267,23 @@ def _data_norm_samples(
     return out
 
 
+def _survival_fit(grid, survival, scale: float, gamma: float, empty_message: str):
+    """Least-squares line log S = intercept + slope (grid / scale)^gamma over
+    the window where the survival S lies in [1e-3, 0.3], which needs at least
+    3 points.  Returns (slope, intercept, R^2, number of window points)."""
+    window = (survival >= 1e-3) & (survival <= 0.3)
+    if np.count_nonzero(window) < 3:
+        raise ValueError(empty_message)
+    x = (grid[window] / scale) ** gamma
+    y = np.log(survival[window])
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, r2, int(np.count_nonzero(window))
+
+
 def norm_tail(
     base: SpectralField,
     spec: EnsembleSpec,
@@ -297,16 +314,9 @@ def norm_tail(
             "verdict": True,
             "n_samples": n_samples,
         }
-    window = (survival >= 1e-3) & (survival <= 0.3)
-    if np.count_nonzero(window) < 3:
-        raise ValueError("empty survival fit window [1e-3, 0.3]; adjust t_grid")
-    x = (t_grid[window] / base_norm) ** spec.gamma
-    y = np.log(survival[window])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2, fit_points = _survival_fit(
+        t_grid, survival, base_norm, spec.gamma, "empty survival fit window [1e-3, 0.3]; adjust t_grid"
+    )
     return {
         "family": spec.family,
         "deterministic": False,
@@ -315,7 +325,7 @@ def norm_tail(
         "c_hat": float(-slope),
         "C_hat": float(np.exp(intercept)),
         "fit_r2": float(r2),
-        "fit_points": int(np.count_nonzero(window)),
+        "fit_points": fit_points,
         "t_grid": t_grid.tolist(),
         "survival": survival.tolist(),
         "verdict": bool(r2 >= 0.9 and slope < 0),
@@ -358,9 +368,7 @@ def flow_sup_norm_samples(exp: TailExperiment, q_time: float, workers: int = 1) 
     basis = base.basis
     filt = basis.lambda2 ** (exp.sup_regularity / 2.0)
     times = np.linspace(-2 * np.pi, 2 * np.pi, exp.time_nodes)
-    step = float(times[1] - times[0])
-    tw = np.full(exp.time_nodes, step)
-    tw[0] = tw[-1] = step / 2.0
+    tw = _trapezoid_weights(exp.time_nodes, float(times[1] - times[0]))
     phases = np.exp(-1j * np.outer(times, basis.lambda2))
 
     out = np.empty(exp.n_samples)
@@ -621,16 +629,9 @@ def chernoff_tail(
     mgf_ok = np.all(np.isfinite(mgf)) and c_hat_mgf < 10.0
 
     # (ii) tail fit in the survival window, plus a free-exponent cross-check
-    window = (survival >= 1e-3) & (survival <= 0.3)
-    if np.count_nonzero(window) < 3:
-        raise ValueError("empty tail fit window; adjust rho_grid")
-    x = (rho_grid[window] / cnorm) ** spec.gamma
-    y = np.log(survival[window])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2, _ = _survival_fit(
+        rho_grid, survival, cnorm, spec.gamma, "empty tail fit window; adjust rho_grid"
+    )
     tail_ok = r2 >= 0.9 and slope < 0
     free_window = survival >= 20.0 / n_samples
     free_fit = _fit_tail_exponent(

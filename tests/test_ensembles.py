@@ -9,16 +9,14 @@ from oscilab.ensembles import (
     EnsembleSpec,
     _fit_tail_exponent,
     _from_uniforms,
-    empirical_moment,
+    fold_block,
     make_ensemble,
-    randomize,
     sample,
     sample_block,
     sample_gain_matrix,
     sample_gains,
     verify_tail,
 )
-from oscilab.fields import SpectralField, harmonic_sobolev_norm, unit_field
 from oscilab.proba import chernoff_tail, khinchin_growth, odd_moment_witness
 
 SEED = 1
@@ -88,12 +86,12 @@ def test_weibull_exact_tail_and_moment():
 
 def test_moment_examples():
     g = make_ensemble("gaussian", seed=SEED)
-    m4 = empirical_moment(g, 4, 10**6)
-    assert abs(m4["value"] - 3.0) <= 0.05
-    m2 = empirical_moment(g, 2, 10**6)
-    assert m2["value"] ** 2 <= m4["value"] + 3 * m4["std_error"]
+    x = sample_block(g, 0, 10**6)
+    m4, se4 = np.mean(x**4), np.std(x**4) / np.sqrt(x.size)
+    assert abs(m4 - 3.0) <= 0.05
+    assert np.mean(x**2) ** 2 <= m4 + 3 * se4
     r = make_ensemble("rademacher", seed=SEED)
-    assert empirical_moment(r, 9, 10**4)["value"] == 1.0
+    assert np.mean(np.abs(sample_block(r, 0, 10**4)) ** 9) == 1.0
 
 
 def test_stream_determinism():
@@ -178,7 +176,7 @@ def test_block_wider_than_a_chunk():
     assert rep["lq_norms"] == [1.0] * 6
 
 
-def test_empirical_moment_matches_sequential_reference():
+def test_fold_block_matches_sequential_reference():
     # the stream drawn in one pass and summed 2^20 variates at a time, in order
     w = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5)
     n = 2 * 2**20 + 12345
@@ -188,10 +186,12 @@ def test_empirical_moment_matches_sequential_reference():
         p = np.abs(x[lo : lo + 2**20]) ** 3
         total += p.sum()
         total_sq += (p * p).sum()
-    mean = total / n
-    rep = empirical_moment(w, 3, n)
-    assert rep["value"] == mean
-    assert rep["std_error"] == np.sqrt(max(total_sq / n - mean**2, 0.0) / n)
+
+    def partial(rows):
+        p = np.abs(rows.ravel()) ** 3
+        return np.array([p.sum(), (p * p).sum()])
+
+    assert fold_block(w, n, 1, partial).tolist() == [total, total_sq]
 
 
 def test_khinchin_matches_sequential_reference():
@@ -223,7 +223,6 @@ def bulk_estimators(workers):
     n_long = 2 * 2**20 + 12345  # width 1: two full chunks and a partial one
     return {
         "verify_tail": verify_tail(g, n_long, np.linspace(1, 4, 13), workers),
-        "empirical_moment": empirical_moment(w, 3, n_long, workers),
         "khinchin_growth": khinchin_growth(w, np.ones(32) / np.sqrt(32), (2, 4, 6, 8), 10**5, workers),
         "odd_moment_witness": odd_moment_witness(g, (0, 2, 3), 6 * 10**5, workers),
         "chernoff_tail": chernoff_tail(g, np.ones(16) / 4.0, np.linspace(1.0, 4.5, 15), 2 * 10**5, workers=workers),
@@ -243,27 +242,6 @@ def test_independence_surrogate():
     corr = np.corrcoef(block.T)
     off = corr[~np.eye(4, dtype=bool)]
     assert np.max(np.abs(off)) <= 3.0 / np.sqrt(n)
-
-
-def test_randomize(basis16):
-    base = SpectralField(basis16, (np.ones(16) / 4.0).astype(complex))
-    r = make_ensemble("rademacher", seed=SEED)
-    draw = randomize(base, r, omega_id=0)
-    # unit-modulus gains leave every Sobolev norm unchanged
-    assert abs(harmonic_sobolev_norm(draw.draw, 0.7) - harmonic_sobolev_norm(base, 0.7)) < 1e-14
-
-    g = make_ensemble("gaussian", seed=SEED)
-    ratios = [
-        (randomize(base, g, w).draw.l2_norm / base.l2_norm) ** 2 for w in range(10**4)
-    ]
-    assert abs(np.mean(ratios) - 1.0) <= 0.05
-
-    again = randomize(base, g, omega_id=123)
-    first = randomize(base, g, omega_id=123)
-    assert np.array_equal(again.draw.coeffs, first.draw.coeffs)
-
-    with pytest.raises(ValueError):
-        randomize(SpectralField(basis16, np.zeros(16, complex)), g, 0)
 
 
 def test_verify_tail_families():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oscilab.fields import (
+    NORM_KINDS,
     NormSpec,
     SpectralField,
     classical_sobolev_norm,
@@ -28,6 +29,21 @@ from oscilab.hermite import build_basis, cached_basis
 def random_unit_field(basis, rng):
     c = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     return SpectralField(basis, c / np.linalg.norm(c))
+
+
+@st.composite
+def small_fields(draw, dims=(1, 2)):
+    """A random complex field on a small basis of a drawn dimension."""
+    dim = draw(st.sampled_from(dims))
+    n = draw(st.integers(0, 16) if dim == 1 else st.integers(0, 4))
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SpectralField(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size))
+
+
+@st.composite
+def norm_specs(draw, kind):
+    return NormSpec(kind, s=draw(st.floats(0.0, 2.0)), r=draw(st.floats(2.0, 8.0)))
 
 
 # ---------------------------------------------------------------- norms
@@ -131,6 +147,12 @@ def test_propagator_unitary(basis64, rng):
     assert abs(harmonic_sobolev_norm(moved, 1.3) - harmonic_sobolev_norm(u, 1.3)) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_fields(dims=(1, 2, 3)), st.floats(-100.0, 100.0))
+def test_propagator_unitary_property(u, t):
+    assert abs(propagate_linear(u, t).l2_norm - u.l2_norm) <= 1e-14 * u.l2_norm
+
+
 def test_fourier_transform(basis64, rng):
     assert np.array_equal(fourier_transform(unit_field(basis64, 0)).coeffs[0], 1.0 + 0j)
     assert fourier_transform(unit_field(basis64, 1)).coeffs[1] == -1j
@@ -214,6 +236,30 @@ def test_evaluate_norm_dispatch(basis32):
     assert abs(sup - np.pi**-0.25) < 1e-6
     l4 = evaluate_norm(u, NormSpec("lebesgue_Lr", r=4.0))
     assert abs(l4 - (2 * np.pi) ** -0.125) < 1e-6
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), k=st.integers(-8, 8))
+def test_evaluate_norm_power_of_two_scaling_bitwise(kind, data, k):
+    u = data.draw(small_fields())
+    spec = data.draw(norm_specs(kind))
+    scaled = SpectralField(u.basis, 2.0**k * u.coeffs)
+    assert evaluate_norm(scaled, spec) == 2.0**k * evaluate_norm(u, spec)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    small_fields(dims=(1,)),
+    st.sampled_from(NORM_KINDS).flatmap(norm_specs),
+    st.sampled_from([1.0, 2.0, 5.0, np.inf]),
+    st.integers(16, 40),
+    st.integers(-8, 8),
+)
+def test_spacetime_norm_power_of_two_scaling_bitwise(u, spec, q, time_nodes, k):
+    scaled = SpectralField(u.basis, 2.0**k * u.coeffs)
+    a = spacetime_norm(u, q, spec, 1.0, time_nodes)
+    assert spacetime_norm(scaled, q, spec, 1.0, time_nodes) == 2.0**k * a
 
 
 # ----------------------------------------------------------- smoothing

@@ -10,13 +10,10 @@ from oscilab.hermite import (
     BasisError,
     audit_axis,
     build_basis,
-    eigenvalue,
     enumerate_multi_indices,
     gauss_hermite_nodes,
     gram_deviation,
     hermite_function_values,
-    load_basis,
-    save_basis,
 )
 from oscilab.fields import SpectralField, analyze, product_quadrature, synthesize, unit_field
 
@@ -51,9 +48,9 @@ def test_enumeration_count_and_order():
 
 
 def test_eigenvalues():
-    assert eigenvalue(0, 1) == 1.0
-    assert eigenvalue((0, 0, 0), 3) == 3.0
-    assert eigenvalue(5, 1) == 11.0
+    # lambda_n^2 = 2|n| + d, per enumerated index
+    assert build_basis(1, 5, 12).lambda2.tolist() == [1.0, 3.0, 5.0, 7.0, 9.0, 11.0]
+    assert build_basis(3, 1, 4).lambda2[0] == 3.0
 
 
 def test_eigenvalue_by_finite_differences():
@@ -123,11 +120,10 @@ def test_analyze_x_times_ground_state(basis64):
 def test_analyze_out_of_span_energy():
     basis = build_basis(1, 16, 40)
     h17 = hermite_function_values(17, basis.nodes[:, 0])[17]
-    from oscilab.fields import out_of_span_energy
-
-    c = analyze(h17, basis).coeffs
-    assert np.max(np.abs(c)) <= 1e-10          # orthogonal to the span
-    assert out_of_span_energy(h17, basis) > 0.99  # flagged as aliased mass
+    u = analyze(h17, basis)
+    assert np.max(np.abs(u.coeffs)) <= 1e-10  # orthogonal to the span
+    # its quadrature mass is all outside the span: analysis drops it
+    assert float(np.sum(basis.weights * h17**2)) - u.l2_norm**2 > 0.99
 
 
 def test_parseval(basis64, rng):
@@ -137,28 +133,16 @@ def test_parseval(basis64, rng):
     assert abs(quad_mass - u.l2_norm**2) <= 1e-10 * u.l2_norm**2
 
 
-def test_cache_roundtrip_bit_identical(tmp_path, basis32):
-    path = tmp_path / "basis.npz"
-    save_basis(basis32, path)
-    loaded = load_basis(path)
-    assert np.array_equal(loaded.nodes, basis32.nodes)
-    assert np.array_equal(loaded.weights, basis32.weights)
-    assert np.array_equal(loaded.eval_table, basis32.eval_table)
-    assert loaded.indices == basis32.indices
-
-
 @pytest.mark.parametrize("dim,n", [(1, 8), (2, 4)])
-def test_shared_tables_read_only(tmp_path, dim, n):
+def test_shared_tables_read_only(dim, n):
     # worker threads share these arrays; an in-place write must fail, not race
-    built = build_basis(dim, n, 2 * (n + 1))
-    save_basis(built, tmp_path / "basis.npz")
-    for basis in (built, load_basis(tmp_path / "basis.npz")):
-        tables = [getattr(basis, name) for name in (
-            "nodes", "weights", "eval_table", "axis_nodes", "axis_weights", "degrees", "lambda2")]
-        tables += [basis.audit_points(), basis.audit_table(), *product_quadrature(basis, 2 * n)]
-        for table in tables:
-            with pytest.raises(ValueError, match="read-only"):
-                table[...] = 0
+    basis = build_basis(dim, n, 2 * (n + 1))
+    tables = [getattr(basis, name) for name in (
+        "nodes", "weights", "eval_table", "axis_nodes", "axis_weights", "degrees", "lambda2")]
+    tables += [basis.audit_points(), basis.audit_table(), *product_quadrature(basis, 2 * n)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
 
 
 @pytest.mark.parametrize("n", [8, 40])
@@ -190,7 +174,7 @@ def test_three_dim_basis():
     basis = build_basis(3, 2, 6)
     assert basis.size == 10  # C(5, 3)
     assert gram_deviation(basis) <= 1e-10
-    assert eigenvalue((1, 0, 1), 3) == 7.0
+    assert basis.lambda2[basis.index_position((1, 0, 1))] == 7.0
     with pytest.raises(BasisError):
         build_basis(4, 2, 6)
 

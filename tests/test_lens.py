@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscilab.fields import SpectralField, propagate_linear, synthesize, unit_field
-from oscilab.hermite import build_basis
+from oscilab.hermite import cached_basis
 from oscilab.lens import (
     AliasingGuardError,
     frame_l2_norm,
@@ -44,13 +46,25 @@ def test_lens_isometry(basis64, rng):
         assert abs(frame_l2_norm(lens_forward(u, t)) - 1.0) <= 1e-10
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(0, 24), st.integers(0, 2**32 - 1), st.floats(-50.0, 50.0))
+def test_lens_frames_isometric(dim, n, seed, t):
+    n = n if dim == 1 else n // 4
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    u = SpectralField(basis, c / np.linalg.norm(c))
+    assert abs(frame_l2_norm(lens_forward(u, t)) - u.l2_norm) <= 1e-10
+
+
 def test_conjugation_with_free_flow(basis64):
     # harmonic flow carried through the lens equals the free flow
     u0 = unit_field(basis64, 3)
     for t in (0.25, 0.5, 1.0):
         s = lens_time_map(t)
         frame = lens_forward(propagate_linear(u0, s), t)
-        free = free_propagate(u0, t, points=frame.grid)
+        free = free_propagate(u0, t)
+        assert np.array_equal(free.grid, frame.grid)
         dx = float(frame.grid[1] - frame.grid[0])
         err = np.sqrt(dx * np.sum(np.abs(frame.values - free.values) ** 2))
         assert err <= 1e-6
@@ -80,11 +94,12 @@ def test_aliasing_guard(basis64):
 
 
 def test_lens_on_given_points(basis32):
+    # the frame grid is the audit grid scaled by sqrt(alpha); recurrence
+    # synthesis at its preimage gives the same values
     u = unit_field(basis32, 0)
-    pts = np.linspace(-3, 3, 11)
-    frame = lens_forward(u, 0.7, points=pts)
-    assert frame.grid.shape == (11,)
+    frame = lens_forward(u, 0.7)
     alpha = 1 + 4 * 0.49
-    inner = synthesize(u, pts / np.sqrt(alpha))
-    expected = alpha**-0.25 * inner * np.exp(1j * pts**2 * 0.7 / alpha)
+    assert np.allclose(frame.grid / np.sqrt(alpha), basis32.audit_points()[:, 0], rtol=0, atol=1e-13)
+    inner = synthesize(u, frame.grid / np.sqrt(alpha))
+    expected = alpha**-0.25 * inner * np.exp(1j * frame.grid**2 * 0.7 / alpha)
     assert np.max(np.abs(frame.values - expected)) < 1e-13

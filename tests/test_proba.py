@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oscilab.ensembles import make_ensemble
+from oscilab.ensembles import FAMILIES, make_ensemble
 from oscilab.fields import SpectralField, unit_field
 from oscilab.hermite import build_basis, cached_basis
 from oscilab.proba import (
     CutoffSpec,
     TailExperiment,
+    _data_norm_samples,
     admits_pair_triple_structure,
     chernoff_tail,
     concentration_exponent,
     count_23_cycle_permutations,
     cycle_23_bound_constant,
     eigenfunction_lp_decay,
+    flow_sup_norm_samples,
     good_set_probability,
     khinchin_growth,
     norm_tail,
@@ -218,6 +222,33 @@ def test_good_set_exact_homogeneity():
     # halving the base maps P(t) to P(t/2) sample-wise exactly
     assert rep_half["rows"][0]["p_hat"] == rep_full["rows"][0]["p_hat"]
     assert rep_half["rows"][1]["p_hat"] == rep_full["rows"][1]["p_hat"]
+
+
+@st.composite
+def scaled_experiments(draw):
+    """A tail experiment on a random base, and the same one with the base times 2^k."""
+    n = draw(st.integers(0, 12))
+    basis = cached_basis(1, n, 2 * (n + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    family = draw(st.sampled_from(FAMILIES))
+    spec = make_ensemble(family, seed=draw(st.integers(0, 2**32 - 1)), gamma=1.0 if family == "symmetric_weibull" else None)
+    k = draw(st.integers(-8, 8))
+    setup = dict(ensemble=spec, thresholds=(1.0,), n_samples=1000, time_nodes=draw(st.integers(16, 24)),
+                 sup_regularity=draw(st.floats(0.0, 1.0)))
+    exp, scaled = (TailExperiment(base=SpectralField(basis, c), **setup) for c in (coeffs, 2.0**k * coeffs))
+    return exp, scaled, k, draw(st.sampled_from([2.0, 10.0, 14.0]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(scaled_experiments())
+def test_sample_norms_power_of_two_scaling_bitwise(case):
+    exp, scaled, k, q_time = case
+    omega_ids = np.arange(exp.n_samples)
+    data = _data_norm_samples(exp.base, exp.ensemble, omega_ids)
+    assert np.array_equal(_data_norm_samples(scaled.base, scaled.ensemble, omega_ids), 2.0**k * data)
+    flow = flow_sup_norm_samples(exp, q_time)
+    assert np.array_equal(flow_sup_norm_samples(scaled, q_time), 2.0**k * flow)
 
 
 def test_good_set_worker_invariance():
