@@ -1,11 +1,12 @@
 """Acceptance suite: the table of exit criteria, each returning a pass/fail
 result with its measured quantities.
 
-Criteria that check an experiment of the registry run that experiment with
-pinned per-tier parameters and keep only their extra pass conditions and the
-projection onto their detail keys.  The reference tier runs every criterion
-at its pinned resolution and tolerance; the smoke tier shrinks Monte Carlo
-sample counts (for quick plumbing checks) without touching any tolerance.
+Criteria that check an experiment of the registry run that experiment and
+keep only their extra pass conditions and the projection onto their detail
+keys; every size comes from a command's registry preset.  The Monte Carlo
+criteria (4, 10, 11, 12, 13) read the preset of the tier they run at, so the
+smoke tier shrinks sample counts (for quick plumbing checks) without touching
+any tolerance; the others always read the reference preset.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .proba import cycle_23_bound_constant, eigenfunction_lp_decay
 
 __all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA", "TIERS", "EXPERIMENT"]
 
-# the d = 1 quintic solve at N = 32 behind criteria 6 and 7
-REFERENCE_SOLVE = {"N": 32, "time_nodes": 65, "amplitude": 0.1}
+
+# command -> tier -> registry parameters
+PRESETS = {e.name: e.params_by_tier for e in experiments.EXPERIMENTS}
 
 
 @dataclass
@@ -42,7 +44,8 @@ class CriterionResult:
 
 
 def criterion_01_basis_fidelity(tier: str, seed: int) -> dict:
-    gram, worst = experiments.basis_fidelity(build_basis(1, 64, 256))
+    params = PRESETS["basis-check"]["reference"]
+    gram, worst = experiments.basis_fidelity(build_basis(1, params["N"], params["quad"]))
     return {
         "gram_deviation": gram,
         "rayleigh_worst": worst,
@@ -73,7 +76,7 @@ def criterion_02_gradient_ratio(tier: str, seed: int) -> dict:
 
 
 def criterion_03_eigenfunction_sup(tier: str, seed: int) -> dict:
-    rep = eigenfunction_lp_decay(np.inf, 400)
+    rep = eigenfunction_lp_decay(np.inf, PRESETS["eigen-lp"]["reference"]["n_max"])
     return {
         "ratio_max_over_r10": rep["ratio_max"] / rep["ratio_at_10"],
         "spearman_rho": rep["spearman_rho"],
@@ -82,17 +85,18 @@ def criterion_03_eigenfunction_sup(tier: str, seed: int) -> dict:
 
 
 def criterion_04_smoothing_stability(tier: str, seed: int) -> dict:
-    draws = {"smoke": 10, "reference": 100}[tier]
-    res = experiments.smoothing({"N_coarse": 128, "N_fine": 256, "draws": draws, "time_nodes": 129}, Context(seed))
+    params = PRESETS["smoothing"][tier]
+    res = experiments.smoothing(params, Context(seed))
+    coarse, fine = f"N{params['N_coarse']}", f"N{params['N_fine']}"
     sups = {
-        k: {"N128": v["coarse"], "N256": v["fine"], "rel_change": v["rel_change"]}
+        k: {coarse: v["coarse"], fine: v["fine"], "rel_change": v["rel_change"]}
         for k, v in res.stats["ratios"].items()
     }
     return {"sups": sups, "worst_rel_change": res.stats["worst_rel_change"], "passed": res.verdict}
 
 
 def criterion_05_lens_conjugation(tier: str, seed: int) -> dict:
-    res = experiments.lens_check({"N": 64, "times": [0.25, 0.5, 1.0]}, Context(seed))
+    res = experiments.lens_check(PRESETS["lens-check"]["reference"], Context(seed))
     return {
         "conjugation_worst_l2": res.stats["conjugation_worst_l2"],
         "isometry_worst": res.stats["isometry_worst"],
@@ -101,10 +105,11 @@ def criterion_05_lens_conjugation(tier: str, seed: int) -> dict:
 
 
 def criterion_06_picard_solver(tier: str, seed: int) -> dict:
+    params = PRESETS["solve-nlsh"]["reference"]
     residuals = {}
     details = {}
     for k in (1, -1):
-        u0, cfg = _solve_from_params({**REFERENCE_SOLVE, "K": k})
+        u0, cfg = _solve_from_params({**params, "K": k})
         traj = picard_solve(u0, cfg)
         drift = mass_curve(traj)["drift"]
         details[f"K={k}"] = {
@@ -114,11 +119,13 @@ def criterion_06_picard_solver(tier: str, seed: int) -> dict:
             "residual": residual(traj),
             "mass_drift": drift,
         }
-    for m in (65, 129, 257):
-        u0, cfg = _solve_from_params({**REFERENCE_SOLVE, "time_nodes": m})
+    # the preset's time grid, refined twice by halving the step
+    nodes = [params["time_nodes"], 2 * params["time_nodes"] - 1, 4 * params["time_nodes"] - 3]
+    for m in nodes:
+        u0, cfg = _solve_from_params({**params, "time_nodes": m})
         residuals[m] = residual(picard_solve(u0, cfg))
-    ms = np.log([64.0, 128.0, 256.0])
-    rs = np.log([residuals[65], residuals[129], residuals[257]])
+    ms = np.log([m - 1.0 for m in nodes])
+    rs = np.log([residuals[m] for m in nodes])
     order = float(-np.polyfit(ms, rs, 1)[0])
     passed = (
         all(
@@ -135,7 +142,7 @@ def criterion_06_picard_solver(tier: str, seed: int) -> dict:
 
 
 def criterion_07_uniqueness(tier: str, seed: int) -> dict:
-    u0, cfg = _solve_from_params(REFERENCE_SOLVE)
+    u0, cfg = _solve_from_params(PRESETS["solve-nlsh"]["reference"])
     pert = SpectralField(u0.basis, 0.01 * unit_field(u0.basis, 1).coeffs)
     rep = uniqueness_probe(u0, cfg, pert)
     return {
@@ -147,26 +154,23 @@ def criterion_07_uniqueness(tier: str, seed: int) -> dict:
 
 
 def criterion_08_scattering(tier: str, seed: int) -> dict:
-    res = experiments.scattering({"N": 32, "time_nodes": 65, "amplitudes": [0.05, 0.1]}, Context(seed))
+    res = experiments.scattering(PRESETS["scattering"]["reference"], Context(seed))
     curve = res.curves["scattering_residual"]["residual"]
-    decreasing = all(curve[i + 1] < curve[i] for i in range(len(curve) - 1))
-    norms = res.stats["profile_norms"]
-    # a two-point slope, where the scattering command fits a line
-    slope = float((np.log(norms[1]) - np.log(norms[0])) / (np.log(0.1) - np.log(0.05)))
     return {
         "residual_curve": res.stats["residual_curve"],
         "final_residual": curve[-1],
-        "decreasing": decreasing,
-        "amplitude_slope": slope,
-        "passed": decreasing and curve[-1] <= 1e-3 and abs(slope - 5.0) <= 0.3,
+        "decreasing": all(curve[i + 1] < curve[i] for i in range(len(curve) - 1)),
+        "amplitude_slope": res.stats["amplitude_slope"],
+        "passed": res.verdict,
     }
 
 
 def criterion_09_cycle_combinatorics(tier: str, seed: int) -> dict:
     expected = {1: 1, 2: 3, 3: 55, 4: 1225}
-    rows, agree = experiments.cycle_counts(4)
+    p = PRESETS["b2p"]["reference"]["p"]
+    rows, agree = experiments.cycle_counts(p)
     agree = agree and rows["closed_form"] == list(expected.values())
-    bound = cycle_23_bound_constant(12)
+    bound = cycle_23_bound_constant(max(p, 12))
     return {
         "values": expected,
         "brute_equals_closed": agree,
@@ -176,8 +180,7 @@ def criterion_09_cycle_combinatorics(tier: str, seed: int) -> dict:
 
 
 def criterion_10_khinchin(tier: str, seed: int) -> dict:
-    n, q_max = {"smoke": (10**5, 8), "reference": (10**6, 12)}[tier]
-    runs = experiments.khinchin({"n_samples": n, "n_modes": 32, "q_max": q_max}, Context(seed)).stats["runs"]
+    runs = experiments.khinchin(PRESETS["khinchin"][tier], Context(seed)).stats["runs"]
     passed = (
         abs(runs["gaussian"]["fitted_exponent"] - 0.5) <= 0.1
         and abs(runs["rademacher_single"]["fitted_exponent"]) <= 0.05
@@ -192,9 +195,8 @@ def criterion_10_khinchin(tier: str, seed: int) -> dict:
 
 
 def criterion_11_tail_bounds(tier: str, seed: int) -> dict:
-    n_tail, n_chern = {"smoke": (10**4, 2 * 10**4), "reference": (10**5, 10**6)}[tier]
-    nt = experiments.gaussian_norm_tail(n_tail, Context(seed))
-    ch = experiments.chernoff({"n_samples": n_chern}, Context(seed))
+    nt = experiments.gaussian_norm_tail(PRESETS["tails"][tier]["n_tail"], Context(seed))
+    ch = experiments.chernoff(PRESETS["chernoff"][tier], Context(seed))
     return {
         "norm_tail_r2": nt["fit_r2"],
         "chernoff": {
@@ -206,15 +208,12 @@ def criterion_11_tail_bounds(tier: str, seed: int) -> dict:
 
 
 def criterion_12_good_set(tier: str, seed: int) -> dict:
-    n = {"smoke": 10**3, "reference": 10**4}[tier]
-    res = experiments.omega({"n_samples": n, "n_modes": 16, "thresholds": [1.0, 1.5, 2.0, 3.0]}, Context(seed), base_norm=1.0)
+    params = PRESETS["omega"][tier]
+    res = experiments.omega(params, Context(seed), base_norm=1.0)
     moderate = res.stats["rows"][1]
     # sample-wise degree-1 homogeneity: halving the base halves every norm
-    half, full = (
-        experiments.omega({"n_samples": min(n, 2000), "n_modes": 16, "thresholds": [1.0]}, Context(seed), base_norm=b).stats
-        for b in (0.5, 1.0)
-    )
-    homog = all(np.array_equal(half[k], 0.5 * full[k]) for k in ("data_norm_samples", "flow_norm_samples"))
+    half = experiments.omega(params, Context(seed), base_norm=0.5).stats
+    homog = all(np.array_equal(half[k], 0.5 * res.stats[k]) for k in ("data_norm_samples", "flow_norm_samples"))
     return {
         "moderate_threshold": moderate["t"],
         "p_hat": moderate["p_hat"],
@@ -226,8 +225,7 @@ def criterion_12_good_set(tier: str, seed: int) -> dict:
 
 
 def criterion_13_paley_zygmund(tier: str, seed: int) -> dict:
-    n = {"smoke": 10**3, "reference": 10**4}[tier]
-    res = experiments.paley_zygmund({"n_samples": n}, Context(seed))
+    res = experiments.paley_zygmund(PRESETS["paley-zygmund"][tier], Context(seed))
     runs = res.stats["runs"]
     sigmas = [runs[f"gaussian_s05_N{scale}"]["sigma_sq_exact"] for scale in (4, 8, 16)]
     increasing = all(sigmas[i] < sigmas[i + 1] for i in range(len(sigmas) - 1))

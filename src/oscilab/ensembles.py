@@ -1,5 +1,7 @@
 """Random-variable families for coefficient randomization, with their
-certificates (tail exponent, moment symmetry class, support near zero).
+certificates (tail exponent and moment symmetry class).  Every family is
+mean zero with second moment bounded below, so those two hypotheses carry
+no flag.
 
 Sampling is counter-based and fully deterministic: the draw for a given
 (seed, omega_id, coeff_index) never depends on evaluation order, chunking,
@@ -17,7 +19,8 @@ increments the counter before its first block), read as the uniform
 and ``sample_block`` read one range of one stream through numpy's
 ``Generator`` (about 10x faster on a long range), advanced to the range's
 first block.  ``sample_block(spec, start, stop, width)`` is rows [start, stop)
-of the (n, width) matrix with variate (i, k) at position i * width + k;
+of the (n, width) matrix with variate (i, k) at position i * width + k of
+the stream keyed (seed, 0);
 ``fold_block`` sums a bulk experiment's chunks of it through ``mc.run_chunked``.
 """
 
@@ -59,35 +62,31 @@ _SYMMETRIC = ("gaussian", "rademacher", "uniform_symmetric", "symmetric_weibull"
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """A family of iid coefficient gains together with its hypothesis flags.
+    """A family of iid coefficient gains together with its odd-moment flag.
 
     gamma is the certified tail exponent: survival of |g| is bounded by
     C exp(-c rho^gamma).  Bounded families (rademacher, uniform, two-point)
     satisfy that for every exponent; they are certified at gamma = 2, the
-    strongest value the concentration table uses.
+    strongest value the concentration table uses.  satisfies_HE1 says that
+    all odd moments vanish (the symmetric families).
     """
 
     family: str
     gamma: float
     seed: int
     satisfies_HE1: bool
-    satisfies_HE2: bool
-    satisfies_H01: bool
-    satisfies_H02: bool
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.satisfies_HE1 and not self.satisfies_HE2:
-            raise ValueError("HE1 (all odd moments vanish) implies HE2 (mean zero)")
 
 
 def make_ensemble(family: str, seed: int, gamma: float | None = None) -> EnsembleSpec:
-    """Build an EnsembleSpec with analytically certified hypothesis flags.
+    """Build an EnsembleSpec with an analytically certified odd-moment flag.
 
-    The flags are not free parameters: they are derived from the family and
+    The flag is not a free parameter: it is derived from the family and
     double-checked by a one-shot analytic certificate (sampler symmetry for
     the odd-moment class, exact mean for the two-point family).
     """
@@ -107,17 +106,13 @@ def make_ensemble(family: str, seed: int, gamma: float | None = None) -> Ensembl
         gamma=float(gamma),
         seed=int(seed),
         satisfies_HE1=family in _SYMMETRIC,
-        satisfies_HE2=True,
-        # rademacher has no mass near 0: P(|g| < rho) = 0 for rho <= 1
-        satisfies_H01=family != "rademacher",
-        satisfies_H02=True,
     )
     _certify(spec)
     return spec
 
 
 def _certify(spec: EnsembleSpec) -> None:
-    """One-shot analytic consistency check of the hypothesis flags."""
+    """One-shot analytic check of the odd-moment flag and the two-point mean."""
     if spec.satisfies_HE1:
         # symmetry of the inverse-CDF transform: g(u) = -g(1-u)
         u = np.linspace(0.01, 0.49, 25)
@@ -129,9 +124,6 @@ def _certify(spec: EnsembleSpec) -> None:
         mean = TWO_POINT_P_HIGH * TWO_POINT_HIGH + (1 - TWO_POINT_P_HIGH) * TWO_POINT_LOW
         if abs(mean) > 1e-15:
             raise AssertionError("two-point family is not centered")
-    # H02: all families have unit second moment except two-point (also 1)
-    if not spec.satisfies_H02:
-        raise AssertionError("every supported family has second moment >= c")
 
 
 def _from_uniforms(spec: EnsembleSpec, u: np.ndarray) -> np.ndarray:
@@ -209,10 +201,10 @@ def sample_gain_matrix(spec: EnsembleSpec, omega_ids, count: int) -> np.ndarray:
     return _from_uniforms(spec, _philox_uniforms(spec.seed, omega_ids, count))
 
 
-def sample_block(spec: EnsembleSpec, start: int, stop: int, width: int = 1, stream_id: int = 0) -> np.ndarray:
+def sample_block(spec: EnsembleSpec, start: int, stop: int, width: int = 1) -> np.ndarray:
     """Rows [start, stop) of the (n, width) bulk matrix of the stream keyed
-    (seed, stream_id); variate (i, k) sits at position i * width + k."""
-    return _read(spec, stream_id, start * width, (stop - start) * width).reshape(stop - start, width)
+    (seed, 0); variate (i, k) sits at position i * width + k."""
+    return _read(spec, 0, start * width, (stop - start) * width).reshape(stop - start, width)
 
 
 def fold_block(spec: EnsembleSpec, n_samples: int, width: int, partial, workers: int = 1):

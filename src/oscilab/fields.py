@@ -250,16 +250,20 @@ def classical_sobolev_norm(u: SpectralField, s: float) -> float:
 
 
 def lebesgue_audit_norm(u: SpectralField, r: float) -> float:
-    """L^r norm over the uniform audit grid (Riemann sum); r = inf is the tiled sup."""
+    """L^r norm over the uniform audit grid (Riemann sum), summed tile by tile; r = inf is the sup."""
+    basis, rows = u.basis, u.coeffs[None, :]
     if np.isinf(r):
-        return float(u.basis.audit_sup(u.coeffs[None, :])[0])
-    vals = np.abs(u.basis.grid_values(u.coeffs, u.basis.audit_table()))
-    cell = u.basis.audit_cell_volume()
-    vmax = vals.max()
+        return float(basis.audit_sup(rows)[0])
+    if basis.dim == 1:  # one matmul serves the max and the sum
+        tiles = [np.abs(basis.grid_values(u.coeffs, basis.audit_table()))]
+        vmax = tiles[0].max()
+    else:  # the tiles are made again after the sup: the whole grid never exists at once
+        tiles, vmax = basis.audit_tiles(rows), basis.audit_sup(rows)[0]
     if vmax == 0:
         return 0.0
     # factored form keeps the evaluation exactly degree-1 homogeneous in u
-    return float(vmax * (cell * np.sum((vals / vmax) ** r)) ** (1.0 / r))
+    total = sum(np.sum((vals / vmax) ** r) for vals in tiles)
+    return float(vmax * (basis.audit_cell_volume() * total) ** (1.0 / r))
 
 
 def harmonic_filter(u: SpectralField, s: float) -> SpectralField:

@@ -8,8 +8,8 @@ counts), and analysis/synthesis between coefficient and physical space.
 Fields are evaluated on tensor grids (the uniform audit grid, scaled lens
 grids) by sum factorization: the coefficients fill the (N+1)^d box, zero
 above total degree N, and the box is contracted with the 1-D Hermite table
-one axis at a time, never with a (modes x grid points) table.  Sup norms
-over the audit grid are reduced tile by tile along the grid's first axis.
+one axis at a time, never with a (modes x grid points) table.  Sup and L^r
+norms over the audit grid are reduced tile by tile along its first axis.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ DEFAULT_COEFF_BUDGET = 200_000
 AUDIT_POINTS_PER_UNIT = 16
 AUDIT_MARGIN = 4.0
 
-# largest tile of audit-grid values that BasisGrid.audit_sup holds at once
+# largest tile of audit-grid values that BasisGrid.audit_tiles holds at once
 AUDIT_TILE_BYTES = 8 * 2**20
 
 # ceiling on the bytes of a basis's eval_table; build_basis refuses beyond it
@@ -150,7 +150,7 @@ class BasisGrid:
     coefficient rows on such a grid by contracting the coefficient box with
     the per-axis table one axis at a time, at most N+1 multiply-adds per
     grid value and axis instead of one per basis function, and
-    ``audit_sup`` reduces the sup norm tile by tile.
+    ``audit_tiles`` yields |u| tile by tile for ``audit_sup`` and L^r norms.
     """
 
     dim: int
@@ -240,26 +240,31 @@ class BasisGrid:
         vals = self._contract(self._box(coeffs.reshape(-1, self.size)), table, range(self.dim))
         return np.moveaxis(vals, -1, 0).reshape(coeffs.shape[:-1] + (-1,))
 
-    def audit_sup(self, coeffs: np.ndarray) -> np.ndarray:
-        """max |u| over the audit grid for each row of ``coeffs`` (shape (m, size)).
+    def audit_tiles(self, coeffs: np.ndarray):
+        """|u| on the audit grid for each row of ``coeffs`` (shape (m, size)), as (points, m) tiles.
 
-        Above d = 1 the grid is reduced tile by tile along its first axis, a
-        tile holding about AUDIT_TILE_BYTES of values (at least one slice), so
-        the (m, P^dim) values never exist at once.  Every tile runs the same
-        equal-shape contractions, so the result does not depend on the tile
-        size.  At d = 1 the (m, P) values are the one matmul of grid_values.
+        Above d = 1 the grid is cut along its first axis, a tile holding about
+        AUDIT_TILE_BYTES of values (at least one slice), so the (m, P^dim)
+        values never exist at once.  Every tile runs the same equal-shape
+        contractions, so no value depends on the tile size.  At d = 1 the one
+        tile is the matmul of grid_values.
         """
         coeffs = np.asarray(coeffs)
         table = self.audit_table()
         if self.dim == 1:
-            return np.abs(self.grid_values(coeffs, table)).max(axis=1)
+            yield np.abs(self.grid_values(coeffs, table)).T
+            return
         m = coeffs.shape[0]
         partial = self._contract(self._box(coeffs), table, range(1))
         tile = max(1, AUDIT_TILE_BYTES // (partial.itemsize * m * table.shape[1] ** (self.dim - 1)))
-        sup = np.zeros(m)
         for lo in range(0, len(partial), tile):
-            vals = self._contract(partial[lo : lo + tile], table, range(1, self.dim))
-            np.maximum(sup, np.abs(vals).reshape(-1, m).max(axis=0), out=sup)
+            yield np.abs(self._contract(partial[lo : lo + tile], table, range(1, self.dim))).reshape(-1, m)
+
+    def audit_sup(self, coeffs: np.ndarray) -> np.ndarray:
+        """max |u| over the audit grid for each row of ``coeffs`` (shape (m, size))."""
+        sup = np.zeros(np.shape(coeffs)[0])
+        for vals in self.audit_tiles(coeffs):
+            np.maximum(sup, vals.max(axis=0), out=sup)
         return sup
 
     def _index_array(self) -> np.ndarray:
@@ -307,17 +312,12 @@ def audit_axis(max_degree: int, dim: int) -> np.ndarray:
     return np.linspace(-half_width, half_width, n_pts)
 
 
-def build_basis(
-    dim: int,
-    max_degree: int,
-    quad_per_axis: int,
-    coeff_budget: int = DEFAULT_COEFF_BUDGET,
-) -> BasisGrid:
+def build_basis(dim: int, max_degree: int, quad_per_axis: int) -> BasisGrid:
     """Construct the truncated Hermite basis with its quadrature.
 
     Requires ``quad_per_axis >= 2 (max_degree + 1)`` so that the Gram matrix
     of the enumerated functions is the identity up to rounding, and rejects
-    enumerations larger than ``coeff_budget``.
+    enumerations larger than ``DEFAULT_COEFF_BUDGET``.
     """
     if dim < 1:
         raise BasisError(f"dim must be >= 1, got {dim}")
@@ -331,9 +331,9 @@ def build_basis(
             f"2*(max_degree+1)={2 * (max_degree + 1)}"
         )
     indices = enumerate_multi_indices(dim, max_degree)
-    if len(indices) > coeff_budget:
+    if len(indices) > DEFAULT_COEFF_BUDGET:
         raise BasisError(
-            f"enumeration size {len(indices)} exceeds coefficient budget {coeff_budget}"
+            f"enumeration size {len(indices)} exceeds coefficient budget {DEFAULT_COEFF_BUDGET}"
         )
     table_bytes = len(indices) * quad_per_axis**dim * 8
     if table_bytes > TABLE_BYTES_BUDGET:

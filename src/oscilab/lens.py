@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .fields import SpectralField, embed_field, fourier_transform, inverse_fourier_transform, synthesize
+from .fields import SpectralField, analyze, embed_field, fourier_transform, inverse_fourier_transform, synthesize
 from .hermite import audit_axis, cached_basis, hermite_function_values, tensor_grid
 
 __all__ = [
@@ -182,8 +182,7 @@ def free_propagate_field(u0: SpectralField, t: float) -> SpectralField:
     vals = synthesize(uhat)
     xi2 = np.sum(big.nodes**2, axis=1)
     vals = np.exp(-1j * t * xi2) * vals
-    projected = (big.eval_table * big.weights) @ vals
-    return inverse_fourier_transform(SpectralField(big, projected))
+    return inverse_fourier_transform(analyze(vals, big))
 
 
 def free_propagate(u0: SpectralField, t: float) -> PhysicalFrame:

@@ -42,6 +42,9 @@ TRAJECTORY_VERSION = 1
 
 BLOWUP_FACTOR = 1e6
 
+# external times at which scattering_extract reports the decay of the profile residual
+SCATTERING_TIMES = (1.0, 5.0, 20.0)
+
 
 class DivergenceError(RuntimeError):
     """Fixed-point iteration left the contraction regime."""
@@ -385,16 +388,12 @@ def uniqueness_probe(
     }
 
 
-def scattering_extract(
-    traj: Trajectory,
-    u0: SpectralField,
-    external_times=(1.0, 5.0, 20.0),
-) -> ScatteringPair:
+def scattering_extract(traj: Trajectory, u0: SpectralField) -> ScatteringPair:
     """Asymptotic profiles of the lens-transported solution.
 
     L_plus = exp(iTH) v(T) equals the forward Duhamel integral
     int_0^T exp(isH) F(s) ds accumulated by the solver; likewise L_minus at
-    -T.  The decay curve reports, at each external time t,
+    -T.  The decay curve reports, at each external time t of SCATTERING_TIMES,
 
         || u_lens(t) - exp(it del^2) u0 - exp(it del^2) L_plus ||_{H^s},
 
@@ -413,7 +412,7 @@ def scattering_extract(
     lp = SpectralField(basis, np.exp(1j * T * lam2) * traj.v[-1])
     lm = SpectralField(basis, np.exp(-1j * T * lam2) * traj.v[0])
     curve = []
-    for t in external_times:
+    for t in SCATTERING_TIMES:
         s_star = lens_time_map(t)
         if s_star > T + 1e-12:
             raise ValueError(f"external time {t} maps beyond the solved window")

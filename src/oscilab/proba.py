@@ -58,10 +58,11 @@ def concentration_exponent(gamma: float, he1: bool) -> float:
     return 2.0 * gamma / (2.0 + gamma) if he1 else 3.0 * gamma / (2.0 * gamma + 3.0)
 
 
-def wilson_interval(successes: int, n: int, z: float = 3.0) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 3 sigma)."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """3 sigma Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
+    z = 3.0
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -207,7 +208,7 @@ def admits_pair_triple_structure(indices) -> bool:
     return all(m >= 2 for m in counts.values())
 
 
-def odd_moment_witness(spec: EnsembleSpec, indices, n_samples: int = 10**5, workers: int = 1) -> dict:
+def odd_moment_witness(spec: EnsembleSpec, indices, n_samples: int = 10**5) -> dict:
     """Estimate E(X_{n_1} ... X_{n_k}) for an index tuple of length 3, 4 or 6.
 
     For mean-zero families the product moment can only be nonzero when the
@@ -223,7 +224,7 @@ def odd_moment_witness(spec: EnsembleSpec, indices, n_samples: int = 10**5, work
         prod = np.prod(rows[:, list(indices)], axis=1)
         return np.array([prod.sum(), (prod * prod).sum()])
 
-    total, total_sq = fold_block(spec, n_samples, max(indices) + 1, partial, workers)
+    total, total_sq = fold_block(spec, n_samples, max(indices) + 1, partial)
     mean = total / n_samples
     var = max(total_sq / n_samples - mean**2, 0.0)
     se = float(np.sqrt(var / n_samples))
@@ -333,23 +334,23 @@ def norm_tail(
     }
 
 
+FLOW_TIME_NODES = 33  # trapezoid nodes of a draw's linear flow over [-2 pi, 2 pi]
+FLOW_SUP_REGULARITY = 1.0 / 7.0  # s of the H^{s/2} filter under the flow's audit-grid sup
+
+
 @dataclass(frozen=True)
 class TailExperiment:
     """Setup for good-set membership sampling: which base, which ensemble,
-    which thresholds, and how finely to resolve the linear flow in time."""
+    which thresholds, and how many draws."""
 
     base: SpectralField
     ensemble: EnsembleSpec
     thresholds: tuple
     n_samples: int = 10**4
-    time_nodes: int = 33
-    sup_regularity: float = 1.0 / 7.0
 
     def __post_init__(self):
         if self.n_samples < 10**3:
             raise ValueError("tail experiments need n_samples >= 1e3")
-        if self.time_nodes < 16:
-            raise ValueError("time_nodes must be >= 16")
         th = np.asarray(self.thresholds, dtype=float)
         if th.size < 1 or np.any(np.diff(th) <= 0):
             raise ValueError("thresholds must be strictly increasing")
@@ -360,15 +361,15 @@ def flow_sup_norm_samples(exp: TailExperiment, q_time: float, workers: int = 1) 
     H^{s/2}-filtered linear flow of each randomized draw.
 
     The sup norm is an audit-grid proxy (its density is part of the config);
-    the time integral is a trapezoid over time_nodes nodes.  The per-sample
+    the time integral is a trapezoid over FLOW_TIME_NODES nodes.  The per-sample
     evaluation is factored so that scaling the base by a power of two scales
     every sample exactly.
     """
     base, spec = exp.base, exp.ensemble
     basis = base.basis
-    filt = basis.lambda2 ** (exp.sup_regularity / 2.0)
-    times = np.linspace(-2 * np.pi, 2 * np.pi, exp.time_nodes)
-    tw = _trapezoid_weights(exp.time_nodes, float(times[1] - times[0]))
+    filt = basis.lambda2 ** (FLOW_SUP_REGULARITY / 2.0)
+    times = np.linspace(-2 * np.pi, 2 * np.pi, FLOW_TIME_NODES)
+    tw = _trapezoid_weights(FLOW_TIME_NODES, float(times[1] - times[0]))
     phases = np.exp(-1j * np.outer(times, basis.lambda2))
 
     out = np.empty(exp.n_samples)
@@ -376,8 +377,8 @@ def flow_sup_norm_samples(exp: TailExperiment, q_time: float, workers: int = 1) 
     def kernel(a, b):
         gains = sample_gain_matrix(spec, np.arange(a, b), basis.size)
         draws = (gains * base.coeffs[None, :]) * filt[None, :]  # (n, size)
-        sups = np.empty((exp.time_nodes, b - a))
-        for k in range(exp.time_nodes):
+        sups = np.empty((FLOW_TIME_NODES, b - a))
+        for k in range(FLOW_TIME_NODES):
             sups[k] = basis.audit_sup(draws * phases[k][None, :])
         vmax = sups.max(axis=0)
         safe = np.where(vmax > 0, vmax, 1.0)
@@ -388,18 +389,17 @@ def flow_sup_norm_samples(exp: TailExperiment, q_time: float, workers: int = 1) 
     return out
 
 
-def good_set_probability(exp: TailExperiment, p_nl: int = 5, workers: int = 1) -> dict:
+def good_set_probability(exp: TailExperiment, workers: int = 1) -> dict:
     """Empirical probability that a randomized draw lies in the good-data set
     (both the data norm and the space-time flow norm below the threshold).
+    The flow norm is L^10 in time, L^{2p} for the quintic p = 5.
 
     Reports the two-term split, Wilson intervals, and the raw per-sample
     norms so homogeneity and monotonicity can be asserted exactly.
     """
-    if p_nl < 5 or p_nl % 2 == 0:
-        raise ValueError("p_nl must be odd >= 5")
     omega_ids = np.arange(exp.n_samples)
     a = _data_norm_samples(exp.base, exp.ensemble, omega_ids, workers=workers)
-    b = flow_sup_norm_samples(exp, q_time=2.0 * p_nl, workers=workers)
+    b = flow_sup_norm_samples(exp, q_time=10.0, workers=workers)
     thresholds = np.asarray(exp.thresholds, dtype=float)
     rows = []
     for t in thresholds:
@@ -476,8 +476,6 @@ def paley_zygmund_check(
     checks empirically  P(S^2 >= E[S^2]/2) >= E[S^2]^2 / (4 E[S^4]) - 3 sigma.
     Also reports the exact filtered coefficient mass sigma_N^2.
     """
-    if not (spec.satisfies_HE2 and spec.satisfies_H02):
-        raise ValueError("needs a mean-zero family with second moment bounded below")
     basis = base.basis
     chi_vals = cutoff.filter_values(basis)
     sigma_sq = float(np.sum(chi_vals**2 * np.abs(base.coeffs) ** 2 * basis.lambda2**cutoff.s))
@@ -531,42 +529,32 @@ def paley_zygmund_check(
 # eigenfunction L^p decay
 
 
-def eigenfunction_lp_decay(p_exp: float, n_max: int, dim: int = 1) -> dict:
-    """Audit-grid L^p norms of the eigenfunctions against the expected decay.
+def eigenfunction_lp_decay(p_exp: float, n_max: int) -> dict:
+    """Audit-grid L^p norms of the 1-D eigenfunctions against the expected decay.
 
-    For dim 1 the normalized sequence ||h_n||_p lambda_n^{1/6} must stay
-    within twice its value at n = 10 and show no increasing trend; for dim 2
-    the exponent is 1 - d/2 = 0 and plain boundedness is checked.
+    The normalized sequence ||h_n||_p lambda_n^{1/6} must stay within twice
+    its value at n = 10 and show no increasing trend.
     """
     if p_exp < 4:
         raise ValueError(f"p exponent must be >= 4, got {p_exp}")
     if n_max > 400:
         raise ValueError(f"n_max must be <= 400, got {n_max}")
-    if dim > 2:
-        raise ValueError("computed branches cover dim <= 2")
     axis = audit_axis(n_max, 1)
     table = hermite_function_values(n_max, axis)
     cell = float(axis[1] - axis[0])
     if np.isinf(p_exp):
-        norms_1d = np.abs(table).max(axis=1)
+        norms = np.abs(table).max(axis=1)
     else:
-        norms_1d = (cell * np.sum(np.abs(table) ** p_exp, axis=1)) ** (1.0 / p_exp)
-
-    if dim == 1:
-        lam = np.sqrt(2.0 * np.arange(n_max + 1) + 1.0)
-        ratio = norms_1d * lam ** (1.0 / 6.0)
-    else:
-        # tensor eigenfunctions h_(n,0); exponent -1 + d/2 vanishes for d = 2
-        lam = np.sqrt(2.0 * np.arange(n_max + 1) + 2.0)
-        norms_1d = norms_1d * norms_1d[0]
-        ratio = norms_1d.copy()
+        norms = (cell * np.sum(np.abs(table) ** p_exp, axis=1)) ** (1.0 / p_exp)
+    lam = np.sqrt(2.0 * np.arange(n_max + 1) + 1.0)
+    ratio = norms * lam ** (1.0 / 6.0)
 
     lo = 10
     window = ratio[lo : n_max + 1]
     # Spearman's rho: the ranks of n are 0, 1, ...; the window has no ties
     rho = float(np.corrcoef(np.arange(window.size), np.argsort(np.argsort(window)))[0, 1])
     return {
-        "dim": dim,
+        "dim": 1,
         "p": float(p_exp),
         "n_max": n_max,
         "ratio_at_10": float(ratio[lo]),
@@ -588,28 +576,24 @@ def chernoff_tail(
     coeffs,
     rho_grid,
     n_samples: int = 10**6,
-    q_grid=(2, 4, 6, 8, 10),
-    mgf_points: int = 21,
     workers: int = 1,
 ) -> dict:
     """Three-part check for mean-zero families with gamma in (1, 2]:
 
-    (i) the empirical moment generating function on [-1, 1] sits under
-    exp(c_hat t^2) with a stable fitted c_hat;
+    (i) the empirical moment generating function at 21 points of [-1, 1]
+    sits under exp(c_hat t^2) with a stable fitted c_hat;
     (ii) the tail of S = sum c_n g_n fits C_hat exp(-c_hat (rho/||c||)^gamma)
     with R^2 >= 0.9 on the survival window [1e-3, 0.3];
-    (iii) the L^q growth exponent of S stays below 1/gamma + 0.1.
+    (iii) the L^q growth exponent of S over q = 2, 4, ..., 10 stays below
+    1/gamma + 0.1.
     """
     if not 1.0 < spec.gamma <= 2.0:
         raise ValueError(f"chernoff_tail needs gamma in (1, 2], got {spec.gamma}")
-    if not spec.satisfies_HE2:
-        raise ValueError("chernoff_tail needs a mean-zero family")
     coeffs = np.asarray(coeffs, dtype=float)
     cnorm = float(np.linalg.norm(coeffs))
-    t_grid = np.linspace(-1.0, 1.0, mgf_points)
+    t_grid = np.linspace(-1.0, 1.0, 21)
     rho_grid = np.asarray(rho_grid, dtype=float)
-
-    q_grid = np.asarray(sorted(q_grid), dtype=int)
+    q_grid = np.array([2, 4, 6, 8, 10])
 
     def partial(rows):
         s = np.abs(rows @ coeffs)

@@ -1,5 +1,5 @@
-"""Guards on the package surface: no exported name that nothing uses, and one
-set of tiers shared by every command."""
+"""Guards on the package surface: no exported name that nothing uses, no
+option that no caller sets, and one set of tiers shared by every command."""
 
 import ast
 from pathlib import Path
@@ -17,6 +17,12 @@ SRC = ROOT / "src" / "oscilab"
 TEST_REFERENCES = {
     "sample": "single-variate reference that tests compare every stream reader against",
     "sample_gains": "one omega's gain vector, the reference for sample_gain_matrix and sample_block",
+}
+
+
+# defaulted parameters (function, parameter) kept although no program call sets them, with the reason
+UNSET_OPTIONS = {
+    ("synthesize", "points"): "off-node synthesis, the reference that tests compare grid evaluations against",
 }
 
 
@@ -47,17 +53,78 @@ def test_every_export_is_used_by_the_program_or_the_benchmark():
     assert [name for name in TEST_REFERENCES if name not in exported or name in used] == []
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass" for d in node.decorator_list
+    )
+
+
+def _options():
+    """(callable, option, positional index or None) for every defaulted parameter
+    and every init field of a dataclass in the package; __init__ is its class."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {}
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods.update((fn, cls.name) for fn in cls.body if isinstance(fn, ast.FunctionDef))
+            if _is_dataclass(cls):
+                fields = [
+                    stmt.target.id for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and not any(k.arg == "init" for k in getattr(stmt.value, "keywords", ()))
+                ]
+                yield from ((cls.name, name, i) for i, name in enumerate(fields))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = methods.get(fn, fn.name) if fn.name == "__init__" else fn.name
+            # callers of a method do not pass self
+            bound = fn in methods and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            yield from ((owner, arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield owner, arg.arg, None
+
+
+def _set_options(paths) -> set:
+    """(callable, option) pairs set by some call: positionally, by keyword, or
+    every option at once through **."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            positional = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
+            out.update((name, i) for i in range(positional))
+            out.update((name, k.arg) for k in node.keywords)
+            if any(k.arg is None for k in node.keywords):
+                out.add((name, "**"))
+    return out
+
+
+def test_every_option_is_set_by_the_program_or_the_benchmark():
+    set_by = _set_options(list(SRC.glob("*.py")) + list((ROOT / "bench").rglob("*.py")))
+    unset = {(owner, name) for owner, name, i in _options() if not {(owner, name), (owner, i), (owner, "**")} & set_by}
+    assert sorted(unset - set(UNSET_OPTIONS)) == []
+    # an allowlisted option that a program call sets, or that is gone, leaves the allowlist
+    assert sorted(set(UNSET_OPTIONS) - unset) == []
+
+
 def test_every_command_declares_exactly_the_tiers():
     assert TIERS == ("smoke", "reference")
     for experiment in (*EXPERIMENTS, acceptance.EXPERIMENT):
         assert tuple(experiment.params_by_tier) == TIERS, experiment.name
-    # the acceptance criteria that scale with the tier look it up in inline tables
-    tables = [
-        node for node in ast.walk(ast.parse((SRC / "acceptance.py").read_text()))
-        if isinstance(node, ast.Dict) and any(getattr(key, "value", None) == "smoke" for key in node.keys)
+    # acceptance criteria read the registry presets: acceptance.py keys nothing by tier
+    tier_keyed = [
+        node.lineno for node in ast.walk(ast.parse((SRC / "acceptance.py").read_text()))
+        if isinstance(node, ast.Dict) and any(getattr(key, "value", None) in TIERS for key in node.keys)
     ]
-    assert len(tables) == 5
-    assert all(tuple(key.value for key in table.keys) == TIERS for table in tables)
+    assert tier_keyed == []
 
 
 def test_cli_refuses_an_unknown_tier(tmp_path, capsys):

@@ -23,6 +23,7 @@ from oscilab.fields import (
     unit_field,
     weighted_x_L2_norm,
 )
+from oscilab import hermite
 from oscilab.hermite import build_basis, cached_basis
 
 
@@ -236,6 +237,17 @@ def test_evaluate_norm_dispatch(basis32):
     assert abs(sup - np.pi**-0.25) < 1e-6
     l4 = evaluate_norm(u, NormSpec("lebesgue_Lr", r=4.0))
     assert abs(l4 - (2 * np.pi) ** -0.125) < 1e-6
+
+
+@pytest.mark.parametrize("dim,n", [(2, 6), (3, 2)])
+def test_lebesgue_norm_tiles_sum_to_the_whole_grid(monkeypatch, dim, n):
+    basis = build_basis(dim, n, 2 * (n + 1))
+    u = random_unit_field(basis, np.random.default_rng(5))
+    vals = np.abs(basis.grid_values(u.coeffs, basis.audit_table()))
+    whole = (basis.audit_cell_volume() * np.sum(vals**4)) ** 0.25
+    for tile_bytes in (1, 3 * 2**10, hermite.AUDIT_TILE_BYTES, 2**40):
+        monkeypatch.setattr(hermite, "AUDIT_TILE_BYTES", tile_bytes)
+        assert abs(evaluate_norm(u, NormSpec("lebesgue_Lr", r=4.0)) - whole) <= 1e-14 * whole
 
 
 @pytest.mark.parametrize("kind", NORM_KINDS)

@@ -71,8 +71,9 @@ def test_quadrature_threshold_rejected():
 
 
 def test_coefficient_budget_rejected():
-    with pytest.raises(BasisError):
-        build_basis(3, 120, 242, coeff_budget=10_000)
+    # C(123, 3) = 302,621 functions, over the 200,000 budget
+    with pytest.raises(BasisError, match="coefficient budget"):
+        build_basis(3, 120, 242)
 
 
 def test_weights_positive_nodes_symmetric():

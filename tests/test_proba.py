@@ -234,8 +234,7 @@ def scaled_experiments(draw):
     family = draw(st.sampled_from(FAMILIES))
     spec = make_ensemble(family, seed=draw(st.integers(0, 2**32 - 1)), gamma=1.0 if family == "symmetric_weibull" else None)
     k = draw(st.integers(-8, 8))
-    setup = dict(ensemble=spec, thresholds=(1.0,), n_samples=1000, time_nodes=draw(st.integers(16, 24)),
-                 sup_regularity=draw(st.floats(0.0, 1.0)))
+    setup = dict(ensemble=spec, thresholds=(1.0,), n_samples=1000)
     exp, scaled = (TailExperiment(base=SpectralField(basis, c), **setup) for c in (coeffs, 2.0**k * coeffs))
     return exp, scaled, k, draw(st.sampled_from([2.0, 10.0, 14.0]))
 
@@ -357,8 +356,6 @@ def test_eigen_lp_validation():
         eigenfunction_lp_decay(2.0, 100)
     with pytest.raises(ValueError):
         eigenfunction_lp_decay(4.0, 500)
-    with pytest.raises(ValueError):
-        eigenfunction_lp_decay(4.0, 100, dim=3)
 
 
 # ------------------------------------------------------------ chernoff
