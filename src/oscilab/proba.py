@@ -364,22 +364,31 @@ def flow_sup_norm_samples(exp: TailExperiment, q_time: float, workers: int = 1) 
     the time integral is a trapezoid over FLOW_TIME_NODES nodes.  The per-sample
     evaluation is factored so that scaling the base by a power of two scales
     every sample exactly.
+
+    The sup is periodic in time with period pi: every eigenvalue lambda^2 =
+    2|n| + d has the parity of d, so e^{-i(t + pi)H} = e^{-i pi d} e^{-itH} and
+    |u(t + pi, x)| = |u(t, x)|.  A period spans (FLOW_TIME_NODES - 1) // 4 node
+    steps (8 steps of pi / 8), so only that many sups are evaluated; every
+    other node reuses the sup of the node a whole number of periods before
+    it, and the result is still the FLOW_TIME_NODES-node trapezoid.
     """
     base, spec = exp.base, exp.ensemble
     basis = base.basis
     filt = basis.lambda2 ** (FLOW_SUP_REGULARITY / 2.0)
     times = np.linspace(-2 * np.pi, 2 * np.pi, FLOW_TIME_NODES)
     tw = _trapezoid_weights(FLOW_TIME_NODES, float(times[1] - times[0]))
-    phases = np.exp(-1j * np.outer(times, basis.lambda2))
+    period = (FLOW_TIME_NODES - 1) // 4  # nodes per time pi
+    phases = np.exp(-1j * np.outer(times[:period], basis.lambda2))
 
     out = np.empty(exp.n_samples)
 
     def kernel(a, b):
         gains = sample_gain_matrix(spec, np.arange(a, b), basis.size)
         draws = (gains * base.coeffs[None, :]) * filt[None, :]  # (n, size)
-        sups = np.empty((FLOW_TIME_NODES, b - a))
-        for k in range(FLOW_TIME_NODES):
-            sups[k] = basis.audit_sup(draws * phases[k][None, :])
+        one = np.empty((period, b - a))
+        for k in range(period):
+            one[k] = basis.audit_sup(draws * phases[k][None, :])
+        sups = one[np.arange(FLOW_TIME_NODES) % period]
         vmax = sups.max(axis=0)
         safe = np.where(vmax > 0, vmax, 1.0)
         ratio_int = np.sum(tw[:, None] * (sups / safe[None, :]) ** q_time, axis=0)

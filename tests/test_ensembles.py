@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from oscilab.ensembles import (
     FAMILIES,
+    TWO_POINT_HIGH,
+    TWO_POINT_LOW,
+    TWO_POINT_P_HIGH,
     _fit_tail_exponent,
     _from_uniforms,
     fold_block,
@@ -37,6 +41,10 @@ def test_flag_consistency_enforced():
         make_ensemble("symmetric_weibull", seed=0)  # gamma required
     with pytest.raises(ValueError):
         make_ensemble("symmetric_weibull", seed=0, gamma=3.0)
+
+
+def test_two_point_constants_are_centered():
+    assert TWO_POINT_P_HIGH * TWO_POINT_HIGH + (1 - TWO_POINT_P_HIGH) * TWO_POINT_LOW == 0
 
 
 def test_gaussian_marginals():
@@ -109,6 +117,32 @@ def test_stream_determinism():
 def reference_uniforms(seed, omega, count):
     """Uniforms of one omega's stream, drawn by numpy's own Philox generator."""
     return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(omega)])).random(count)
+
+
+def elementwise_transform(spec, u):
+    """The Gaussian and Weibull transforms as plain elementwise formulas."""
+    if spec.family == "gaussian":
+        return ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+    sign = np.where(u < 0.5, -1.0, 1.0)
+    w = np.where(u < 0.5, 2.0 * u, 2.0 * (1.0 - u))
+    w = np.clip(w, 2.0**-53, 1.0)
+    return sign * (-np.log(w)) ** (1.0 / spec.gamma)
+
+
+EDGE_UNIFORMS = [0.0, 2.0**-53, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+
+
+@pytest.mark.parametrize(
+    "family,gamma", [("gaussian", None)] + [("symmetric_weibull", g) for g in (0.5, 1.0, 1.5, 2.0)]
+)
+def test_in_place_transforms_match_elementwise_formulas_bitwise(family, gamma):
+    spec = make_ensemble(family, seed=SEED, gamma=gamma)
+    u = np.concatenate([reference_uniforms(SEED, 0, 2**20), EDGE_UNIFORMS])
+    kept = u.copy()
+    got, want = _from_uniforms(spec, u), elementwise_transform(spec, kept)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 at u = 1/2 included
+    assert np.array_equal(u, kept)
 
 
 @st.composite

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscilab.ensembles import FAMILIES, make_ensemble
-from oscilab.fields import SpectralField, unit_field
+from oscilab.ensembles import FAMILIES, make_ensemble, sample_gain_matrix
+from oscilab.fields import SpectralField, _trapezoid_weights, unit_field
 from oscilab.hermite import build_basis, cached_basis
 from oscilab.proba import (
+    FLOW_SUP_REGULARITY,
+    FLOW_TIME_NODES,
     CutoffSpec,
     TailExperiment,
     _data_norm_samples,
@@ -248,6 +250,31 @@ def test_sample_norms_power_of_two_scaling_bitwise(case):
     assert np.array_equal(_data_norm_samples(scaled.base, scaled.ensemble, omega_ids), 2.0**k * data)
     flow = flow_sup_norm_samples(exp, q_time)
     assert np.array_equal(flow_sup_norm_samples(scaled, q_time), 2.0**k * flow)
+
+
+def flow_sup_at_every_node(exp, q_time):
+    """flow_sup_norm_samples with one audit-grid sup per trapezoid node."""
+    basis = exp.base.basis
+    filt = basis.lambda2 ** (FLOW_SUP_REGULARITY / 2.0)
+    times = np.linspace(-2 * np.pi, 2 * np.pi, FLOW_TIME_NODES)
+    tw = _trapezoid_weights(FLOW_TIME_NODES, float(times[1] - times[0]))
+    gains = sample_gain_matrix(exp.ensemble, np.arange(exp.n_samples), basis.size)
+    draws = gains * exp.base.coeffs * filt
+    sups = np.array([basis.audit_sup(draws * np.exp(-1j * t * basis.lambda2)) for t in times])
+    vmax = sups.max(axis=0)
+    return vmax * np.sum(tw[:, None] * (sups / vmax) ** q_time, axis=0) ** (1.0 / q_time)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 15), (2, 4)])
+@pytest.mark.parametrize("family", ["gaussian", "rademacher"])
+def test_flow_sup_over_one_period_matches_every_node(dim, n, family):
+    assert (FLOW_TIME_NODES - 1) % 4 == 0  # the period pi spans whole node steps
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    rng = np.random.default_rng(dim * 100 + n)
+    base = SpectralField(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size))
+    exp = TailExperiment(base=base, ensemble=make_ensemble(family, seed=SEED), thresholds=(1.0,), n_samples=1000)
+    got, want = flow_sup_norm_samples(exp, 10.0), flow_sup_at_every_node(exp, 10.0)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def test_good_set_worker_invariance():
