@@ -32,6 +32,15 @@ plot '{csv}' using 1:2 with linespoints
 """
 
 
+def _typed(key: str, value, kind: type, source: str):
+    """A --config or --set value as its preset field's type; an int also reads as a float."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{source} {key}: cannot read {value!r} as {kind.__name__}")
+    return value
+
+
 def _resolve_params(command: str, args) -> dict:
     params = dict(REGISTRY[command].params_by_tier[args.tier])
     if args.config:
@@ -48,7 +57,7 @@ def _resolve_params(command: str, args) -> dict:
         for key, value in section.items():
             if key not in params:
                 raise ConfigError(f"unknown config field {key!r} for command {command!r}")
-            params[key] = value
+            params[key] = _typed(key, value, type(params[key]), "--config")
     for item in args.override or ():
         key, sep, value = item.partition("=")
         if not sep:
@@ -58,11 +67,9 @@ def _resolve_params(command: str, args) -> dict:
         kind = type(params[key])
         try:
             parsed = json.loads(value) if kind is list else kind(value)
-        except ValueError:  # json.JSONDecodeError is a ValueError
-            parsed = None
-        if not isinstance(parsed, kind):
-            raise ConfigError(f"--set {key}: cannot read {value!r} as {kind.__name__}")
-        params[key] = parsed
+        except ValueError:  # json.JSONDecodeError is a ValueError; the string fails the check
+            parsed = value
+        params[key] = _typed(key, parsed, kind, "--set")
     return params
 
 
@@ -98,6 +105,8 @@ def main(argv=None) -> int:
     name = args.command.replace("-", "_")
     out_dir = args.out / name
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         params = _resolve_params(args.command, args)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)

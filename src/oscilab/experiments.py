@@ -156,24 +156,15 @@ def norms(params, ctx):
         NormSpec("sup_norm"),
         NormSpec("harmonic_sobolev_sup", s=1.0 / 7.0),
     ]
+    nan = float("nan")
     for mode in params["modes"]:
         u = unit_field(basis, mode)
-        for spec in specs:
-            rows["norm_kind"].append(spec.kind)
-            rows["s"].append(spec.s)
-            rows["r"].append(spec.r)
-            rows["q"].append(float("nan"))
-            rows["T"].append(float("nan"))
-            rows["N"].append(params["N"])
-            rows["value"].append(evaluate_norm(u, spec))
+        entries = [(spec.kind, spec.s, spec.r, nan, nan, evaluate_norm(u, spec)) for spec in specs]
         st = spacetime_norm(u, 2.0, NormSpec("harmonic_sobolev", s=0.0), params["T"], params["time_nodes"])
-        rows["norm_kind"].append("spacetime_L2_L2")
-        rows["s"].append(0.0)
-        rows["r"].append(2.0)
-        rows["q"].append(2.0)
-        rows["T"].append(params["T"])
-        rows["N"].append(params["N"])
-        rows["value"].append(st)
+        entries.append(("spacetime_L2_L2", 0.0, 2.0, 2.0, params["T"], st))
+        for kind, s, r, q, T, value in entries:
+            for key, entry in zip(rows, (kind, s, r, q, T, params["N"], value)):
+                rows[key].append(entry)
     return Result(
         {"rows_written": len(rows["value"])},
         True,
@@ -357,18 +348,13 @@ def khinchin(params, ctx):
     spread = np.ones(params["n_modes"]) / np.sqrt(params["n_modes"])
     n = params["n_samples"]
     qs = tuple(range(2, params["q_max"] + 1, 2))
-    runs = {
-        "gaussian": khinchin_growth(make_ensemble("gaussian", seed=seed), spread, qs, n_samples=n, workers=ctx.workers),
-        "rademacher_single": khinchin_growth(
-            make_ensemble("rademacher", seed=seed), np.array([1.0]), qs, n_samples=max(n // 10, 10**4), workers=ctx.workers
-        ),
-        "weibull_1.0": khinchin_growth(
-            make_ensemble("symmetric_weibull", seed=seed, gamma=1.0), spread, qs, n_samples=n, workers=ctx.workers
-        ),
-        "weibull_1.5": khinchin_growth(
-            make_ensemble("symmetric_weibull", seed=seed, gamma=1.5), spread, qs, n_samples=n, workers=ctx.workers
-        ),
+    cases = {  # name: (ensemble, coefficients, samples)
+        "gaussian": (make_ensemble("gaussian", seed=seed), spread, n),
+        "rademacher_single": (make_ensemble("rademacher", seed=seed), np.array([1.0]), max(n // 10, 10**4)),
+        "weibull_1.0": (make_ensemble("symmetric_weibull", seed=seed, gamma=1.0), spread, n),
+        "weibull_1.5": (make_ensemble("symmetric_weibull", seed=seed, gamma=1.5), spread, n),
     }
+    runs = {name: khinchin_growth(ens, c, qs, n_samples=m, workers=ctx.workers) for name, (ens, c, m) in cases.items()}
     lines = [
         f"{name}: exponent {r['fitted_exponent']:.3f} <= {r['exponent_bound']:.3f} [{r['hypothesis_branch']}]"
         for name, r in runs.items()
@@ -446,19 +432,13 @@ def gaussian_norm_tail(n_samples, ctx):
 
 def tails(params, ctx):
     seed = ctx.seed
-    reports = {}
-    reports["verify_gaussian"] = verify_tail(
-        make_ensemble("gaussian", seed=seed), params["n_verify"], np.linspace(1, 4, 13), workers=ctx.workers
-    )
-    reports["verify_weibull_1.0"] = verify_tail(
-        make_ensemble("symmetric_weibull", seed=seed, gamma=1.0),
-        max(params["n_verify"] // 5, 10**5),
-        np.linspace(1, 8, 15),
-        workers=ctx.workers,
-    )
-    reports["verify_rademacher"] = verify_tail(
-        make_ensemble("rademacher", seed=seed), 10**5, np.linspace(0.5, 2.0, 7), workers=ctx.workers
-    )
+    n_weibull = max(params["n_verify"] // 5, 10**5)
+    cases = {  # name: (ensemble, samples, thresholds)
+        "verify_gaussian": (make_ensemble("gaussian", seed=seed), params["n_verify"], np.linspace(1, 4, 13)),
+        "verify_weibull_1.0": (make_ensemble("symmetric_weibull", seed=seed, gamma=1.0), n_weibull, np.linspace(1, 8, 15)),
+        "verify_rademacher": (make_ensemble("rademacher", seed=seed), 10**5, np.linspace(0.5, 2.0, 7)),
+    }
+    reports = {name: verify_tail(ens, m, grid, workers=ctx.workers) for name, (ens, m, grid) in cases.items()}
     nt = gaussian_norm_tail(params["n_tail"], ctx)
     reports["norm_tail_gaussian"] = {k: v for k, v in nt.items() if k not in ("survival", "t_grid")}
     return Result(
@@ -504,33 +484,22 @@ def omega(params, ctx, base_norm=0.5):
 
 def paley_zygmund(params, ctx):
     n = params["n_samples"]
-    basis = cached_basis(1, 15, 34)
-    runs = {}
-    runs["rademacher_single"] = paley_zygmund_check(
-        SpectralField(basis, unit_field(basis, 2).coeffs),
-        make_ensemble("rademacher", seed=ctx.seed),
-        CutoffSpec(N=8, s=0.0),
-        n_samples=min(n, 2000),
-        workers=ctx.workers,
-    )
-    runs["gaussian_flat_s0"] = paley_zygmund_check(
-        SpectralField(basis, (np.ones(16) / 4.0).astype(complex)),
-        make_ensemble("gaussian", seed=ctx.seed),
-        CutoffSpec(N=8, s=0.0),
-        n_samples=n,
-        workers=ctx.workers,
-    )
-    big = cached_basis(1, 40, 84)
+    basis, big = cached_basis(1, 15, 34), cached_basis(1, 40, 84)
     decay = 1.0 / np.sqrt(big.lambda2)
     decay /= np.linalg.norm(decay)
-    for scale in (4, 8, 16):
-        runs[f"gaussian_s05_N{scale}"] = paley_zygmund_check(
-            SpectralField(big, decay.astype(complex)),
-            make_ensemble("gaussian", seed=ctx.seed),
-            CutoffSpec(N=scale, s=0.5),
-            n_samples=n,
-            workers=ctx.workers,
+    # name: (base field, gain family, cutoff N, regularity s, samples)
+    cases = {
+        "rademacher_single": (unit_field(basis, 2), "rademacher", 8, 0.0, min(n, 2000)),
+        "gaussian_flat_s0": (SpectralField(basis, (np.ones(16) / 4.0).astype(complex)), "gaussian", 8, 0.0, n),
+        **{f"gaussian_s05_N{scale}": (SpectralField(big, decay.astype(complex)), "gaussian", scale, 0.5, n)
+           for scale in (4, 8, 16)},
+    }
+    runs = {
+        name: paley_zygmund_check(
+            base, make_ensemble(family, seed=ctx.seed), CutoffSpec(N=scale, s=s), n_samples=m, workers=ctx.workers
         )
+        for name, (base, family, scale, s, m) in cases.items()
+    }
     return Result(
         {"runs": runs},
         all(r["verdict"] for r in runs.values()),

@@ -105,7 +105,7 @@ def embed_field(u: SpectralField, basis: BasisGrid) -> SpectralField:
 def synthesize(u: SpectralField, points: np.ndarray | None = None) -> np.ndarray:
     """Physical values sum_n c_n h_n at the quadrature nodes (or given points)."""
     if points is None:
-        return u.coeffs @ u.basis.eval_table
+        return u.basis.grid_values(u.coeffs, u.basis.eval_table)
     return u.coeffs @ u.basis.eval_at(points)
 
 
@@ -119,7 +119,7 @@ def analyze(values: np.ndarray, basis: BasisGrid) -> SpectralField:
         raise BasisError(
             f"value array length {values.shape} does not match node count {basis.nodes.shape[0]}"
         )
-    coeffs = (basis.eval_table * basis.weights) @ values
+    coeffs = basis.grid_coeffs(values, basis.eval_table, basis.weights)
     return SpectralField(basis, coeffs.astype(complex))
 
 
@@ -203,11 +203,11 @@ _PRODUCT_QUAD_CACHE: dict = {}
 def product_quadrature(basis: BasisGrid, product_degree: int):
     """Quadrature grid exact for degree-product_degree polynomial factors.
 
-    Returns (nodes, weights, table) with table[k, j] = h_{indices[k]} at the
-    de-aliased nodes.  Used to integrate nonlinear products and non-polynomial
-    weights; sized so that (product of fields) x (basis function) stays inside
-    the exactness degree.  The arrays are a BasisGrid's, read-only: the input's
-    own when its grid is already fine enough, else a cached finer one.
+    Returns the de-aliased tensor grid (nodes, weights) and its per-axis table
+    h_n(axis node j) for ``basis.grid_values`` and ``basis.grid_coeffs``, sized
+    so that (product of fields) x (basis function) stays inside the exactness
+    degree.  The arrays are a BasisGrid's, read-only: the input's own when its
+    grid is already fine enough, else a cached finer one.
     """
     per_axis = max(basis.quad_per_axis, int(np.ceil((product_degree + basis.max_degree) / 2)) + 1)
     if per_axis == basis.quad_per_axis:
@@ -224,7 +224,7 @@ def weighted_x_L2_norm(u: SpectralField, s: float) -> float:
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     nodes, weights, table = product_quadrature(u.basis, 2 * u.basis.max_degree)
-    vals = u.coeffs @ table
+    vals = u.basis.grid_values(u.coeffs, table)
     w = (1.0 + np.sum(nodes**2, axis=1)) ** s
     return float(np.sqrt(np.sum(weights * w * np.abs(vals) ** 2)))
 
@@ -237,7 +237,7 @@ def fractional_laplacian_L2_norm(u: SpectralField, s: float) -> float:
         return u.l2_norm
     uhat = fourier_transform(u)
     nodes, weights, table = product_quadrature(u.basis, 2 * u.basis.max_degree)
-    vals = uhat.coeffs @ table
+    vals = u.basis.grid_values(uhat.coeffs, table)
     w = np.sum(nodes**2, axis=1) ** s
     return float(np.sqrt(np.sum(weights * w * np.abs(vals) ** 2)))
 
@@ -372,14 +372,16 @@ def smoothing_functional(
     nodes, weights, table = product_quadrature(basis, 2 * basis.max_degree)
     # squared weight: (<x>^{-(1/2-eps)})^2 = (1 + |x|^2)^{-(1/2-eps)}
     weight_sq = (1.0 + np.sum(nodes**2, axis=1)) ** (-(0.5 - eps))
-    gram = (table * (weights * weight_sq)) @ table.T
+    # the weight is not separable: the form needs the synthesis matrix, built once per call above d = 1
+    synth = table if d == 1 else basis.grid_values(np.eye(basis.size), table)
+    gram = (synth * (weights * weight_sq)) @ synth.T
     if variant == "sqrtH":
         filt = basis.lambda2 ** ((0.5 - 2 * eps) / 2.0)
         space_form = filt[:, None] * gram * filt[None, :]
     else:
         mult = np.sum(nodes**2, axis=1) ** ((d / 2.0 - 2 * eps) / 2.0)
         # to the Fourier side, |xi|^s on the grid, analysis back onto the span, back to x
-        op = (1j) ** basis.degrees[:, None] * ((table * (weights * mult)) @ table.T) * (-1j) ** basis.degrees
+        op = (1j) ** basis.degrees[:, None] * ((synth * (weights * mult)) @ synth.T) * (-1j) ** basis.degrees
         space_form = op.conj().T @ gram @ op
     form = space_form * time_form
     coeffs = np.stack([u.coeffs for u in fields])

@@ -5,11 +5,11 @@ Gauss-Hermite quadrature adapted to function space (the Gaussian factor is
 folded into the weights analytically, so nothing overflows at large node
 counts), and analysis/synthesis between coefficient and physical space.
 
-Fields are evaluated on tensor grids (the uniform audit grid, scaled lens
-grids) by sum factorization: the coefficients fill the (N+1)^d box, zero
-above total degree N, and the box is contracted with the 1-D Hermite table
-one axis at a time, never with a (modes x grid points) table.  Sup and L^r
-norms over the audit grid are reduced tile by tile along its first axis.
+Fields are evaluated on tensor grids (quadrature nodes, the audit grid, lens
+grids) by sum factorization: the coefficients fill the (N+1)^d box, zero above
+total degree N, and the box is contracted with the 1-D Hermite table one axis
+at a time, never with a (modes x grid points) table; quadrature analysis runs
+it backwards.  Sup and L^r norms are reduced tile by tile along the first axis.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ AUDIT_MARGIN = 4.0
 # largest tile of audit-grid values that BasisGrid.audit_tiles holds at once
 AUDIT_TILE_BYTES = 8 * 2**20
 
-# ceiling on the bytes of a basis's eval_table; build_basis refuses beyond it
-TABLE_BYTES_BUDGET = 2**30
+# ceiling on the bytes of a basis's tensor grid (nodes and weights); build_basis refuses beyond it
+GRID_BYTES_BUDGET = 2**30
 
 
 class BasisError(ValueError):
@@ -143,13 +143,13 @@ class BasisGrid:
     ``sum_j weights[j] f(nodes[j])`` approximates the integral of f over R^dim
     for smooth decaying f, and is exact when f is a polynomial of per-axis
     degree <= 2*quad_per_axis - 1 times the squared Gaussian.
-    ``eval_table[k, j]`` holds h_{indices[k]}(nodes[j]).
 
-    The audit grid is the tensor grid of one axis; ``audit_table()`` is the
-    per-axis table h_n(y_j) of shape (N+1, P).  ``grid_values`` synthesizes
-    coefficient rows on such a grid by contracting the coefficient box with
-    the per-axis table one axis at a time, at most N+1 multiply-adds per
-    grid value and axis instead of one per basis function, and
+    The nodes and the audit grid are tensor grids of one axis; ``eval_table``
+    and ``audit_table()`` are their per-axis tables h_n(y_j), shape (N+1, P).
+    ``grid_values`` synthesizes coefficient rows on such a grid by contracting
+    the coefficient box with the per-axis table one axis at a time, at most
+    N+1 multiply-adds per grid value and axis instead of one per basis
+    function; ``grid_coeffs`` is the quadrature analysis back, and
     ``audit_tiles`` yields |u| tile by tile for ``audit_sup`` and L^r norms.
     """
 
@@ -159,7 +159,7 @@ class BasisGrid:
     indices: tuple[tuple[int, ...], ...]
     nodes: np.ndarray        # (n_nodes, dim)
     weights: np.ndarray      # (n_nodes,)
-    eval_table: np.ndarray   # (n_indices, n_nodes)
+    eval_table: np.ndarray   # (max_degree + 1, quad_per_axis)
     axis_nodes: np.ndarray   # (quad_per_axis,)
     axis_weights: np.ndarray
     degrees: np.ndarray = field(init=False)   # |n| per enumerated index
@@ -240,6 +240,20 @@ class BasisGrid:
         vals = self._contract(self._box(coeffs.reshape(-1, self.size)), table, range(self.dim))
         return np.moveaxis(vals, -1, 0).reshape(coeffs.shape[:-1] + (-1,))
 
+    def grid_coeffs(self, values: np.ndarray, table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Quadrature analysis sum_j weights[j] h_n(y_j) values[..., j] on the grid of grid_values.
+
+        Above d = 1 the weighted values are contracted with the transposed
+        table one grid axis at a time, and the basis positions of the box kept.
+        """
+        values = np.asarray(values)
+        if self.dim == 1:
+            return ((table * weights) @ values.T).T
+        rows = (values * weights).reshape(-1, weights.size)
+        box = self._contract(rows.T.reshape((table.shape[1],) * self.dim + (-1,)), table.T, range(self.dim))
+        out = box.reshape(-1, rows.shape[0])[self._box_positions()].T
+        return out.reshape(values.shape[:-1] + (-1,))
+
     def audit_tiles(self, coeffs: np.ndarray):
         """|u| on the audit grid for each row of ``coeffs`` (shape (m, size)), as (points, m) tiles.
 
@@ -272,14 +286,18 @@ class BasisGrid:
             self._aux["index_array"] = _read_only(np.array(self.indices, dtype=np.intp).reshape(self.size, self.dim))
         return self._aux["index_array"]
 
+    def _box_positions(self) -> np.ndarray:
+        """Flat position of each enumerated index in the C-order (N+1)^dim box."""
+        if "box_positions" not in self._aux:
+            flat = np.ravel_multi_index(tuple(self._index_array().T), (self.max_degree + 1,) * self.dim)
+            self._aux["box_positions"] = _read_only(flat)
+        return self._aux["box_positions"]
+
     def _box(self, rows: np.ndarray) -> np.ndarray:
         """(m, size) rows scattered into the coefficient box (N+1, ..., N+1, m), zero above degree N."""
         n = self.max_degree + 1
-        if "box_positions" not in self._aux:
-            flat = np.ravel_multi_index(tuple(self._index_array().T), (n,) * self.dim)
-            self._aux["box_positions"] = _read_only(flat)
         box = np.zeros((n**self.dim, rows.shape[0]), dtype=np.result_type(rows, float))
-        box[self._aux["box_positions"]] = rows.T
+        box[self._box_positions()] = rows.T
         return box.reshape((n,) * self.dim + (rows.shape[0],))
 
     @staticmethod
@@ -317,7 +335,8 @@ def build_basis(dim: int, max_degree: int, quad_per_axis: int) -> BasisGrid:
 
     Requires ``quad_per_axis >= 2 (max_degree + 1)`` so that the Gram matrix
     of the enumerated functions is the identity up to rounding, and rejects
-    enumerations larger than ``DEFAULT_COEFF_BUDGET``.
+    enumerations larger than ``DEFAULT_COEFF_BUDGET`` and tensor grids whose
+    nodes and weights need more than ``GRID_BYTES_BUDGET``.
     """
     if dim < 1:
         raise BasisError(f"dim must be >= 1, got {dim}")
@@ -335,23 +354,17 @@ def build_basis(dim: int, max_degree: int, quad_per_axis: int) -> BasisGrid:
         raise BasisError(
             f"enumeration size {len(indices)} exceeds coefficient budget {DEFAULT_COEFF_BUDGET}"
         )
-    table_bytes = len(indices) * quad_per_axis**dim * 8
-    if table_bytes > TABLE_BYTES_BUDGET:
+    grid_bytes = quad_per_axis**dim * (dim + 1) * 8
+    if grid_bytes > GRID_BYTES_BUDGET:
         raise BasisError(
-            f"eval_table of {len(indices)} functions x {quad_per_axis}^{dim} nodes needs "
-            f"{table_bytes} B, over the budget of {TABLE_BYTES_BUDGET} B"
+            f"tensor grid of {quad_per_axis}^{dim} nodes and weights needs "
+            f"{grid_bytes} B, over the budget of {GRID_BYTES_BUDGET} B"
         )
     axis_nodes, axis_weights = gauss_hermite_nodes(quad_per_axis)
-    axis_table = hermite_function_values(max_degree, axis_nodes)
     nodes = tensor_grid(axis_nodes, dim)
     weights = np.ones(nodes.shape[0])
     for w in tensor_grid(axis_weights, dim).T:
         weights = weights * w
-    idx = np.array(indices, dtype=np.intp)
-    eval_table = axis_table[idx[:, 0]]
-    for a in range(1, dim):
-        # row k on the tensor grid: the outer product of its per-axis rows
-        eval_table = (eval_table[:, :, None] * axis_table[idx[:, a]][:, None, :]).reshape(len(indices), -1)
 
     return BasisGrid(
         dim=dim,
@@ -360,7 +373,7 @@ def build_basis(dim: int, max_degree: int, quad_per_axis: int) -> BasisGrid:
         indices=indices,
         nodes=nodes,
         weights=weights,
-        eval_table=eval_table,
+        eval_table=hermite_function_values(max_degree, axis_nodes),
         axis_nodes=axis_nodes,
         axis_weights=axis_weights,
     )
@@ -377,11 +390,14 @@ def cached_basis(dim: int, max_degree: int, quad_per_axis: int) -> BasisGrid:
     return _BASIS_CACHE[key]
 
 
-def gram_matrix(basis: BasisGrid) -> np.ndarray:
-    return (basis.eval_table * basis.weights) @ basis.eval_table.T
-
-
 def gram_deviation(basis: BasisGrid) -> float:
-    """Max |G - I| over the quadrature Gram matrix; orthonormality check."""
-    g = gram_matrix(basis)
-    return float(np.max(np.abs(g - np.eye(basis.size))))
+    """Max |G - I| over the quadrature Gram matrix; orthonormality check.
+
+    G[k, l] = prod_a g[n_a(k), n_a(l)] is built from the per-axis Gram g.
+    """
+    axis_gram = (basis.eval_table * basis.axis_weights) @ basis.eval_table.T
+    idx = basis._index_array()
+    gram = np.ones((basis.size, basis.size))
+    for a in range(basis.dim):
+        gram = gram * axis_gram[np.ix_(idx[:, a], idx[:, a])]
+    return float(np.max(np.abs(gram - np.eye(basis.size))))

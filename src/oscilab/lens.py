@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .fields import SpectralField, analyze, embed_field, fourier_transform, inverse_fourier_transform, synthesize
-from .hermite import audit_axis, cached_basis, hermite_function_values, tensor_grid
+from .hermite import DEFAULT_COEFF_BUDGET, audit_axis, cached_basis, hermite_function_values, tensor_grid
 
 __all__ = [
     "PhysicalFrame",
@@ -40,6 +40,9 @@ FREE_TAIL_TOL = 1e-10
 
 # largest Hermite degree the enlarged free-propagation span may reach
 DEGREE_CAP = 1024
+
+# largest tensor grid (nodes and weights) of the enlarged free-propagation span
+FREE_GRID_BYTES = 2**27
 
 
 class AliasingGuardError(RuntimeError):
@@ -172,10 +175,11 @@ def free_propagate_field(u0: SpectralField, t: float) -> SpectralField:
     dim = u0.basis.dim
     big_degree = max(need, u0.basis.max_degree)
     big_degree = 32 * int(np.ceil((big_degree + 1) / 32))  # quantize to bound the basis cache
-    est_size = comb(big_degree + dim, dim) * (2 * (big_degree + 1)) ** dim
-    if est_size > 5 * 10**7:
+    size, grid_bytes = comb(big_degree + dim, dim), (2 * (big_degree + 1)) ** dim * (dim + 1) * 8
+    if size > DEFAULT_COEFF_BUDGET or grid_bytes > FREE_GRID_BYTES:
         raise AliasingGuardError(
-            f"free propagation span (degree {big_degree}, dim {dim}) is too large to tabulate"
+            f"free propagation span (degree {big_degree}, dim {dim}) is too large: "
+            f"{size} functions on a grid of {grid_bytes} B"
         )
     big = cached_basis(dim, big_degree, 2 * (big_degree + 1))
     uhat = fourier_transform(embed_field(u0, big))

@@ -160,8 +160,7 @@ class _Workspace:
         self.cfg = cfg
         self.basis = basis
         p = cfg.nonlinearity_p
-        self.nodes, self.weights, self.table = product_quadrature(basis, (p + 1) * basis.max_degree)
-        self.project = (self.table * self.weights).T  # (n_nodes, size)
+        _, self.weights, self.table = product_quadrature(basis, (p + 1) * basis.max_degree)
         self.times = cfg.times()
         self.h = float(self.times[1] - self.times[0])
         self.phases = np.exp(-1j * np.outer(self.times, basis.lambda2))
@@ -170,10 +169,10 @@ class _Workspace:
 
     def nonlinearity(self, u_mat: np.ndarray) -> np.ndarray:
         """K cos(2t)^e |u|^{p-1} u projected back onto the span, per time node."""
-        vals = u_mat @ self.table
+        vals = self.basis.grid_values(u_mat, self.table)
         p = self.cfg.nonlinearity_p
         nl = (np.abs(vals) ** (p - 1)) * vals
-        out = nl @ self.project
+        out = self.basis.grid_coeffs(nl, self.table, self.weights)
         return self.cfg.K * self.cos_weight[:, None] * out
 
     def surrogate_norm(self, v_mat: np.ndarray) -> float:
@@ -350,7 +349,7 @@ def uniqueness_probe(
     at the interior nodes (identical-data trajectories coincide to solver
     tolerance, which would leave the ratio undefined).
     """
-    if perturbation.basis is not u0.basis and perturbation.basis.size != u0.basis.size:
+    if (perturbation.basis.dim, perturbation.basis.max_degree) != (u0.basis.dim, u0.basis.max_degree):
         raise ValueError("perturbation must live on the data's basis")
     traj_a = picard_solve(u0, cfg)
     pert_stack = np.tile(perturbation.coeffs, (cfg.time_nodes, 1))

@@ -504,7 +504,7 @@ def paley_zygmund_check(
         if cutoff.s == 0:
             frac_sq = 0.0
         else:
-            hat_vals = (filtered * fourier_phase[None, :]) @ table
+            hat_vals = basis.grid_values(filtered * fourier_phase[None, :], table)
             frac_sq = np.sum(weights[None, :] * xi_pow[None, :] * np.abs(hat_vals) ** 2, axis=1)
         s_sq[a:b] = l2_sq + frac_sq
 

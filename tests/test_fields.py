@@ -333,7 +333,8 @@ def per_time_smoothing(u, eps, variant, time_nodes):
     basis = u.basis
     d = basis.dim
     denom = u.l2_norm if variant == "sqrtH" or d == 1 else harmonic_sobolev_norm(u, (d - 1) / 2.0)
-    nodes, weights, table = product_quadrature(basis, 2 * basis.max_degree)
+    nodes, weights, _ = product_quadrature(basis, 2 * basis.max_degree)
+    table = basis.eval_at(nodes)  # dense (modes x nodes), independent of the factored path
     times = np.linspace(-2 * np.pi, 2 * np.pi, time_nodes)
     phases = np.exp(1j * np.outer(times, basis.lambda2))
     if variant == "sqrtH":

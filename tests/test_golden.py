@@ -1,5 +1,6 @@
-"""Byte-identity guard: every command at the smoke tier reproduces the exit
-codes and the report, CSV and plot-script digests in golden_smoke.json.
+"""Byte-identity guard: every command at the smoke tier, and solve-nlsh at
+d = 2, reproduces the exit codes and the report, CSV and plot-script digests
+in golden_smoke.json.
 
 Artifact bytes depend on the interpreter, numpy, scipy, the BLAS library,
 its thread count and the CPU.  The commands run with one BLAS thread, and
@@ -31,6 +32,7 @@ RUN_ALL = """
 import json, sys
 from oscilab.cli import COMMANDS, main
 codes = {command: main([command, "--tier", "smoke", "--out", sys.argv[1]]) for command in COMMANDS}
+codes["solve-nlsh dim=2"] = main(["solve-nlsh", "--tier", "smoke", "--set", "dim=2", "--out", sys.argv[1] + "/dim2"])
 print(json.dumps(codes))
 """
 

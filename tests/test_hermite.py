@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,12 +187,25 @@ def test_off_node_evaluation_matches_table(basis16):
     assert np.allclose(table, basis16.eval_table[:, :5], atol=1e-13)
 
 
-def test_eval_table_too_large_is_refused_before_allocating():
-    # 12341 functions x 82^3 nodes x 8 B is 54 GB: refused from the sizes alone
+def test_tensor_grid_too_large_is_refused_before_allocating():
+    # 400^3 nodes x (3 coordinates + 1 weight) x 8 B is 2 GB: refused from the sizes alone
     start = time.perf_counter()
-    with pytest.raises(BasisError, match="eval_table"):
-        build_basis(3, 40, 82)
+    with pytest.raises(BasisError, match="tensor grid"):
+        build_basis(3, 2, 400)
     assert time.perf_counter() - start < 5.0
+
+
+def test_product_quadrature_holds_no_dense_table():
+    # the quintic d = 3, N = 12 grid: 43^3 nodes, where a (modes x nodes) table took 287 MiB
+    basis = build_basis(3, 12, 26)
+    tracemalloc.start()
+    try:
+        nodes, weights, table = product_quadrature(basis, 72)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes.shape == (43**3, 3) and weights.shape == (43**3,) and table.shape == (13, 43)
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("dim,n", [(1, 0), (1, 6), (2, 1), (2, 6), (3, 2), (3, 6)])
@@ -214,10 +228,21 @@ def test_factored_audit_values_match_eval_at(dim, n):
     assert np.max(np.abs(single - values[1])) <= 1e-13 * np.max(np.abs(single))
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_eval_at_on_nodes_is_the_eval_table(dim):
+    # the per-axis table synthesizes and analyzes on the nodes like the dense (modes x nodes) table
     basis = build_basis(dim, 3, 8)
-    assert np.array_equal(basis.eval_at(basis.nodes), basis.eval_table)
+    assert basis.eval_table.shape == (4, 8)
+    rng = np.random.default_rng(dim)
+    coeffs = rng.normal(size=(3, basis.size)) + 1j * rng.normal(size=(3, basis.size))
+    dense = basis.eval_at(basis.nodes)
+    want = coeffs @ dense
+    values = basis.grid_values(coeffs, basis.eval_table)
+    assert np.max(np.abs(values - want)) <= 1e-13 * np.max(np.abs(want))
+    want = (values * basis.weights) @ dense.T
+    back = basis.grid_coeffs(values, basis.eval_table, basis.weights)
+    assert np.max(np.abs(back - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(back - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
 
 
 @pytest.mark.parametrize("dim,n", [(1, 6), (2, 4), (2, 6), (3, 2)])

@@ -93,6 +93,24 @@ def test_aliasing_guard(basis64):
     assert abs(out.l2_norm - 1.0) <= 1e-8
 
 
+def test_two_dimensional_free_flow_is_the_product_of_one_dimensional_flows():
+    # degree 128 at d = 2: 8385 functions on 258^2 nodes, a span priced out while a
+    # (modes x nodes) table was built; the product data h_1 (x) h_1 evolve axis by axis
+    one = free_propagate_field(unit_field(cached_basis(1, 2, 6), 1), 0.8)
+    two = free_propagate_field(unit_field(cached_basis(2, 2, 6), (1, 1)), 0.8)
+    assert two.basis.max_degree == one.basis.max_degree == 128
+    want = np.array([one.coeffs[a] * one.coeffs[b] for a, b in two.basis.indices])
+    assert np.max(np.abs(two.coeffs - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_aliasing_guard_prices_the_span_before_building_it(dim):
+    # degree ~940 is under the cap, but its basis or its tensor grid is too large to build
+    u0 = unit_field(cached_basis(dim, 2, 6), (0,) * dim)
+    with pytest.raises(AliasingGuardError, match="too large"):
+        free_propagate_field(u0, 3.0)
+
+
 def test_lens_on_given_points(basis32):
     # the frame grid is the audit grid scaled by sqrt(alpha); recurrence
     # synthesis at its preimage gives the same values

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oscilab.fields import SpectralField, harmonic_sobolev_norm, unit_field
+from oscilab.fields import SpectralField, harmonic_sobolev_norm, product_quadrature, unit_field
 from oscilab.hermite import cached_basis
 from oscilab.picard import (
     DivergenceError,
@@ -166,6 +166,22 @@ def test_divergence_guard_is_loud():
     assert np.max(np.linalg.norm(traj.v - ref.v, axis=1)) <= 10 * cfg.tol
 
 
+@pytest.mark.parametrize("dim,n", [(2, 6), (3, 4)])
+def test_factored_nonlinearity_matches_dense_reference(dim, n):
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    cfg = SolverConfig(dim=dim, N=n, time_nodes=33)
+    ws = _Workspace(cfg, basis)
+    rng = np.random.default_rng(dim)
+    u_mat = 0.3 * (rng.normal(size=(33, basis.size)) + 1j * rng.normal(size=(33, basis.size)))
+    nodes, weights, _ = product_quadrature(basis, (cfg.nonlinearity_p + 1) * n)
+    dense = basis.eval_at(nodes)  # (modes x nodes)
+    vals = u_mat @ dense
+    nl = np.abs(vals) ** (cfg.nonlinearity_p - 1) * vals
+    want = cfg.K * np.cos(2.0 * ws.times)[:, None] ** cfg.cos_exponent * ((nl * weights) @ dense.T)
+    got = ws.nonlinearity(u_mat)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # ------------------------------------------------------------- uniqueness
 
 
@@ -178,6 +194,15 @@ def test_uniqueness_zero_perturbation_bitwise():
     rep = uniqueness_probe(u0, cfg, zero)
     assert rep["fixed_point_gap"] == 0.0
     assert rep["gronwall_ok"]
+
+
+def test_uniqueness_probe_refuses_another_basis():
+    # d = 1, N = 9 and d = 2, N = 3 both hold 10 functions, but not the same ones
+    data_basis, other = cached_basis(1, 9, 20), cached_basis(2, 3, 8)
+    u0 = SpectralField(data_basis, 0.1 * unit_field(data_basis, 0).coeffs)
+    pert = SpectralField(other, 0.01 * unit_field(other, (1, 0)).coeffs)
+    with pytest.raises(ValueError, match="data's basis"):
+        uniqueness_probe(u0, SolverConfig(dim=1, N=9, time_nodes=33), pert)
 
 
 def test_uniqueness_probe_reference():

@@ -91,6 +91,13 @@ def test_cli_rejects_unconvertible_override(tmp_path, capsys):
     code = run_cli(["solve-nlsh", "--tier", "smoke", "--out", str(tmp_path), "--set", "amplitude=abc"])
     assert code == 2
     assert "amplitude" in capsys.readouterr().err
+    # --config values go through the same type check as --set
+    cfg = tmp_path / "cfg.json"
+    for key, value in (("N", "64"), ("N", 32.5), ("N", True), ("modes", 3)):
+        cfg.write_text(json.dumps({"norms": {key: value}}))
+        assert run_cli(["norms", "--tier", "smoke", "--out", str(tmp_path), "--config", str(cfg)]) == 2
+        assert f"--config {key}" in capsys.readouterr().err
+        assert not (tmp_path / "norms").exists()
 
 
 def test_cli_rejects_config_section_not_object(tmp_path, capsys):
@@ -152,6 +159,10 @@ def test_cli_rejects_workers_where_ignored(tmp_path, capsys):
     assert not (tmp_path / "smoothing" / "smoothing.json").exists()
     assert run_cli(["b2p", "--tier", "smoke", "--out", str(tmp_path), "--workers", "2"]) == 2
     assert run_cli(["b2p", "--tier", "smoke", "--out", str(tmp_path), "--workers", "1"]) == 0
+    for workers in ("0", "-2"):
+        assert run_cli(["b2p", "--tier", "smoke", "--out", str(tmp_path / workers), "--workers", workers]) == 2
+        assert f"got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / workers).exists()
 
 
 @pytest.mark.parametrize("command", ["omega", "paley-zygmund", "khinchin", "chernoff", "tails"])
