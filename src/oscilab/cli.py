@@ -32,17 +32,23 @@ plot '{csv}' using 1:2 with linespoints
 """
 
 
-def _typed(key: str, value, kind: type, source: str):
-    """A --config or --set value as its preset field's type; an int also reads as a float."""
+def _typed(key: str, value, preset, source: str):
+    """A --config or --set value as the type of its preset field, and each
+    element of a list as the type of the preset's elements; an int also
+    reads as a float."""
+    kind = type(preset)
     if kind is float and type(value) is int:
         value = float(value)
     if type(value) is not kind:
         raise ConfigError(f"{source} {key}: cannot read {value!r} as {kind.__name__}")
+    if kind is list and preset:
+        value = [_typed(key, item, preset[0], source) for item in value]
     return value
 
 
 def _resolve_params(command: str, args) -> dict:
-    params = dict(REGISTRY[command].params_by_tier[args.tier])
+    presets = REGISTRY[command].params_by_tier[args.tier]
+    params = dict(presets)
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -57,19 +63,19 @@ def _resolve_params(command: str, args) -> dict:
         for key, value in section.items():
             if key not in params:
                 raise ConfigError(f"unknown config field {key!r} for command {command!r}")
-            params[key] = _typed(key, value, type(params[key]), "--config")
+            params[key] = _typed(key, value, presets[key], "--config")
     for item in args.override or ():
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         if key not in params:
             raise ConfigError(f"unknown override field {key!r} for command {command!r}")
-        kind = type(params[key])
+        kind = type(presets[key])
         try:
             parsed = json.loads(value) if kind is list else kind(value)
         except ValueError:  # json.JSONDecodeError is a ValueError; the string fails the check
             parsed = value
-        params[key] = _typed(key, parsed, kind, "--set")
+        params[key] = _typed(key, parsed, presets[key], "--set")
     return params
 
 

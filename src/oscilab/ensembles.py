@@ -17,13 +17,12 @@ increments the counter before its first block), read as the uniform
 (word >> 11) * 2**-53.  ``sample_gain_matrix`` wants many short streams:
 ``_philox_uniforms`` runs the ten Philox rounds in numpy over the whole
 (omega x block) grid at once, bit-identical to numpy's ``Philox`` and about
-15x faster than one ``Generator`` per omega.  ``sample``, ``sample_gains``
-and ``sample_block`` read one range of one stream through numpy's
-``Generator`` (about 10x faster on a long range), advanced to the range's
-first block.  ``sample_block(spec, start, stop, width)`` is rows [start, stop)
-of the (n, width) matrix with variate (i, k) at position i * width + k of
-the stream keyed (seed, 0);
-``fold_block`` sums a bulk experiment's chunks of it through ``mc.run_chunked``.
+15x faster than one ``Generator`` per omega.  ``sample_block(spec, start,
+stop, width)`` is rows [start, stop) of the (n, width) matrix with variate
+(i, k) at position i * width + k of the stream keyed (seed, 0); it reads that
+one range through numpy's ``Generator`` (about 10x faster on a long range),
+advanced to the range's first block.  ``fold_block`` sums a bulk
+experiment's chunks of it through ``mc.run_chunked``.
 """
 
 from __future__ import annotations
@@ -33,14 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .mc import run_chunked
+from .mc import holding, run_chunked
 
 __all__ = [
     "EnsembleSpec",
     "make_ensemble",
     "FAMILIES",
-    "sample",
-    "sample_gains",
     "sample_block",
     "fold_block",
     "verify_tail",
@@ -184,34 +181,20 @@ def _philox_uniforms(seed: int, omega_ids, count: int) -> np.ndarray:
     return (words[:, :count] >> np.uint64(11)) * 2.0**-53
 
 
-def _read(spec: EnsembleSpec, stream_id: int, start: int, count: int) -> np.ndarray:
-    """Variates start .. start+count-1 of the stream keyed (seed, stream_id)."""
-    gen = np.random.Generator(np.random.Philox(key=[np.uint64(spec.seed), np.uint64(stream_id)]))
-    gen.bit_generator.advance(start // 4)
-    gen.random(start % 4)
-    return _from_uniforms(spec, gen.random(count))
-
-
-def sample(spec: EnsembleSpec, omega_id: int, coeff_index: int) -> float:
-    """Single variate for the stream triple (seed, omega_id, coeff_index)."""
-    return float(_read(spec, omega_id, coeff_index, 1)[0])
-
-
-def sample_gains(spec: EnsembleSpec, omega_id: int, count: int) -> np.ndarray:
-    """Gains g_0 .. g_{count-1} for one omega (positions 0..count-1 of its stream)."""
-    return _read(spec, omega_id, 0, count)
-
-
 def sample_gain_matrix(spec: EnsembleSpec, omega_ids, count: int) -> np.ndarray:
     """Stacked gains for many omegas, shape (len(omega_ids), count); row r is
-    sample_gains(spec, omega_ids[r], count)."""
+    variates 0..count-1 of the stream keyed (seed, omega_ids[r])."""
     return _from_uniforms(spec, _philox_uniforms(spec.seed, omega_ids, count))
 
 
 def sample_block(spec: EnsembleSpec, start: int, stop: int, width: int = 1) -> np.ndarray:
     """Rows [start, stop) of the (n, width) bulk matrix of the stream keyed
     (seed, 0); variate (i, k) sits at position i * width + k."""
-    return _read(spec, 0, start * width, (stop - start) * width).reshape(stop - start, width)
+    first = start * width
+    gen = np.random.Generator(np.random.Philox(key=[np.uint64(spec.seed), np.uint64(0)]))
+    gen.bit_generator.advance(first // 4)
+    gen.random(first % 4)
+    return _from_uniforms(spec, gen.random((stop - start) * width)).reshape(stop - start, width)
 
 
 def fold_block(spec: EnsembleSpec, n_samples: int, width: int, partial, workers: int = 1):
@@ -221,19 +204,13 @@ def fold_block(spec: EnsembleSpec, n_samples: int, width: int, partial, workers:
     max(1, 2**20 // width) rows and their partials are added left to right in
     chunk order, so the result is bitwise independent of workers.
     """
-    held = [None]
 
     def kernel(a, b):
-        # the previous chunk stays referenced: freeing every array of a chunk lets
-        # malloc trim the heap, and the next chunk page-faults it all back in.
-        # held is state shared by all threads, but no result ever reads it.
         rows = sample_block(spec, a, b, width)
-        part = partial(rows)
-        held[0] = rows
-        return part
+        return partial(rows), rows
 
     acc = 0.0
-    for part in run_chunked(n_samples, kernel, workers, max(1, 2**20 // width)):
+    for part in run_chunked(n_samples, holding(kernel), workers, max(1, 2**20 // width)):
         acc += part
     return acc
 

@@ -10,6 +10,13 @@ grids) by sum factorization: the coefficients fill the (N+1)^d box, zero above
 total degree N, and the box is contracted with the 1-D Hermite table one axis
 at a time, never with a (modes x grid points) table; quadrature analysis runs
 it backwards.  Sup and L^r norms are reduced tile by tile along the first axis.
+
+Every 1-D value comes from one recurrence kernel, ``_recurrence``, which
+keeps only the rows its caller reads: ``hermite_function_values`` keeps all
+of them, each Newton step of ``gauss_hermite_nodes`` keeps h_{q-1} and h_q,
+and its last pass keeps h_{q-1} for the weights together with rows 0..N,
+``build_basis``'s ``eval_table``.  The kernel tests for overflow only every
+few steps, at no cost to the bits (see ``_recurrence``).
 """
 
 from __future__ import annotations
@@ -49,44 +56,77 @@ class BasisError(ValueError):
     """Invalid basis construction request or basis/field mismatch."""
 
 
-def hermite_function_values(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Values of the orthonormal 1-D Hermite functions 0..n_max at points x.
+def _recurrence(n_max: int, x: np.ndarray, rows) -> np.ndarray:
+    """Rows ``rows`` (distinct, each in 0..n_max) of the table h_n(x), shape (len(rows), len(x)).
 
-    Uses the stable normalized three-term recurrence
+    The one recurrence kernel.  It runs the normalized three-term recurrence
     ``h_{n+1}(x) = x sqrt(2/(n+1)) h_n(x) - sqrt(n/(n+1)) h_{n-1}(x)``
-    starting from ``h_0(x) = pi^(-1/4) exp(-x^2/2)``.  Returns an array of
-    shape (n_max + 1, len(x)).
-
-    The recurrence runs on mantissa/exponent pairs: the Gaussian seed
-    underflows past |x| ~ 38.6 although the high-order values it feeds are
-    O(1), so each point carries a power-of-two exponent that the growth of
-    the recurrence pays back (log-space seeding, rescaled on overflow).
+    from ``h_0(x) = pi^(-1/4) exp(-x^2/2)`` on mantissa/exponent pairs: the
+    Gaussian seed underflows past |x| ~ 38.6 although the high-order values
+    it feeds are O(1), so each point carries a power-of-two exponent that the
+    growth of the recurrence pays back.  When a point's mantissa pair exceeds
+    2^300, both are multiplied by 2^-600 and its exponent raised by 600.  The
+    test runs only every few steps, as many as a growth bound allows before a
+    mantissa could near 2^1024; a power-of-two scaling of a normal pair is
+    exact and the recurrence is linear, so when it happens changes no output
+    bit.  Rows not in ``rows`` are stepped through three buffers and never
+    leave the mantissas.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((n_max + 1, x.size))
+    slot = {n: i for i, n in enumerate(rows)}
+    out = np.empty((len(slot), x.size))
     log_h0 = -0.5 * x * x - 0.25 * np.log(np.pi)
     exponent = np.floor(log_h0 / np.log(2.0)).astype(np.int64)
     prev = np.exp(log_h0 - exponent * np.log(2.0))  # mantissa of h_0, O(1)
-    out[0] = np.ldexp(prev, exponent)
+    # int32 takes numpy's native ldexp loop; past +-2^30 every finite mantissa gives 0 or inf alike
+    exponent = np.clip(exponent, -(2**30), 2**30).astype(np.int32)
+    if 0 in slot:
+        np.ldexp(prev, exponent, out=out[slot[0]])
     if n_max == 0:
         return out
     cur = np.sqrt(2.0) * x * prev
-    out[1] = np.ldexp(cur, exponent)
+    if 1 in slot:
+        np.ldexp(cur, exponent, out=out[slot[1]])
+    k = np.arange(1, n_max)
+    step_x = np.sqrt(2.0 / (k + 1))
+    step_prev = np.sqrt(k / (k + 1.0))
+    nxt = np.empty_like(x)
+    big = np.empty(x.shape, dtype=bool)
+    # from k = 1 on both coefficients are at most 1, so a step grows max(|h_k|, |h_{k+1}|) by at
+    # most 1 + max|x|: a pair at most 2^300 after one test stays at most 2^900 until the next, and
+    # its products below 2^1024.  Past |x| ~ 2^100 (or at a non-finite x) the test runs every step.
+    growth = float(np.log2(1.0 + np.max(np.abs(x), initial=0.0)))
+    every = int(600 // max(growth, 1.0)) if growth < 100 else 1
     for k in range(1, n_max):
-        nxt = np.sqrt(2.0 / (k + 1)) * x * cur - np.sqrt(k / (k + 1.0)) * prev
-        big = np.abs(nxt) > 2.0**300
-        if np.any(big):
-            # shift the scale into the exponent; the pair keeps its ratio
-            nxt = np.where(big, nxt * 2.0**-600, nxt)
-            cur = np.where(big, cur * 2.0**-600, cur)
-            exponent = exponent + np.where(big, 600, 0)
-        out[k + 1] = np.ldexp(nxt, exponent)
-        prev, cur = cur, nxt
+        np.multiply(x, step_x[k - 1], out=nxt)
+        nxt *= cur
+        prev *= step_prev[k - 1]
+        nxt -= prev
+        if k % every == 0:
+            np.greater(np.maximum(np.abs(cur), np.abs(nxt)), 2.0**300, out=big)
+            if big.any():
+                # shift the scale into the exponent; the pair keeps its ratio
+                np.multiply(nxt, 2.0**-600, out=nxt, where=big)
+                np.multiply(cur, 2.0**-600, out=cur, where=big)
+                np.add(exponent, 600, out=exponent, where=big)
+        if k + 1 in slot:
+            np.ldexp(nxt, exponent, out=out[slot[k + 1]])
+        prev, cur, nxt = cur, nxt, prev
     return out
 
 
-def gauss_hermite_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and function-space weights of size q.
+def hermite_function_values(n_max: int, x: np.ndarray) -> np.ndarray:
+    """Values of the orthonormal 1-D Hermite functions 0..n_max at points x.
+
+    Every row of the recurrence kernel ``_recurrence``: an array of shape
+    (n_max + 1, len(x)) with row n equal to h_n(x).
+    """
+    return _recurrence(n_max, x, range(n_max + 1))
+
+
+def gauss_hermite_nodes(q: int, table_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and function-space weights of size q, with the
+    table h_0..h_table_degree on the nodes.
 
     The nodes are the zeros of the degree-q Hermite polynomial (Golub-Welsch
     eigenvalues, polished with two Newton steps).  The weights are the
@@ -98,6 +138,11 @@ def gauss_hermite_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
     exactly for f = (polynomial of degree <= 2q-1) * exp(-x^2).  Computing
     the folded weight directly keeps everything finite; the raw weights
     underflow past ~180 nodes.
+
+    Each Newton step keeps only the rows h_{q-1} and h_q of its recurrence
+    pass, and one last pass on the polished nodes keeps h_{q-1} for the
+    weights and rows 0..table_degree for the table (``build_basis``'s
+    ``eval_table``), so no (q+1) x q table is built.
     """
     if q < 1:
         raise BasisError(f"quadrature size must be >= 1, got {q}")
@@ -107,13 +152,14 @@ def gauss_hermite_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
         off = np.sqrt(np.arange(1, q) / 2.0)
         nodes = eigh_tridiagonal(np.zeros(q), off, eigvals_only=True)
     for _ in range(2):
-        table = hermite_function_values(q, nodes)
+        h_below, h_q = _recurrence(q, nodes, (q - 1, q))
         # d/dx h_q = sqrt(2q) h_{q-1} - x h_q
-        deriv = np.sqrt(2.0 * q) * table[q - 1] - nodes * table[q]
-        nodes = nodes - table[q] / deriv
-    table = hermite_function_values(q - 1, nodes)
-    weights = 1.0 / (q * table[q - 1] ** 2)
-    return nodes, weights
+        deriv = np.sqrt(2.0 * q) * h_below - nodes * h_q
+        nodes = nodes - h_q / deriv
+    rows = sorted({*range(table_degree + 1), q - 1})
+    table = _recurrence(rows[-1], nodes, rows)
+    weights = 1.0 / (q * table[rows.index(q - 1)] ** 2)
+    return nodes, weights, table[: table_degree + 1]
 
 
 def enumerate_multi_indices(dim: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
@@ -360,7 +406,7 @@ def build_basis(dim: int, max_degree: int, quad_per_axis: int) -> BasisGrid:
             f"tensor grid of {quad_per_axis}^{dim} nodes and weights needs "
             f"{grid_bytes} B, over the budget of {GRID_BYTES_BUDGET} B"
         )
-    axis_nodes, axis_weights = gauss_hermite_nodes(quad_per_axis)
+    axis_nodes, axis_weights, eval_table = gauss_hermite_nodes(quad_per_axis, max_degree)
     nodes = tensor_grid(axis_nodes, dim)
     weights = np.ones(nodes.shape[0])
     for w in tensor_grid(axis_weights, dim).T:
@@ -373,7 +419,7 @@ def build_basis(dim: int, max_degree: int, quad_per_axis: int) -> BasisGrid:
         indices=indices,
         nodes=nodes,
         weights=weights,
-        eval_table=hermite_function_values(max_degree, axis_nodes),
+        eval_table=eval_table,
         axis_nodes=axis_nodes,
         axis_weights=axis_weights,
     )

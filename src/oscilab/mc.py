@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["run_chunked"]
+__all__ = ["run_chunked", "holding"]
 
 DEFAULT_CHUNK = 4096
 
@@ -18,7 +18,7 @@ def run_chunked(total: int, kernel, workers: int = 1, chunk_size: int = DEFAULT_
     """Evaluate kernel(start, stop) over [0, total) in chunks of chunk_size.
 
     kernel's result must be a pure function of its index range (state it keeps
-    may only hold memory, as ``ensembles.fold_block`` does).  Returns the ordered
+    may only hold memory, as a ``holding`` kernel does).  Returns the ordered
     list of chunk results; callers reduce them in that order (concatenation,
     or a left fold of partial sums).
     """
@@ -28,3 +28,21 @@ def run_chunked(total: int, kernel, workers: int = 1, chunk_size: int = DEFAULT_
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(kernel, a, b) for a, b in ranges]
         return [f.result() for f in futures]
+
+
+def holding(kernel):
+    """A run_chunked kernel from kernel(start, stop) -> (result, arrays) that
+    returns result and keeps arrays referenced until the next chunk's exist.
+
+    Freeing every large array of a chunk lets malloc trim the heap top, and
+    the next chunk page-faults it all back in; holding the previous chunk's
+    arrays keeps the top in use.  The held slot is shared by all threads,
+    but no result ever reads it.
+    """
+    held = [None]
+
+    def run(start, stop):
+        result, held[0] = kernel(start, stop)
+        return result
+
+    return run

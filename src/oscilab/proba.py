@@ -22,7 +22,7 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, _fit_tail_exponent, fold_block, sample_gain_matrix
 from .fields import SpectralField, _trapezoid_weights, product_quadrature
-from .mc import run_chunked
+from .mc import holding, run_chunked
 from .hermite import audit_axis, hermite_function_values
 
 __all__ = [
@@ -501,14 +501,14 @@ def paley_zygmund_check(
         gains = sample_gain_matrix(spec, np.arange(a, b), basis.size)
         filtered = gains * (chi_vals * base.coeffs)[None, :]
         l2_sq = np.sum(np.abs(filtered) ** 2, axis=1)
-        if cutoff.s == 0:
-            frac_sq = 0.0
-        else:
+        hat_vals, frac_sq = None, 0.0
+        if cutoff.s != 0:
             hat_vals = basis.grid_values(filtered * fourier_phase[None, :], table)
             frac_sq = np.sum(weights[None, :] * xi_pow[None, :] * np.abs(hat_vals) ** 2, axis=1)
         s_sq[a:b] = l2_sq + frac_sq
+        return None, (gains, filtered, hat_vals)
 
-    run_chunked(n_samples, kernel, workers=workers)
+    run_chunked(n_samples, holding(kernel), workers=workers)
 
     m2 = float(np.mean(s_sq))
     m4 = float(np.mean(s_sq**2))

@@ -2,6 +2,9 @@
 option that no caller sets, and one set of tiers shared by every command."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,13 +15,6 @@ from oscilab.experiments import EXPERIMENTS, TIERS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "oscilab"
-
-# exported names kept although only tests call them, with the reason
-TEST_REFERENCES = {
-    "sample": "single-variate reference that tests compare every stream reader against",
-    "sample_gains": "one omega's gain vector, the reference for sample_gain_matrix and sample_block",
-}
-
 
 # defaulted parameters (function, parameter) kept although no program call sets them, with the reason
 UNSET_OPTIONS = {
@@ -47,10 +43,7 @@ def _exports():
 
 def test_every_export_is_used_by_the_program_or_the_benchmark():
     used = _references(SRC.glob("*.py")) | _references((ROOT / "bench").rglob("*.py"))
-    unused = [f"{module}.{name}" for module, name in _exports() if name not in used and name not in TEST_REFERENCES]
-    assert unused == []
-    exported = {name for _, name in _exports()}
-    assert [name for name in TEST_REFERENCES if name not in exported or name in used] == []
+    assert [f"{module}.{name}" for module, name in _exports() if name not in used] == []
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -133,3 +126,12 @@ def test_cli_refuses_an_unknown_tier(tmp_path, capsys):
     assert exc.value.code == 2
     assert "invalid choice: 'extended'" in capsys.readouterr().err
     assert not (tmp_path / "norms").exists()
+
+
+def test_cli_import_loads_only_the_scipy_subpackages_it_needs():
+    # every command's process pays this import; scipy.stats alone once cost 0.65 s of it
+    probe = "import sys, oscilab.cli; print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    public = {name for name in loaded.stdout.split() if not name.startswith("_")}
+    assert public <= {"special", "linalg", "version"}

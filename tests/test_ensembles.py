@@ -14,10 +14,8 @@ from oscilab.ensembles import (
     _from_uniforms,
     fold_block,
     make_ensemble,
-    sample,
     sample_block,
     sample_gain_matrix,
-    sample_gains,
     verify_tail,
 )
 from oscilab.proba import chernoff_tail, khinchin_growth
@@ -95,6 +93,24 @@ def test_moment_examples():
     assert np.mean(np.abs(sample_block(r, 0, 10**4)) ** 9) == 1.0
 
 
+def reference_uniforms(seed, omega, count):
+    """Uniforms of one omega's stream, drawn by numpy's own Philox generator."""
+    return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(omega)])).random(count)
+
+
+def sample_gains(spec, omega_id, count):
+    """Reference: gains 0..count-1 of one omega's stream, drawn by numpy's own Philox generator."""
+    return _from_uniforms(spec, reference_uniforms(spec.seed, omega_id, count))
+
+
+def sample(spec, omega_id, coeff_index):
+    """Reference: the one variate (seed, omega_id, coeff_index), read from its own Philox block."""
+    gen = np.random.Generator(np.random.Philox(key=[np.uint64(spec.seed), np.uint64(omega_id)]))
+    gen.bit_generator.advance(coeff_index // 4)
+    gen.random(coeff_index % 4)
+    return float(_from_uniforms(spec, gen.random(1))[0])
+
+
 def test_stream_determinism():
     g = make_ensemble("gaussian", seed=SEED)
     assert np.array_equal(sample_gains(g, 7, 16), sample_gains(g, 7, 16))
@@ -108,15 +124,13 @@ def test_stream_determinism():
         stream = sample_gains(g, omega, 403)
         for k in (0, 1, 3, 4, 5, 17, 400, 402):
             assert sample(g, omega, k) == stream[k]
+    # the bulk reader advances to a range's first block like a single draw
+    for k in (0, 1, 3, 4, 5, 17, 400, 402):
+        assert sample_block(g, k, k + 1)[0, 0] == sample(g, 0, k)
     # distinct omegas and seeds decorrelate
     assert not np.array_equal(long, sample_gains(g, 8, 16))
     g2 = make_ensemble("gaussian", seed=SEED + 1)
     assert not np.array_equal(long, sample_gains(g2, 7, 16))
-
-
-def reference_uniforms(seed, omega, count):
-    """Uniforms of one omega's stream, drawn by numpy's own Philox generator."""
-    return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(omega)])).random(count)
 
 
 def elementwise_transform(spec, u):
@@ -163,7 +177,6 @@ def test_gain_matrix_is_counter_addressed(case):
     gains = sample_gain_matrix(spec, omega_ids, count)
     assert gains.shape == (len(omega_ids), count)
     for row, omega in zip(gains, omega_ids):
-        assert np.array_equal(row, _from_uniforms(spec, reference_uniforms(spec.seed, omega, count)))
         assert np.array_equal(row, sample_gains(spec, omega, count))
     parts = [sample_gain_matrix(spec, ids, count) for ids in (omega_ids[:split], omega_ids[split:])]
     assert np.array_equal(np.concatenate(parts), gains)

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from oscilab import hermite
 from oscilab.hermite import (
@@ -78,7 +79,7 @@ def test_coefficient_budget_rejected():
 
 
 def test_weights_positive_nodes_symmetric():
-    nodes, weights = gauss_hermite_nodes(512)
+    nodes, weights, _ = gauss_hermite_nodes(512, 0)
     assert np.all(weights > 0)
     assert np.all(np.isfinite(weights))
     assert np.max(np.abs(nodes + nodes[::-1])) < 1e-12
@@ -273,3 +274,98 @@ def fields_on_bases(draw):
 def test_analysis_inverts_synthesis(u):
     back = analyze(synthesize(u), u.basis)
     assert np.max(np.abs(back.coeffs - u.coeffs)) <= 1e-13 * np.max(np.abs(u.coeffs))
+
+
+def reference_hermite_function_values(n_max, x):
+    """The recurrence loop that the row-selecting kernel replaced, verbatim: the bitwise reference."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((n_max + 1, x.size))
+    log_h0 = -0.5 * x * x - 0.25 * np.log(np.pi)
+    exponent = np.floor(log_h0 / np.log(2.0)).astype(np.int64)
+    prev = np.exp(log_h0 - exponent * np.log(2.0))  # mantissa of h_0, O(1)
+    out[0] = np.ldexp(prev, exponent)
+    if n_max == 0:
+        return out
+    cur = np.sqrt(2.0) * x * prev
+    out[1] = np.ldexp(cur, exponent)
+    for k in range(1, n_max):
+        nxt = np.sqrt(2.0 / (k + 1)) * x * cur - np.sqrt(k / (k + 1.0)) * prev
+        big = np.abs(nxt) > 2.0**300
+        if np.any(big):
+            # shift the scale into the exponent; the pair keeps its ratio
+            nxt = np.where(big, nxt * 2.0**-600, nxt)
+            cur = np.where(big, cur * 2.0**-600, cur)
+            exponent = exponent + np.where(big, 600, 0)
+        out[k + 1] = np.ldexp(nxt, exponent)
+        prev, cur = cur, nxt
+    return out
+
+
+def reference_gauss_hermite_nodes(q):
+    """Nodes and weights as computed before the rows-only passes, on the reference recurrence."""
+    if q == 1:
+        nodes = np.zeros(1)
+    else:
+        off = np.sqrt(np.arange(1, q) / 2.0)
+        nodes = eigh_tridiagonal(np.zeros(q), off, eigvals_only=True)
+    for _ in range(2):
+        table = reference_hermite_function_values(q, nodes)
+        deriv = np.sqrt(2.0 * q) * table[q - 1] - nodes * table[q]
+        nodes = nodes - table[q] / deriv
+    table = reference_hermite_function_values(q - 1, nodes)
+    return nodes, 1.0 / (q * table[q - 1] ** 2)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bit patterns: the sign of every zero included."""
+    return a.shape == b.shape and np.array_equal(np.signbit(a), np.signbit(b)) and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+# the zeros of both signs, the Gaussian seed's underflow at |x| ~ 38.6, a subnormal-adjacent x
+SPECIAL_POINTS = (0.0, -0.0, 38.6, -38.6, 1e-300, -1e-300)
+
+
+@st.composite
+def recurrence_cases(draw):
+    n_max = draw(st.integers(0, 2048))
+    points = draw(st.lists(st.floats(-60.0, 60.0), min_size=0, max_size=24))
+    points += draw(st.lists(st.sampled_from(SPECIAL_POINTS), min_size=1 if not points else 0, max_size=6))
+    degree = draw(st.integers(0, n_max))
+    extra = draw(st.integers(degree, n_max))
+    subset = draw(st.lists(st.integers(0, n_max), min_size=1, max_size=4, unique=True))
+    return n_max, np.array(points), degree, extra, subset
+
+
+@settings(max_examples=30, deadline=None)
+@given(recurrence_cases())
+@example((2048, np.array([-60.0, -7.5, 59.25, *SPECIAL_POINTS]), 1024, 2047, [0, 700, 2048]))
+def test_recurrence_kernel_matches_the_reference_bitwise(case):
+    n_max, x, degree, extra, subset = case
+    full = hermite_function_values(n_max, x)
+    assert same_bits(full, reference_hermite_function_values(n_max, x))
+    # the Newton polish's two rows, the shared pass's rows 0..degree plus one, any other subset
+    newton = sorted({max(n_max - 1, 0), n_max})
+    assert same_bits(hermite._recurrence(n_max, x, newton), full[newton])
+    rows = sorted({*range(degree + 1), extra})
+    assert same_bits(hermite._recurrence(rows[-1], x, rows), full[rows])
+    assert same_bits(hermite._recurrence(n_max, x, subset), full[subset])
+
+
+# (quad_per_axis, max_degree) of every basis built by a command at either tier, by solve-nlsh
+# at dim = 2 and by bench/solve_d2.py, recorded by wrapping gauss_hermite_nodes
+PRESET_QUADRATURES = (
+    (26, 12), (34, 15), (34, 16), (43, 12), (57, 16), (64, 31), (66, 32), (68, 33), (84, 40), (113, 32),
+    (130, 64), (194, 96), (204, 101), (225, 64), (256, 64), (258, 65), (258, 128), (322, 160), (514, 256),
+)
+
+
+@pytest.mark.parametrize(
+    "q,degree", [*PRESET_QUADRATURES, *((q, max(q // 2 - 1, 0)) for q in (1, 2, 3, 5, 7, 97, 640, 1021, 2050))]
+)
+def test_gauss_hermite_nodes_match_the_reference_bitwise(q, degree):
+    nodes, weights, table = gauss_hermite_nodes(q, degree)
+    want_nodes, want_weights = reference_gauss_hermite_nodes(q)
+    assert same_bits(nodes, want_nodes) and same_bits(weights, want_weights)
+    assert same_bits(table, reference_hermite_function_values(degree, want_nodes))

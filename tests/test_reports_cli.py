@@ -1,11 +1,12 @@
-import json
+import argparse
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oscilab.cli import main
+from oscilab.cli import _resolve_params, main
 from oscilab.reports import EIGENVALUE_NORMALIZATION, write_csv, write_manifest, write_report
 
 
@@ -98,6 +99,30 @@ def test_cli_rejects_unconvertible_override(tmp_path, capsys):
         assert run_cli(["norms", "--tier", "smoke", "--out", str(tmp_path), "--config", str(cfg)]) == 2
         assert f"--config {key}" in capsys.readouterr().err
         assert not (tmp_path / "norms").exists()
+
+
+def test_cli_checks_every_list_element(tmp_path, capsys):
+    # each element takes the type of the preset's elements, through --config and --set alike
+    cfg = tmp_path / "cfg.json"
+    cases = (  # command, field, value, its bad element
+        ("norms", "modes", [1.5, 0], 1.5),
+        ("norms", "modes", [0, True], True),
+        ("lens-check", "times", [0.25, "0.5"], "0.5"),
+        ("omega", "thresholds", [1.0, None], None),
+    )
+    for command, key, value, bad in cases:
+        cfg.write_text(json.dumps({command: {key: value}}))
+        assert run_cli([command, "--tier", "smoke", "--out", str(tmp_path), "--config", str(cfg)]) == 2
+        assert f"--config {key}: cannot read {bad!r}" in capsys.readouterr().err
+        assert run_cli([command, "--tier", "smoke", "--out", str(tmp_path), "--set", f"{key}={json.dumps(value)}"]) == 2
+        assert f"--set {key}: cannot read {bad!r}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_reads_an_int_list_element_as_a_float():
+    args = argparse.Namespace(tier="smoke", config=None, override=["times=[1, 0.5]"])
+    times = _resolve_params("lens-check", args)["times"]
+    assert times == [1.0, 0.5] and [type(t) for t in times] == [float, float]
 
 
 def test_cli_rejects_config_section_not_object(tmp_path, capsys):
