@@ -46,7 +46,6 @@ from .picard import (
 )
 from .proba import (
     CutoffSpec,
-    TailExperiment,
     chernoff_tail,
     count_23_cycle_permutations,
     cycle_23_bound_constant,
@@ -458,13 +457,9 @@ def omega(params, ctx, base_norm=0.5):
     n = params["n_modes"]
     basis = cached_basis(1, n - 1, 2 * n + 2)
     base = SpectralField(basis, (np.ones(n) / np.sqrt(n) * base_norm).astype(complex))
-    exp = TailExperiment(
-        base=base,
-        ensemble=make_ensemble("gaussian", seed=ctx.seed),
-        thresholds=tuple(params["thresholds"]),
-        n_samples=params["n_samples"],
+    rep = good_set_probability(
+        base, make_ensemble("gaussian", seed=ctx.seed), params["thresholds"], params["n_samples"], ctx.workers
     )
-    rep = good_set_probability(exp, workers=ctx.workers)
     rows = rep["rows"]
     columns = ("t", "p_hat", "wilson_lo", "wilson_hi", "p_data_norm_exceeds", "p_flow_norm_exceeds")
     positive = any(r["wilson_lo"] > 0 for r in rows)

@@ -102,11 +102,9 @@ def embed_field(u: SpectralField, basis: BasisGrid) -> SpectralField:
     return SpectralField(basis, c)
 
 
-def synthesize(u: SpectralField, points: np.ndarray | None = None) -> np.ndarray:
-    """Physical values sum_n c_n h_n at the quadrature nodes (or given points)."""
-    if points is None:
-        return u.basis.grid_values(u.coeffs, u.basis.eval_table)
-    return u.coeffs @ u.basis.eval_at(points)
+def synthesize(u: SpectralField) -> np.ndarray:
+    """Physical values sum_n c_n h_n at the quadrature nodes."""
+    return u.basis.grid_values(u.coeffs, u.basis.eval_table)
 
 
 def analyze(values: np.ndarray, basis: BasisGrid) -> SpectralField:

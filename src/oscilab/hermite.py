@@ -248,20 +248,8 @@ class BasisGrid:
             out = out * hermite_function_values(self.max_degree, pts[:, a])[idx[:, a]]
         return out
 
-    def audit_points(self) -> np.ndarray:
-        """Uniform audit grid on [-L, L]^dim used for sup and L^r norms.
-
-        L = sqrt(2N + d) + 4 covers the classically allowed region plus a
-        margin; the eigenfunctions decay super-exponentially beyond it.  The
-        points are the tensor grid of audit_axis in C order, the order of
-        grid_values.
-        """
-        if "audit_points" not in self._aux:
-            self._aux["audit_points"] = _read_only(tensor_grid(audit_axis(self.max_degree, self.dim), self.dim))
-        return self._aux["audit_points"]
-
     def audit_table(self) -> np.ndarray:
-        """Per-axis audit table h_n(y_j), shape (N+1, P), for the axis y of audit_points."""
+        """Per-axis audit table h_n(y_j), shape (N+1, P), on the audit axis y."""
         if "audit_table" not in self._aux:
             table = hermite_function_values(self.max_degree, audit_axis(self.max_degree, self.dim))
             self._aux["audit_table"] = _read_only(table)
@@ -371,6 +359,12 @@ def tensor_grid(axis: np.ndarray, dim: int) -> np.ndarray:
 
 
 def audit_axis(max_degree: int, dim: int) -> np.ndarray:
+    """Axis of the uniform audit grid on [-L, L]^dim used for sup and L^r norms.
+
+    L = sqrt(2N + d) + 4 covers the classically allowed region plus a margin;
+    the eigenfunctions decay super-exponentially beyond it.  The grid is the
+    tensor grid of this axis in C order, the order of grid_values.
+    """
     half_width = np.sqrt(2.0 * max_degree + dim) + AUDIT_MARGIN
     n_pts = int(np.ceil(2.0 * half_width * AUDIT_POINTS_PER_UNIT)) + 1
     return np.linspace(-half_width, half_width, n_pts)

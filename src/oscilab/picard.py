@@ -2,7 +2,7 @@
 
     i du/dt - H u = K cos(2t)^e |u|^{p-1} u,   u(0) = u0,   e = d(p-1)/2 - 2,
 
-on a symmetric time window [-T, T], T <= pi/4, with p >= 5 odd and K = +-1.
+on the time window [-T, T], T = pi/4, with p >= 5 odd and K = +-1.
 Writing u = exp(-itH) u0 + v, the correction v is the fixed point of
 
     L(v)(t) = -i int_0^t exp(-i(t-s)H) cos(2s)^e K |u(s)|^{p-1} u(s) ds,
@@ -38,7 +38,11 @@ __all__ = [
     "load_trajectory",
 ]
 
-TRAJECTORY_VERSION = 1
+TRAJECTORY_VERSION = 2
+
+T = np.pi / 4  # half-width of the solved time window; the lens maps every external time inside it
+TOL = 1e-12  # the iteration stops once an update's surrogate norm is at most TOL
+MAX_ITER = 25
 
 BLOWUP_FACTOR = 1e6
 
@@ -57,22 +61,17 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Problem data for one fixed-point solve.
+    """Problem data for one fixed-point solve on [-T, T].
 
-    s defaults to the midpoint of the admissible regularity window
-    (d/2 - 2/(p-1), d/2); the cosine weight exponent d(p-1)/2 - 2 must be a
-    non-negative integer, which pins p to odd values >= 5.
+    The cosine weight exponent d(p-1)/2 - 2 must be a non-negative integer,
+    which pins p to odd values >= 5.
     """
 
     dim: int = 1
     nonlinearity_p: int = 5
     K: int = 1
-    T: float = np.pi / 4
     N: int = 32
     time_nodes: int = 65
-    tol: float = 1e-12
-    max_iter: int = 25
-    s: float | None = None
     nonlinear: bool = True
 
     def __post_init__(self):
@@ -80,17 +79,18 @@ class SolverConfig:
             raise ValueError("nonlinearity_p must be odd >= 5")
         if self.K not in (-1, 1):
             raise ValueError(f"K must be -1 or +1, got {self.K}")
-        if not 0 < self.T <= np.pi / 4 + 1e-12:
-            raise ValueError(f"T must lie in (0, pi/4], got {self.T}")
         if self.time_nodes < 33 or self.time_nodes % 2 == 0:
             raise ValueError("time_nodes must be odd and >= 33")
         exponent = self.cos_exponent
         if exponent != int(exponent) or exponent < 0:
             raise ValueError(f"cosine weight exponent {exponent} must be a non-negative integer")
-        if self.s is None:
-            lo = self.dim / 2.0 - 2.0 / (self.nonlinearity_p - 1)
-            hi = self.dim / 2.0
-            object.__setattr__(self, "s", (max(lo, 0.0) + hi) / 2.0)
+
+    @property
+    def s(self) -> float:
+        """Midpoint of the admissible regularity window (d/2 - 2/(p-1), d/2)."""
+        lo = self.dim / 2.0 - 2.0 / (self.nonlinearity_p - 1)
+        hi = self.dim / 2.0
+        return (max(lo, 0.0) + hi) / 2.0
 
     @property
     def cos_exponent(self) -> int:
@@ -99,11 +99,14 @@ class SolverConfig:
     def times(self) -> np.ndarray:
         mid = (self.time_nodes - 1) // 2
         # anchored at the middle node so t = 0 is exact
-        return (np.arange(self.time_nodes) - mid) * (self.T / mid)
+        return (np.arange(self.time_nodes) - mid) * (T / mid)
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        """The fields with the fixed T, TOL, MAX_ITER and the derived s, as reports list them."""
+        return {
+            "dim": self.dim, "nonlinearity_p": self.nonlinearity_p, "K": self.K, "T": T, "N": self.N,
+            "time_nodes": self.time_nodes, "tol": TOL, "max_iter": MAX_ITER, "s": self.s, "nonlinear": self.nonlinear,
+        }
 
 
 @dataclass
@@ -233,8 +236,8 @@ def picard_solve(
     """Iterate v <- L(v) to the fixed point.
 
     Stops when the update, measured in the surrogate intersection norm,
-    falls below cfg.tol.  Raises DivergenceError when the blow-up guard
-    trips (any field norm beyond 1e6 times the data) or max_iter is hit;
+    falls to TOL.  Raises DivergenceError when the blow-up guard trips (any
+    field norm beyond 1e6 times the data) or MAX_ITER is hit;
     the error carries the contraction history.
     """
     basis = u0.basis
@@ -250,7 +253,7 @@ def picard_solve(
     )
     guard = BLOWUP_FACTOR * max(float(np.linalg.norm(u0.coeffs)), 1e-30)
     history: list[float] = []
-    for iteration in range(1, cfg.max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         new_v = _apply_duhamel(ws, u0.coeffs, v_mat)
         norms = np.linalg.norm(new_v, axis=1)
         if norms.max() > guard:
@@ -264,7 +267,7 @@ def picard_solve(
         update = ws.surrogate_norm(new_v - v_mat)
         history.append(update)
         v_mat = new_v
-        if update <= cfg.tol:
+        if update <= TOL:
             return Trajectory(
                 config=cfg,
                 basis=basis,
@@ -276,7 +279,7 @@ def picard_solve(
                 converged=True,
             )
     raise DivergenceError(
-        f"no contraction after {cfg.max_iter} iterations (last update {history[-1]:.3e})",
+        f"no contraction after {MAX_ITER} iterations (last update {history[-1]:.3e})",
         history=history,
     )
 
@@ -343,7 +346,7 @@ def uniqueness_probe(
 
     Part one solves from v = 0 and from v = perturbation (inside the ball)
     and checks both initializations land on the same fixed point within
-    10 tol.  Part two compares the solutions with data u0 and
+    10 TOL.  Part two compares the solutions with data u0 and
     u0 + perturbation, whose gap is genuinely nonzero, and verifies
     |d/dt ||u_a - u_b||^2| <= 2 (p-1) (sup|u_a|^{p-1} + sup|u_b|^{p-1}) ||u_a - u_b||^2
     at the interior nodes (identical-data trajectories coincide to solver
@@ -367,7 +370,7 @@ def uniqueness_probe(
     p = cfg.nonlinearity_p
     ratios, bounds = [], []
     for j in range(1, cfg.time_nodes - 1):
-        if diff_sq[j] <= (10 * cfg.tol) ** 2:
+        if diff_sq[j] <= (10 * TOL) ** 2:
             continue
         ratios.append(abs(diff_sq[j + 1] - diff_sq[j - 1]) / (2 * h) / diff_sq[j])
         bounds.append(2.0 * (p - 1) * (sup_a[j] ** (p - 1) + sup_c[j] ** (p - 1)))
@@ -377,8 +380,8 @@ def uniqueness_probe(
     gronwall_ok = ratios.size == 0 or bool(np.all(ratios <= bounds * 1.1 + 1e-12))
     return {
         "fixed_point_gap": gap,
-        "gap_tolerance": 10.0 * cfg.tol,
-        "fixed_point_unique": gap <= 10.0 * cfg.tol,
+        "gap_tolerance": 10.0 * TOL,
+        "fixed_point_unique": gap <= 10.0 * TOL,
         "gronwall_points": int(ratios.size),
         "gronwall_max_ratio": float(ratios.max()) if ratios.size else 0.0,
         "gronwall_min_bound": float(bounds.min()) if bounds.size else 0.0,
@@ -406,15 +409,13 @@ def scattering_extract(traj: Trajectory, u0: SpectralField) -> ScatteringPair:
         raise ValueError("scattering extraction requires a converged trajectory")
     basis = traj.basis
     cfg = traj.config
-    T = float(traj.times[-1])
+    t_end = float(traj.times[-1])
     lam2 = basis.lambda2
-    lp = SpectralField(basis, np.exp(1j * T * lam2) * traj.v[-1])
-    lm = SpectralField(basis, np.exp(-1j * T * lam2) * traj.v[0])
+    lp = SpectralField(basis, np.exp(1j * t_end * lam2) * traj.v[-1])
+    lm = SpectralField(basis, np.exp(-1j * t_end * lam2) * traj.v[0])
     curve = []
     for t in SCATTERING_TIMES:
         s_star = lens_time_map(t)
-        if s_star > T + 1e-12:
-            raise ValueError(f"external time {t} maps beyond the solved window")
         d_coeffs = np.exp(1j * s_star * lam2) * traj.v_at_time(s_star)
         w = SpectralField(basis, d_coeffs - lp.coeffs)
         curve.append((float(t), classical_sobolev_norm(w, cfg.s)))
@@ -424,11 +425,6 @@ def scattering_extract(traj: Trajectory, u0: SpectralField) -> ScatteringPair:
 def global_nls_solution(traj: Trajectory, t: float) -> PhysicalFrame:
     """Lens image at external time t of the solved oscillator-frame trajectory."""
     s_star = lens_time_map(t)
-    T = float(traj.times[-1])
-    if abs(s_star) > T + 1e-12:
-        raise ValueError(
-            f"external time {t} maps to internal {s_star:.6f}, outside the solved window +-{T:.6f}"
-        )
     u_coeffs = np.exp(-1j * s_star * traj.basis.lambda2) * traj.u0 + traj.v_at_time(s_star)
     return lens_forward(SpectralField(traj.basis, u_coeffs), t)
 
@@ -438,11 +434,10 @@ def global_nls_solution(traj: Trajectory, t: float) -> PhysicalFrame:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    cfg = dict(traj.config.as_dict())
     np.savez(
         path,
         version=np.array([TRAJECTORY_VERSION]),
-        config_json=np.array([json.dumps(cfg, sort_keys=True)]),
+        config_json=np.array([json.dumps(asdict(traj.config), sort_keys=True)]),
         quad_per_axis=np.array([traj.basis.quad_per_axis]),
         times=traj.times,
         v=traj.v,

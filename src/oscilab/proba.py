@@ -7,7 +7,10 @@ Verdicts with a standard error and a 3 sigma margin: ``odd_moment_witness``,
 The others use fixed margins: ``khinchin_growth`` slope <= 1/m(gamma) + 0.15,
 ``chernoff_tail`` growth <= 1/gamma + 0.1 (and fit R^2 >= 0.9, as in
 ``norm_tail``), ``ensembles.verify_tail`` gamma_hat >= gamma - 0.15; ROADMAP
-item 1 calibrates them.
+item 2 calibrates them.
+The per-omega estimators (``norm_tail``, ``good_set_probability``,
+``paley_zygmund_check``) are kernels on one chunk of gain rows, which
+``ensembles.map_gains`` draws once per omega.
 All measured norms are degree-1 homogeneous in the base field sample-wise:
 scaling the base by a power of two scales each sample exactly.
 """
@@ -20,14 +23,12 @@ from math import factorial
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, _fit_tail_exponent, fold_block, sample_gain_matrix
+from .ensembles import EnsembleSpec, _fit_tail_exponent, fold_block, map_gains
 from .fields import SpectralField, _trapezoid_weights, product_quadrature
-from .mc import holding, run_chunked
 from .hermite import audit_axis, hermite_function_values
 
 __all__ = [
     "CutoffSpec",
-    "TailExperiment",
     "concentration_exponent",
     "khinchin_growth",
     "count_23_cycle_permutations",
@@ -252,20 +253,9 @@ def _data_norm_weights(base: SpectralField) -> np.ndarray:
     return base.basis.lambda2 ** ((d - 1) / 4.0) * np.abs(base.coeffs)
 
 
-def _data_norm_samples(
-    base: SpectralField, spec: EnsembleSpec, omega_ids, workers: int = 1
-) -> np.ndarray:
-    """|| sum c_n g_n h_n || in harmonic regularity (d-1)/2, one value per omega."""
-    w = _data_norm_weights(base)
-    omega_ids = np.asarray(omega_ids)
-    out = np.empty(len(omega_ids))
-
-    def kernel(a, b):
-        gains = sample_gain_matrix(spec, omega_ids[a:b], base.basis.size)
-        out[a:b] = np.sqrt(((gains * w[None, :]) ** 2).sum(axis=1))
-
-    run_chunked(len(omega_ids), kernel, workers=workers)
-    return out
+def _data_norm_samples(base: SpectralField, gains: np.ndarray) -> np.ndarray:
+    """|| sum c_n g_n h_n || in harmonic regularity (d-1)/2, one value per gain row."""
+    return np.sqrt(((gains * _data_norm_weights(base)[None, :]) ** 2).sum(axis=1))
 
 
 def _survival_fit(grid, survival, scale: float, gamma: float, empty_message: str):
@@ -300,7 +290,9 @@ def norm_tail(
     if n_samples < 10**4:
         raise ValueError(f"norm_tail needs n_samples >= 1e4, got {n_samples}")
     t_grid = np.asarray(t_grid, dtype=float)
-    samples = _data_norm_samples(base, spec, np.arange(n_samples), workers=workers)
+    samples = map_gains(
+        spec, n_samples, base.basis.size, lambda gains: (_data_norm_samples(base, gains), None), workers
+    )
     survival = (samples[None, :] >= t_grid[:, None]).mean(axis=1)
 
     base_norm = float(np.sqrt(np.sum(_data_norm_weights(base) ** 2)))
@@ -338,27 +330,10 @@ FLOW_TIME_NODES = 33  # trapezoid nodes of a draw's linear flow over [-2 pi, 2 p
 FLOW_SUP_REGULARITY = 1.0 / 7.0  # s of the H^{s/2} filter under the flow's audit-grid sup
 
 
-@dataclass(frozen=True)
-class TailExperiment:
-    """Setup for good-set membership sampling: which base, which ensemble,
-    which thresholds, and how many draws."""
-
-    base: SpectralField
-    ensemble: EnsembleSpec
-    thresholds: tuple
-    n_samples: int = 10**4
-
-    def __post_init__(self):
-        if self.n_samples < 10**3:
-            raise ValueError("tail experiments need n_samples >= 1e3")
-        th = np.asarray(self.thresholds, dtype=float)
-        if th.size < 1 or np.any(np.diff(th) <= 0):
-            raise ValueError("thresholds must be strictly increasing")
-
-
-def flow_sup_norm_samples(exp: TailExperiment, q_time: float, workers: int = 1) -> np.ndarray:
+def flow_sup_norm_samples(base: SpectralField, gains: np.ndarray, q_time: float) -> np.ndarray:
     """L^{q_time}-in-time norm over [-2 pi, 2 pi] of the audit-grid sup of the
-    H^{s/2}-filtered linear flow of each randomized draw.
+    H^{s/2}-filtered linear flow of each draw sum_n c_n g_n h_n, one value
+    per gain row.
 
     The sup norm is an audit-grid proxy (its density is part of the config);
     the time integral is a trapezoid over FLOW_TIME_NODES nodes.  The per-sample
@@ -372,7 +347,6 @@ def flow_sup_norm_samples(exp: TailExperiment, q_time: float, workers: int = 1) 
     other node reuses the sup of the node a whole number of periods before
     it, and the result is still the FLOW_TIME_NODES-node trapezoid.
     """
-    base, spec = exp.base, exp.ensemble
     basis = base.basis
     filt = basis.lambda2 ** (FLOW_SUP_REGULARITY / 2.0)
     times = np.linspace(-2 * np.pi, 2 * np.pi, FLOW_TIME_NODES)
@@ -380,44 +354,46 @@ def flow_sup_norm_samples(exp: TailExperiment, q_time: float, workers: int = 1) 
     period = (FLOW_TIME_NODES - 1) // 4  # nodes per time pi
     phases = np.exp(-1j * np.outer(times[:period], basis.lambda2))
 
-    out = np.empty(exp.n_samples)
-
-    def kernel(a, b):
-        gains = sample_gain_matrix(spec, np.arange(a, b), basis.size)
-        draws = (gains * base.coeffs[None, :]) * filt[None, :]  # (n, size)
-        one = np.empty((period, b - a))
-        for k in range(period):
-            one[k] = basis.audit_sup(draws * phases[k][None, :])
-        sups = one[np.arange(FLOW_TIME_NODES) % period]
-        vmax = sups.max(axis=0)
-        safe = np.where(vmax > 0, vmax, 1.0)
-        ratio_int = np.sum(tw[:, None] * (sups / safe[None, :]) ** q_time, axis=0)
-        out[a:b] = vmax * ratio_int ** (1.0 / q_time)
-
-    run_chunked(exp.n_samples, kernel, workers=workers)
-    return out
+    draws = (gains * base.coeffs[None, :]) * filt[None, :]  # (n, size)
+    one = np.empty((period, len(gains)))
+    for k in range(period):
+        one[k] = basis.audit_sup(draws * phases[k][None, :])
+    sups = one[np.arange(FLOW_TIME_NODES) % period]
+    vmax = sups.max(axis=0)
+    safe = np.where(vmax > 0, vmax, 1.0)
+    ratio_int = np.sum(tw[:, None] * (sups / safe[None, :]) ** q_time, axis=0)
+    return vmax * ratio_int ** (1.0 / q_time)
 
 
-def good_set_probability(exp: TailExperiment, workers: int = 1) -> dict:
+def good_set_probability(
+    base: SpectralField, spec: EnsembleSpec, thresholds, n_samples: int = 10**4, workers: int = 1
+) -> dict:
     """Empirical probability that a randomized draw lies in the good-data set
     (both the data norm and the space-time flow norm below the threshold).
-    The flow norm is L^10 in time, L^{2p} for the quintic p = 5.
+    The flow norm is L^10 in time, L^{2p} for the quintic p = 5.  Both norms
+    of an omega come from one draw of its gains.
 
     Reports the two-term split, Wilson intervals, and the raw per-sample
     norms so homogeneity and monotonicity can be asserted exactly.
     """
-    omega_ids = np.arange(exp.n_samples)
-    a = _data_norm_samples(exp.base, exp.ensemble, omega_ids, workers=workers)
-    b = flow_sup_norm_samples(exp, q_time=10.0, workers=workers)
-    thresholds = np.asarray(exp.thresholds, dtype=float)
+    if n_samples < 10**3:
+        raise ValueError("tail experiments need n_samples >= 1e3")
+    thresholds = np.asarray(thresholds, dtype=float)
+    if thresholds.size < 1 or np.any(np.diff(thresholds) <= 0):
+        raise ValueError("thresholds must be strictly increasing")
+
+    def kernel(gains):
+        return np.stack([_data_norm_samples(base, gains), flow_sup_norm_samples(base, gains, 10.0)]), None
+
+    a, b = map_gains(spec, n_samples, base.basis.size, kernel, workers)
     rows = []
     for t in thresholds:
         inside = int(np.count_nonzero((a <= t) & (b <= t)))
-        lo, hi = wilson_interval(inside, exp.n_samples)
+        lo, hi = wilson_interval(inside, n_samples)
         rows.append(
             {
                 "t": float(t),
-                "p_hat": inside / exp.n_samples,
+                "p_hat": inside / n_samples,
                 "wilson_lo": lo,
                 "wilson_hi": hi,
                 "p_data_norm_exceeds": float(np.mean(a > t)),
@@ -426,11 +402,11 @@ def good_set_probability(exp: TailExperiment, workers: int = 1) -> dict:
         )
     p_hats = [r["p_hat"] for r in rows]
     return {
-        "family": exp.ensemble.family,
+        "family": spec.family,
         "thresholds": thresholds.tolist(),
         "rows": rows,
         "monotone": bool(np.all(np.diff(p_hats) >= 0)),
-        "n_samples": exp.n_samples,
+        "n_samples": n_samples,
         "data_norm_samples": a,
         "flow_norm_samples": b,
     }
@@ -495,20 +471,16 @@ def paley_zygmund_check(
     xi_pow = np.sum(nodes**2, axis=1) ** cutoff.s
     fourier_phase = (-1j) ** basis.degrees
 
-    s_sq = np.empty(n_samples)
-
-    def kernel(a, b):
-        gains = sample_gain_matrix(spec, np.arange(a, b), basis.size)
+    def kernel(gains):
         filtered = gains * (chi_vals * base.coeffs)[None, :]
         l2_sq = np.sum(np.abs(filtered) ** 2, axis=1)
         hat_vals, frac_sq = None, 0.0
         if cutoff.s != 0:
             hat_vals = basis.grid_values(filtered * fourier_phase[None, :], table)
             frac_sq = np.sum(weights[None, :] * xi_pow[None, :] * np.abs(hat_vals) ** 2, axis=1)
-        s_sq[a:b] = l2_sq + frac_sq
-        return None, (gains, filtered, hat_vals)
+        return l2_sq + frac_sq, (filtered, hat_vals)
 
-    run_chunked(n_samples, holding(kernel), workers=workers)
+    s_sq = map_gains(spec, n_samples, basis.size, kernel, workers)
 
     m2 = float(np.mean(s_sq))
     m4 = float(np.mean(s_sq**2))

@@ -14,10 +14,12 @@ from oscilab.ensembles import (
     _from_uniforms,
     fold_block,
     make_ensemble,
+    map_gains,
     sample_block,
     sample_gain_matrix,
     verify_tail,
 )
+from oscilab.mc import DEFAULT_CHUNK
 from oscilab.proba import chernoff_tail, khinchin_growth
 
 SEED = 1
@@ -30,6 +32,22 @@ def test_hypothesis_flags():
     assert r.satisfies_HE1
     tp = make_ensemble("centered_two_point", seed=SEED)
     assert not tp.satisfies_HE1
+
+
+SYMMETRIC_SPECS = [
+    make_ensemble("gaussian", seed=SEED),
+    make_ensemble("rademacher", seed=SEED),
+    make_ensemble("uniform_symmetric", seed=SEED),
+    *(make_ensemble("symmetric_weibull", seed=SEED, gamma=gamma) for gamma in (0.5, 1.0, 1.5, 2.0)),
+]
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_SPECS, ids=lambda s: f"{s.family}-{s.gamma}")
+def test_symmetric_families_have_odd_transforms(spec):
+    # g(u) = -g(1 - u) makes every odd moment vanish, which is what satisfies_HE1 claims
+    assert spec.satisfies_HE1
+    u = np.linspace(0.01, 0.49, 25)
+    assert np.allclose(_from_uniforms(spec, u), -_from_uniforms(spec, 1.0 - u), rtol=0, atol=1e-12)
 
 
 def test_flag_consistency_enforced():
@@ -272,6 +290,19 @@ def test_bulk_estimators_independent_of_workers():
     serial = bulk_estimators(1)
     for workers in (2, 3):
         assert bulk_estimators(workers) == serial
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_map_gains_concatenates_in_omega_order(workers):
+    spec = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5)
+    n, width = 2 * DEFAULT_CHUNK + 7, 5  # two full chunks and a partial one
+    gains = sample_gain_matrix(spec, np.arange(n), width)
+
+    def kernel(rows):
+        return np.stack([rows.sum(axis=1), rows[:, 0]]), rows * 2.0
+
+    got = map_gains(spec, n, width, kernel, workers)
+    assert np.array_equal(got, np.stack([gains.sum(axis=1), gains[:, 0]]))
 
 
 def test_independence_surrogate():

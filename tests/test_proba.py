@@ -1,16 +1,19 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscilab import ensembles
 from oscilab.ensembles import FAMILIES, make_ensemble, sample_gain_matrix
 from oscilab.fields import SpectralField, _trapezoid_weights, unit_field
 from oscilab.hermite import build_basis, cached_basis
+from oscilab.mc import DEFAULT_CHUNK
 from oscilab.proba import (
     FLOW_SUP_REGULARITY,
     FLOW_TIME_NODES,
     CutoffSpec,
-    TailExperiment,
     _data_norm_samples,
     admits_pair_triple_structure,
     chernoff_tail,
@@ -192,13 +195,7 @@ def _flat_base(n_modes=16):
 
 
 def test_good_set_positive_and_monotone():
-    exp = TailExperiment(
-        base=_flat_base(),
-        ensemble=make_ensemble("gaussian", seed=SEED),
-        thresholds=(0.5, 1.0, 1.5, 2.0, 4.0),
-        n_samples=10**4,
-    )
-    rep = good_set_probability(exp)
+    rep = good_set_probability(_flat_base(), make_ensemble("gaussian", seed=SEED), (0.5, 1.0, 1.5, 2.0, 4.0), 10**4)
     assert rep["monotone"]
     p_hats = [r["p_hat"] for r in rep["rows"]]
     assert p_hats[-1] > 0.999  # both norms are a.s. finite
@@ -213,12 +210,8 @@ def test_good_set_exact_homogeneity():
     base = _flat_base()
     half = SpectralField(base.basis, 0.5 * base.coeffs)
     ens = make_ensemble("gaussian", seed=SEED)
-    rep_full = good_set_probability(
-        TailExperiment(base=base, ensemble=ens, thresholds=(1.0, 2.0), n_samples=2000)
-    )
-    rep_half = good_set_probability(
-        TailExperiment(base=half, ensemble=ens, thresholds=(0.5, 1.0), n_samples=2000)
-    )
+    rep_full = good_set_probability(base, ens, (1.0, 2.0), 2000)
+    rep_half = good_set_probability(half, ens, (0.5, 1.0), 2000)
     assert np.array_equal(rep_half["data_norm_samples"], 0.5 * rep_full["data_norm_samples"])
     assert np.array_equal(rep_half["flow_norm_samples"], 0.5 * rep_full["flow_norm_samples"])
     # halving the base maps P(t) to P(t/2) sample-wise exactly
@@ -226,9 +219,35 @@ def test_good_set_exact_homogeneity():
     assert rep_half["rows"][1]["p_hat"] == rep_full["rows"][1]["p_hat"]
 
 
+def test_good_set_validation():
+    base, ens = _flat_base(), make_ensemble("gaussian", seed=SEED)
+    with pytest.raises(ValueError, match="1e3"):
+        good_set_probability(base, ens, (1.0,), 999)
+    for thresholds in ((), (1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            good_set_probability(base, ens, thresholds, 1000)
+
+
+def test_good_set_draws_each_omega_once(monkeypatch):
+    drawn = []
+
+    def counting(spec, omega_ids, count):
+        drawn.extend(np.asarray(omega_ids).tolist())
+        return sample_gain_matrix(spec, omega_ids, count)
+
+    # every oscilab module that holds the sampler by name gets the counting one
+    for module in [m for name, m in sys.modules.items() if name.startswith("oscilab.")]:
+        if getattr(module, "sample_gain_matrix", None) is sample_gain_matrix:
+            monkeypatch.setattr(module, "sample_gain_matrix", counting)
+    assert ensembles.sample_gain_matrix is counting
+    n = DEFAULT_CHUNK + 904  # two chunks
+    good_set_probability(_flat_base(), make_ensemble("gaussian", seed=SEED), (1.0,), n)
+    assert sorted(drawn) == list(range(n))
+
+
 @st.composite
 def scaled_experiments(draw):
-    """A tail experiment on a random base, and the same one with the base times 2^k."""
+    """A random base, the same base times 2^k, and one chunk of gain rows."""
     n = draw(st.integers(0, 12))
     basis = cached_basis(1, n, 2 * (n + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -236,30 +255,28 @@ def scaled_experiments(draw):
     family = draw(st.sampled_from(FAMILIES))
     spec = make_ensemble(family, seed=draw(st.integers(0, 2**32 - 1)), gamma=1.0 if family == "symmetric_weibull" else None)
     k = draw(st.integers(-8, 8))
-    setup = dict(ensemble=spec, thresholds=(1.0,), n_samples=1000)
-    exp, scaled = (TailExperiment(base=SpectralField(basis, c), **setup) for c in (coeffs, 2.0**k * coeffs))
-    return exp, scaled, k, draw(st.sampled_from([2.0, 10.0, 14.0]))
+    gains = sample_gain_matrix(spec, np.arange(1000), basis.size)
+    base, scaled = (SpectralField(basis, c) for c in (coeffs, 2.0**k * coeffs))
+    return base, scaled, gains, k, draw(st.sampled_from([2.0, 10.0, 14.0]))
 
 
 @settings(max_examples=10, deadline=None)
 @given(scaled_experiments())
 def test_sample_norms_power_of_two_scaling_bitwise(case):
-    exp, scaled, k, q_time = case
-    omega_ids = np.arange(exp.n_samples)
-    data = _data_norm_samples(exp.base, exp.ensemble, omega_ids)
-    assert np.array_equal(_data_norm_samples(scaled.base, scaled.ensemble, omega_ids), 2.0**k * data)
-    flow = flow_sup_norm_samples(exp, q_time)
-    assert np.array_equal(flow_sup_norm_samples(scaled, q_time), 2.0**k * flow)
+    base, scaled, gains, k, q_time = case
+    data = _data_norm_samples(base, gains)
+    assert np.array_equal(_data_norm_samples(scaled, gains), 2.0**k * data)
+    flow = flow_sup_norm_samples(base, gains, q_time)
+    assert np.array_equal(flow_sup_norm_samples(scaled, gains, q_time), 2.0**k * flow)
 
 
-def flow_sup_at_every_node(exp, q_time):
+def flow_sup_at_every_node(base, gains, q_time):
     """flow_sup_norm_samples with one audit-grid sup per trapezoid node."""
-    basis = exp.base.basis
+    basis = base.basis
     filt = basis.lambda2 ** (FLOW_SUP_REGULARITY / 2.0)
     times = np.linspace(-2 * np.pi, 2 * np.pi, FLOW_TIME_NODES)
     tw = _trapezoid_weights(FLOW_TIME_NODES, float(times[1] - times[0]))
-    gains = sample_gain_matrix(exp.ensemble, np.arange(exp.n_samples), basis.size)
-    draws = gains * exp.base.coeffs * filt
+    draws = gains * base.coeffs * filt
     sups = np.array([basis.audit_sup(draws * np.exp(-1j * t * basis.lambda2)) for t in times])
     vmax = sups.max(axis=0)
     return vmax * np.sum(tw[:, None] * (sups / vmax) ** q_time, axis=0) ** (1.0 / q_time)
@@ -272,21 +289,40 @@ def test_flow_sup_over_one_period_matches_every_node(dim, n, family):
     basis = cached_basis(dim, n, 2 * (n + 1))
     rng = np.random.default_rng(dim * 100 + n)
     base = SpectralField(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size))
-    exp = TailExperiment(base=base, ensemble=make_ensemble(family, seed=SEED), thresholds=(1.0,), n_samples=1000)
-    got, want = flow_sup_norm_samples(exp, 10.0), flow_sup_at_every_node(exp, 10.0)
+    gains = sample_gain_matrix(make_ensemble(family, seed=SEED), np.arange(1000), basis.size)
+    got, want = flow_sup_norm_samples(base, gains, 10.0), flow_sup_at_every_node(base, gains, 10.0)
     assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
+N_OVER_THREE_CHUNKS = 2 * DEFAULT_CHUNK + 2000  # three chunks, and norm_tail needs 1e4
+
+
+def _as_lists(report: dict) -> dict:
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in report.items()}
+
+
 def test_good_set_worker_invariance():
-    exp = TailExperiment(
-        base=_flat_base(),
-        ensemble=make_ensemble("gaussian", seed=SEED),
-        thresholds=(1.5,),
-        n_samples=6000,
-    )
-    a = good_set_probability(exp, workers=1)
-    b = good_set_probability(exp, workers=5)
-    assert np.array_equal(a["flow_norm_samples"], b["flow_norm_samples"])
+    ens = make_ensemble("gaussian", seed=SEED)
+    serial = good_set_probability(_flat_base(), ens, (1.0, 1.5), N_OVER_THREE_CHUNKS, workers=1)
+    parallel = good_set_probability(_flat_base(), ens, (1.0, 1.5), N_OVER_THREE_CHUNKS, workers=3)
+    assert _as_lists(parallel) == _as_lists(serial)
+
+
+def test_norm_tail_worker_invariance(basis32):
+    base = SpectralField(basis32, np.zeros(basis32.size, complex))
+    base.coeffs[:32] = 1.0 / np.sqrt(32.0)
+    ens, t_grid = make_ensemble("gaussian", seed=SEED), np.linspace(0.6, 2.4, 25)
+    serial = norm_tail(base, ens, t_grid, N_OVER_THREE_CHUNKS, workers=1)
+    assert norm_tail(base, ens, t_grid, N_OVER_THREE_CHUNKS, workers=3) == serial
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_paley_zygmund_worker_invariance(s):
+    basis = cached_basis(1, 40, 84)
+    base = SpectralField(basis, (1.0 / np.sqrt(basis.lambda2)).astype(complex))
+    ens, cutoff = make_ensemble("gaussian", seed=SEED), CutoffSpec(N=8, s=s)
+    serial = paley_zygmund_check(base, ens, cutoff, N_OVER_THREE_CHUNKS, workers=1)
+    assert paley_zygmund_check(base, ens, cutoff, N_OVER_THREE_CHUNKS, workers=3) == serial
 
 
 def test_wilson_interval():
