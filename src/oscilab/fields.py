@@ -6,11 +6,13 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import hermite
 from .hermite import BasisGrid, BasisError, build_basis, cached_basis
 
 __all__ = [
@@ -328,7 +330,6 @@ def smoothing_functional(
     u0: SpectralField | Sequence[SpectralField],
     eps: float,
     variant: str = "sqrtH",
-    time_nodes: int = 129,
 ) -> float | np.ndarray:
     """Normalized space-time smoothing ratio of the oscillator flow.
 
@@ -340,11 +341,13 @@ def smoothing_functional(
 
     The weight acts pointwise on the de-aliased grid; the fractional
     derivative acts through the Fourier side with a projection back onto the
-    span (a logged approximation).  The squared numerator is the Hermitian
-    form c^H (G o F) c, with F[n, m] = sum_t tw_t e^{-it(lambda_n^2 - lambda_m^2)}
-    the trapezoid-summed time phase and G the weighted Gram matrix of the
-    spatial operator, built once per call.  Each field is evaluated by its
-    own matrix-vector product, so no value depends on the batch.  Returns
+    span (a logged approximation).  The time integral is exact (an M-node
+    trapezoid sums e^{2ikt} to 4 pi whenever (M - 1) divides 4k): each
+    lambda_n^2 = 2|n| + d is an integer, so the squared numerator is
+    4 pi sum_k c_k^H S_k c_k over the eigenspaces |n| = k, contiguous slices
+    c_k of the graded enumeration, with S_k the weighted Gram matrix of the
+    spatial operator on eigenspace k.  Each field is evaluated by its own
+    products with the S_k, so no value depends on the batch.  Returns
     empirical candidates for the inequality constant: a float for one field,
     a 1-D array for a sequence of fields on one basis.
     """
@@ -356,33 +359,34 @@ def smoothing_functional(
     if not fields or any(u.basis is not fields[0].basis for u in fields):
         raise BasisError("smoothing functional needs one or more fields on one basis")
     basis = fields[0].basis
-    d = basis.dim
-    if variant == "sqrtH" or d == 1:  # (d-1)/2 = 0 at d = 1
-        denom = np.array([u.l2_norm for u in fields])
-    else:
-        denom = np.array([harmonic_sobolev_norm(u, (d - 1) / 2.0) for u in fields])
+    denom = np.array([harmonic_sobolev_norm(u, 0.0 if variant == "sqrtH" else (basis.dim - 1) / 2.0) for u in fields])
     if np.any(denom == 0):
         raise ValueError("smoothing functional of the zero field")
 
-    times = np.linspace(-2 * np.pi, 2 * np.pi, time_nodes)
-    phases = np.exp(1j * np.outer(times, basis.lambda2))  # e^{+itH}
-    time_form = (phases.conj().T * _trapezoid_weights(time_nodes, times[1] - times[0])) @ phases
     nodes, weights, table = product_quadrature(basis, 2 * basis.max_degree)
-    # squared weight: (<x>^{-(1/2-eps)})^2 = (1 + |x|^2)^{-(1/2-eps)}
-    weight_sq = (1.0 + np.sum(nodes**2, axis=1)) ** (-(0.5 - eps))
-    # the weight is not separable: the form needs the synthesis matrix, built once per call above d = 1
-    synth = table if d == 1 else basis.grid_values(np.eye(basis.size), table)
-    gram = (synth * (weights * weight_sq)) @ synth.T
-    if variant == "sqrtH":
-        filt = basis.lambda2 ** ((0.5 - 2 * eps) / 2.0)
-        space_form = filt[:, None] * gram * filt[None, :]
-    else:
-        mult = np.sum(nodes**2, axis=1) ** ((d / 2.0 - 2 * eps) / 2.0)
-        # to the Fourier side, |xi|^s on the grid, analysis back onto the span, back to x
-        op = (1j) ** basis.degrees[:, None] * ((synth * (weights * mult)) @ synth.T) * (-1j) ** basis.degrees
-        space_form = op.conj().T @ gram @ op
-    form = space_form * time_form
+    # quadrature weights times the squared weight (<x>^{-(1/2-eps)})^2 = (1 + |x|^2)^{-(1/2-eps)}
+    weight_sq = weights * (1.0 + np.sum(nodes**2, axis=1)) ** (-(0.5 - eps))
     coeffs = np.stack([u.coeffs for u in fields])
-    # (draws, 1, N) @ (N, N) is one matrix-vector product per row, bitwise the same for any batch size
-    value = np.sqrt(np.vecdot(coeffs, (coeffs[:, None, :] @ form.T)[:, 0]).real) / denom
+    if variant == "sqrtH":  # H^{(1/2-2 eps)/2} is diagonal: it scales the coefficients
+        coeffs = coeffs * basis.lambda2 ** ((0.5 - 2 * eps) / 2.0)
+    else:
+        mult = np.sum(nodes**2, axis=1) ** ((basis.dim / 2.0 - 2 * eps) / 2.0)
+        # the Fourier conjugation's phase i^{|m|-|n|} on the parity classes the even multiplier couples
+        sign = 1.0 - 2.0 * (basis.degrees // 2 % 2)
+    sizes = np.bincount(basis.degrees)  # eigenspace k: the sizes[k] consecutive positions of degree k
+    # runs of consecutive equal-size eigenspaces (all of them at d = 1), cut where their grid values outgrow a tile
+    per_tile = max(1, hermite.AUDIT_TILE_BYTES // (weight_sq.nbytes * sizes.max()))
+    form_c = np.empty_like(coeffs)  # S_k c_k, eigenspace by eigenspace
+    for (_, size), run in itertools.groupby(range(len(sizes)), lambda k: (k // per_tile, sizes[k])):
+        run = list(run)
+        a, b = np.searchsorted(basis.degrees, (run[0], run[-1] + 1))
+        v = basis.grid_values(np.eye(b - a, basis.size, a), table)  # the unit rows
+        if variant == "fractional_grad":
+            # to the Fourier side, |xi|^s on the grid, analysis back onto the span, back to x
+            v = basis.grid_values(sign * basis.grid_coeffs(v * mult, table, weights), table)
+        v = v.reshape(len(run), size, -1)
+        # (draws, eigenspaces, 1, size) @ (eigenspaces, size, size): one small product per row
+        part = coeffs[:, a:b].reshape(-1, len(run), 1, size)
+        form_c[:, a:b] = (part @ ((v * weight_sq) @ v.mT).mT).reshape(-1, b - a)
+    value = np.sqrt(4 * np.pi * np.vecdot(coeffs, form_c).real) / denom
     return float(value[0]) if isinstance(u0, SpectralField) else value

@@ -45,7 +45,7 @@ DEFAULT_COEFF_BUDGET = 200_000
 AUDIT_POINTS_PER_UNIT = 16
 AUDIT_MARGIN = 4.0
 
-# largest tile of audit-grid values that BasisGrid.audit_tiles holds at once
+# largest tile of grid values that BasisGrid.audit_tiles and fields.smoothing_functional hold at once
 AUDIT_TILE_BYTES = 8 * 2**20
 
 # ceiling on the bytes of a basis's tensor grid (nodes and weights); build_basis refuses beyond it

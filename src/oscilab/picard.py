@@ -38,7 +38,7 @@ __all__ = [
     "load_trajectory",
 ]
 
-TRAJECTORY_VERSION = 2
+TRAJECTORY_VERSION = 3
 
 T = np.pi / 4  # half-width of the solved time window; the lens maps every external time inside it
 TOL = 1e-12  # the iteration stops once an update's surrogate norm is at most TOL
@@ -72,7 +72,6 @@ class SolverConfig:
     K: int = 1
     N: int = 32
     time_nodes: int = 65
-    nonlinear: bool = True
 
     def __post_init__(self):
         if self.nonlinearity_p < 5 or self.nonlinearity_p % 2 == 0:
@@ -102,10 +101,10 @@ class SolverConfig:
         return (np.arange(self.time_nodes) - mid) * (T / mid)
 
     def as_dict(self) -> dict:
-        """The fields with the fixed T, TOL, MAX_ITER and the derived s, as reports list them."""
+        """The fields, the fixed T, TOL and MAX_ITER, the derived s and nonlinear (always), as reports list them."""
         return {
             "dim": self.dim, "nonlinearity_p": self.nonlinearity_p, "K": self.K, "T": T, "N": self.N,
-            "time_nodes": self.time_nodes, "tol": TOL, "max_iter": MAX_ITER, "s": self.s, "nonlinear": self.nonlinear,
+            "time_nodes": self.time_nodes, "tol": TOL, "max_iter": MAX_ITER, "s": self.s, "nonlinear": True,
         }
 
 
@@ -219,8 +218,6 @@ def _apply_duhamel(ws: _Workspace, u0: np.ndarray, v_mat: np.ndarray) -> np.ndar
             "non-finite field during Duhamel application",
             time_node=float(ws.times[bad[0]]),
         )
-    if not ws.cfg.nonlinear:
-        return np.zeros_like(v_mat)
     g_mat = ws.nonlinearity(u_mat)
     integrand = np.conj(ws.phases) * g_mat          # e^{+isH} applied node-wise
     mid = (len(ws.times) - 1) // 2
@@ -314,10 +311,9 @@ def residual(traj: Trajectory) -> float:
     spectrally; the nonlinearity is evaluated exactly as in the solver
     (Galerkin residual of the truncated system).
     """
-    cfg = traj.config
-    ws = _Workspace(cfg, traj.basis)
+    ws = _Workspace(traj.config, traj.basis)
     u_mat = traj.u_matrix()
-    g_mat = ws.nonlinearity(u_mat) if cfg.nonlinear else np.zeros_like(u_mat)
+    g_mat = ws.nonlinearity(u_mat)
     h = ws.h
     worst = 0.0
     for j in range(2, len(ws.times) - 2):

@@ -353,8 +353,8 @@ def per_time_smoothing(u, eps, variant, time_nodes):
 
 @st.composite
 def smoothing_batches(draw):
-    dim = draw(st.sampled_from([1, 2]))
-    n = draw(st.integers(1, 12) if dim == 1 else st.integers(1, 5))
+    dim = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, {1: 12, 2: 5, 3: 3}[dim]))
     basis = cached_basis(dim, n, 2 * (n + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fields = [
@@ -362,17 +362,20 @@ def smoothing_batches(draw):
         for _ in range(draw(st.integers(1, 4)))
     ]
     eps = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
-    return fields, eps, draw(st.sampled_from(["sqrtH", "fractional_grad"])), draw(st.sampled_from([17, 33, 65]))
+    return fields, eps, draw(st.sampled_from(["sqrtH", "fractional_grad"]))
 
 
 SMOOTHING_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @SMOOTHING_SETTINGS
-@given(smoothing_batches())
-def test_smoothing_batch_matches_per_time_reference(case):
-    fields, eps, variant, time_nodes = case
-    got = smoothing_functional(fields, eps, variant, time_nodes)
+@given(smoothing_batches(), st.data())
+def test_smoothing_batch_matches_per_time_reference(case, data):
+    fields, eps, variant = case
+    n = fields[0].basis.max_degree
+    # M - 1 > 4N: the trapezoid sums no e^{2ikt}, 0 < |k| <= N, to 4 pi
+    time_nodes = data.draw(st.sampled_from([m for m in (17, 33, 65, 129) if m - 1 > 4 * n]))
+    got = smoothing_functional(fields, eps, variant)
     want = np.array([per_time_smoothing(u, eps, variant, time_nodes) for u in fields])
     assert got.shape == (len(fields),)
     assert np.max(np.abs(got - want) / want) < 1e-13
@@ -381,9 +384,9 @@ def test_smoothing_batch_matches_per_time_reference(case):
 @SMOOTHING_SETTINGS
 @given(smoothing_batches())
 def test_smoothing_rows_independent_of_batch(case):
-    fields, eps, variant, time_nodes = case
-    batch = smoothing_functional(fields, eps, variant, time_nodes)
-    single = [smoothing_functional(u, eps, variant, time_nodes) for u in fields]
+    fields, eps, variant = case
+    batch = smoothing_functional(fields, eps, variant)
+    single = [smoothing_functional(u, eps, variant) for u in fields]
     assert all(isinstance(v, float) for v in single)
     assert np.array_equal(batch, single)
 
@@ -391,20 +394,55 @@ def test_smoothing_rows_independent_of_batch(case):
 @SMOOTHING_SETTINGS
 @given(smoothing_batches(), st.floats(0.0, 2 * np.pi))
 def test_smoothing_global_phase_invariance(case, theta):
-    fields, eps, variant, time_nodes = case
+    fields, eps, variant = case
     rotated = [SpectralField(u.basis, np.exp(1j * theta) * u.coeffs) for u in fields]
-    a = smoothing_functional(fields, eps, variant, time_nodes)
-    b = smoothing_functional(rotated, eps, variant, time_nodes)
+    a = smoothing_functional(fields, eps, variant)
+    b = smoothing_functional(rotated, eps, variant)
     assert np.max(np.abs(a - b) / a) < 1e-14
 
 
 @SMOOTHING_SETTINGS
 @given(smoothing_batches(), st.integers(-40, 40))
 def test_smoothing_power_of_two_scaling_bitwise(case, k):
-    fields, eps, variant, time_nodes = case
+    fields, eps, variant = case
     scaled = [SpectralField(u.basis, 2.0**k * u.coeffs) for u in fields]
-    a = smoothing_functional(fields, eps, variant, time_nodes)
-    assert np.array_equal(smoothing_functional(scaled, eps, variant, time_nodes), a)
+    a = smoothing_functional(fields, eps, variant)
+    assert np.array_equal(smoothing_functional(scaled, eps, variant), a)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 40), (2, 6)])
+def test_smoothing_matches_fine_trapezoid(dim, n):
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    rng = np.random.default_rng(dim)
+    fields = [SpectralField(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)) for _ in range(2)]
+    for variant in ("sqrtH", "fractional_grad"):
+        for eps in (0.05, 0.45):
+            got = smoothing_functional(fields, eps, variant)
+            want = np.array([per_time_smoothing(u, eps, variant, 8193) for u in fields])
+            assert np.max(np.abs(got - want) / want) < 1e-12
+
+
+def test_smoothing_time_integral_does_not_alias():
+    # h_0 + h_16: a 65-node trapezoid sums e^{2i 16 t} to 4 pi, since 64 divides 4 * 16
+    basis = cached_basis(1, 32, 66)
+    u = SpectralField(basis, unit_field(basis, 0).coeffs + unit_field(basis, 16).coeffs)
+    got = smoothing_functional(u, 0.25, "sqrtH")
+    exact = per_time_smoothing(u, 0.25, "sqrtH", 133)
+    assert abs(got - exact) <= 1e-13 * exact
+    aliased = per_time_smoothing(u, 0.25, "sqrtH", 65)
+    assert abs(got - aliased) > 1e-4 * exact
+
+
+def test_smoothing_independent_of_tile_size(monkeypatch):
+    # at d = 1 all eigenspaces have one mode, so the tile alone decides how many go through together
+    basis = cached_basis(1, 12, 26)
+    rng = np.random.default_rng(12)
+    fields = [SpectralField(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)) for _ in range(3)]
+    whole = {variant: smoothing_functional(fields, 0.05, variant) for variant in ("sqrtH", "fractional_grad")}
+    for tile_bytes in (1, 2**11, 2**14):  # 1, 9 and all 13 eigenspaces per tile
+        monkeypatch.setattr(hermite, "AUDIT_TILE_BYTES", tile_bytes)
+        for variant, want in whole.items():
+            assert np.max(np.abs(smoothing_functional(fields, 0.05, variant) - want) / want) < 1e-14
 
 
 def test_smoothing_batch_validation(basis32, basis16):

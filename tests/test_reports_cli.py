@@ -79,6 +79,14 @@ def test_cli_divergence_keeps_diagnostics(tmp_path, capsys):
     assert stats["history"] and all(isinstance(h, float) for h in stats["history"])
 
 
+def test_cli_refuses_smoothing_time_nodes(tmp_path, capsys):
+    # the time integral is taken in closed form, so smoothing has no time grid to set
+    code = run_cli(["smoothing", "--tier", "smoke", "--out", str(tmp_path), "--set", "time_nodes=129"])
+    assert code == 2
+    assert "unknown override field 'time_nodes'" in capsys.readouterr().err
+    assert not (tmp_path / "smoothing" / "smoothing.json").exists()
+
+
 def test_cli_rejects_unknown_config_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for field in ("nonsense_field", "seed"):  # the seed comes from --seed only
