@@ -326,6 +326,24 @@ def spacetime_norm(
     return float(vmax * np.sum(w * (vals / vmax) ** q) ** (1.0 / q))
 
 
+def _unit_grid_values(basis: BasisGrid, a: int, b: int, table: np.ndarray) -> np.ndarray:
+    """Grid values of the unit rows a..b-1 of the enumeration, shape (b - a, P^dim).
+
+    Bit for bit ``basis.grid_values(np.eye(b - a, basis.size, a), table)``
+    without the identity matmul: a unit row's values are the product of its
+    per-axis table rows, multiplied in the order in which ``grid_values``
+    contracts the axes (the matmul adds only exact zeros to each product).
+    At d = 1 they are the table rows themselves.
+    """
+    if basis.dim == 1:
+        return table[a:b]
+    idx = np.array(basis.indices[a:b])
+    vals = table[idx[:, 0]]
+    for axis in range(1, basis.dim):
+        vals = (vals[:, :, None] * table[idx[:, axis]][:, None, :]).reshape(b - a, -1)
+    return vals
+
+
 def smoothing_functional(
     u0: SpectralField | Sequence[SpectralField],
     eps: float,
@@ -380,7 +398,7 @@ def smoothing_functional(
     for (_, size), run in itertools.groupby(range(len(sizes)), lambda k: (k // per_tile, sizes[k])):
         run = list(run)
         a, b = np.searchsorted(basis.degrees, (run[0], run[-1] + 1))
-        v = basis.grid_values(np.eye(b - a, basis.size, a), table)  # the unit rows
+        v = _unit_grid_values(basis, a, b, table)
         if variant == "fractional_grad":
             # to the Fourier side, |xi|^s on the grid, analysis back onto the span, back to x
             v = basis.grid_values(sign * basis.grid_coeffs(v * mult, table, weights), table)

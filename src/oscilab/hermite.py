@@ -9,7 +9,10 @@ Fields are evaluated on tensor grids (quadrature nodes, the audit grid, lens
 grids) by sum factorization: the coefficients fill the (N+1)^d box, zero above
 total degree N, and the box is contracted with the 1-D Hermite table one axis
 at a time, never with a (modes x grid points) table; quadrature analysis runs
-it backwards.  Sup and L^r norms are reduced tile by tile along the first axis.
+it backwards.  L^r norms are reduced tile by tile along the first axis.  The
+sup is an exact branch and bound over the same contractions: a slab of the
+grid whose bound, from the largest |h_n| on the audit axis, cannot beat the
+running max is never synthesized (``BasisGrid.audit_sup``).
 
 Every 1-D value comes from one recurrence kernel, ``_recurrence``, which
 keeps only the rows its caller reads: ``hermite_function_values`` keeps all
@@ -45,8 +48,13 @@ DEFAULT_COEFF_BUDGET = 200_000
 AUDIT_POINTS_PER_UNIT = 16
 AUDIT_MARGIN = 4.0
 
-# largest tile of grid values that BasisGrid.audit_tiles and fields.smoothing_functional hold at once
+# largest tile of grid values that BasisGrid.audit_tiles and fields.smoothing_functional hold at
+# once; a batch of BasisGrid.audit_sup takes a quarter of it
 AUDIT_TILE_BYTES = 8 * 2**20
+
+# relative slack of the audit sup's cell bounds over the rounding of the values they bound;
+# derived in BasisGrid.audit_sup
+_SUP_BOUND_MARGIN = 1e-12
 
 # ceiling on the bytes of a basis's tensor grid (nodes and weights); build_basis refuses beyond it
 GRID_BYTES_BUDGET = 2**30
@@ -196,7 +204,9 @@ class BasisGrid:
     the coefficient box with the per-axis table one axis at a time, at most
     N+1 multiply-adds per grid value and axis instead of one per basis
     function; ``grid_coeffs`` is the quadrature analysis back, and
-    ``audit_tiles`` yields |u| tile by tile for ``audit_sup`` and L^r norms.
+    ``audit_tiles`` yields |u| tile by tile for L^r norms.  ``audit_sup``
+    gives the max over those tiles bit for bit, but contracts only the slabs
+    and pencils of the grid whose rigorous bound can beat the running max.
     """
 
     dim: int
@@ -309,11 +319,89 @@ class BasisGrid:
             yield np.abs(self._contract(partial[lo : lo + tile], table, range(1, self.dim))).reshape(-1, m)
 
     def audit_sup(self, coeffs: np.ndarray) -> np.ndarray:
-        """max |u| over the audit grid for each row of ``coeffs`` (shape (m, size))."""
-        sup = np.zeros(np.shape(coeffs)[0])
-        for vals in self.audit_tiles(coeffs):
-            np.maximum(sup, vals.max(axis=0), out=sup)
+        """max |u| over the audit grid for each row of ``coeffs`` (shape (m, size)).
+
+        At d = 1 this is the max over the one tile of ``audit_tiles``.  Above,
+        it is an exact branch and bound that works one grid axis at a time.
+
+        Bound: with M[n] = max_j |h_n(y_j)| over the audit table and
+        ``partial`` the first-axis contraction of ``audit_tiles``, every |u| in
+        slab i (the points whose first coordinate is y_i) of row r is at most
+
+            U[i, r] = (1 + _SUP_BOUND_MARGIN) sum_{n_2..n_d} |partial[i, n_2..n_d, r]| prod_k M[n_k].
+
+        Skip rule: the slabs are visited in decreasing order of
+        max_r U[i, r] / max_i U[i, r], first one slab, then batches of a quarter
+        of AUDIT_TILE_BYTES.  Before each batch, a slab with ``U <= sup`` for
+        every row, ``sup`` the running max, is dropped: it cannot raise any
+        row's max.  A bound that is not finite is NaN, which fails the test,
+        so rows holding NaN or inf are never pruned.  The kept slabs are
+        contracted along axis 2; above d = 2 their pencils are bounded and
+        pruned in the same way, and only the last axis gives values
+        (``_sup_walk``, ``_cell_bounds``).
+
+        Margin: with u = 2^-53, K = N + 1 and gamma_K = K u / (1 - K u), the
+        real and imaginary parts of a value are d - 1 nested length-K dot
+        products of ``partial`` with |h_n(y_j)| <= M[n], so each is at most
+        (1 + gamma_K)^(d-1) times the same nested sums over |Re partial| or
+        |Im partial|; hypot (within one ulp) and Minkowski's inequality bound
+        the computed |u| by (1 + 2u) (1 + gamma_K)^(d-1) sum |partial| prod M.
+        The computed U loses at most 2u on |partial|, (1 - gamma_K)^(d-1) on
+        its nested sums of nonnegative terms and u on the margin product, so
+        the margin must exceed about 2 (d - 1) gamma_K + 5u: 1e-12 covers
+        K <= 4000 at d = 2 and K <= 2000 at d = 3, and DEFAULT_COEFF_BUDGET
+        caps K at 631 and 105.  Underflow is outside this count, so a bound
+        below 2^-900 of a slab with a nonzero entry is NaN too.
+
+        Bits: the result is the max over ``audit_tiles`` bit for bit.  Every
+        kept slab or pencil goes through the same equal-shape matmul as in a
+        tile (see ``_contract``), max is exact, and a dropped cell holds no
+        value above the running max.
+        """
+        coeffs = np.asarray(coeffs)
+        sup = np.zeros(coeffs.shape[0])
+        if self.dim == 1:
+            for vals in self.audit_tiles(coeffs):
+                np.maximum(sup, vals.max(axis=0), out=sup)
+            return sup
+        table = self.audit_table()
+        partial = self._contract(self._box(coeffs), table, range(1))
+        self._sup_walk(partial, table, np.abs(table).max(axis=1), sup)
         return sup
+
+    def _sup_walk(self, cells: np.ndarray, table: np.ndarray, peak: np.ndarray, sup: np.ndarray) -> None:
+        """Raise ``sup`` (shape (m,)) to max |u| over the grid points of ``cells``, by branch and bound.
+
+        ``cells`` has shape (S, N+1, ..., N+1, m): S grid cells with their
+        remaining degree axes.  Cells go in decreasing order of their best
+        normalized bound; each batch first drops the cells that ``sup`` rules
+        out, then contracts the next degree axis of the rest.  On the last
+        axis that gives values; above it, the batch's new cells, P for each
+        kept one, are walked in turn.
+        """
+        bound = _cell_bounds(cells, peak)
+        top = np.fmax.reduce(bound, axis=0)  # per row, NaN bounds left out
+        ratio = np.divide(bound, top, out=np.zeros_like(bound), where=(top > 0) & (top < np.inf))
+        rest = np.argsort(-np.fmax.reduce(ratio, axis=1), kind="stable")
+        last = cells.ndim == 3
+        # a batch holds its gathered cells, their contraction and, on the last axis, its |values|,
+        # in a quarter tile: batches that stay in cache and reuse their buffers ran a quarter faster
+        out_bytes = cells[0].nbytes // table.shape[0] * table.shape[1]
+        cell_bytes = cells[0].nbytes + out_bytes + (out_bytes // cells.itemsize * 8 if last else 0)
+        most = max(1, AUDIT_TILE_BYTES // 4 // max(cell_bytes, 1))
+        batch = 1  # the best cell alone first, so that the running max tightens early
+        while True:
+            rest = rest[~np.all(bound[rest] <= sup, axis=1)]
+            if not rest.size:
+                return
+            take, rest = rest[:batch], rest[batch:]
+            batch = most
+            vals = self._contract(cells[take], table, range(1, 2))
+            vals = vals.reshape((-1,) + vals.shape[2:])
+            if last:
+                np.maximum(sup, np.abs(vals).max(axis=0), out=sup)
+            else:
+                self._sup_walk(vals, table, peak, sup)
 
     def _index_array(self) -> np.ndarray:
         if "index_array" not in self._aux:
@@ -350,6 +438,32 @@ class BasisGrid:
             stack = vals.view(float).reshape(int(np.prod(lead)), table.shape[0], -1)
             vals = (table.T @ stack).view(vals.dtype).reshape(lead + (table.shape[1],) + vals.shape[a + 1 :])
         return vals
+
+
+def _cell_bounds(cells: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Bounds U on |u| over each cell of ``cells`` (shape (S, N+1, ..., N+1, m)), shape (S, m).
+
+    U = (1 + _SUP_BOUND_MARGIN) sum |cells| prod_k peak[n_k] over the degree
+    axes, the sum nested one length-(N+1) axis at a time, over a quarter of
+    AUDIT_TILE_BYTES of cells at once.  Entries that are not a rigorous
+    bound are NaN: a non-finite sum, and a sum below 2^-900 of a cell with a
+    nonzero entry, where underflow could outweigh the margin (see
+    ``BasisGrid.audit_sup``).
+    """
+    degree_axes = tuple(range(1, cells.ndim - 1))
+    out = np.empty((cells.shape[0], cells.shape[-1]))
+    nonzero = np.empty(out.shape, dtype=bool)
+    step = max(1, AUDIT_TILE_BYTES // 4 // max(8 * cells[0].size, 1))
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(cells), step):
+            a = np.abs(cells[lo : lo + step])
+            nonzero[lo : lo + step] = a.any(axis=degree_axes)
+            for _ in degree_axes:
+                a = peak @ a  # sums the last degree axis
+            out[lo : lo + step] = a
+        out *= 1.0 + _SUP_BOUND_MARGIN
+    out[~np.isfinite(out) | ((out < 2.0**-900) & nonzero)] = np.nan
+    return out
 
 
 def tensor_grid(axis: np.ndarray, dim: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from oscilab.fields import (
     spacetime_norm,
     unit_field,
     weighted_x_L2_norm,
+    _unit_grid_values,
 )
 from oscilab import hermite
 from oscilab.hermite import build_basis, cached_basis
@@ -322,6 +323,18 @@ def test_smoothing_validation(basis32):
         smoothing_functional(u, 0.25, "bogus")
     with pytest.raises(ValueError):
         smoothing_functional(SpectralField(basis32, np.zeros(basis32.size, complex)), 0.25, "sqrtH")
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 5), (3, 3)])
+def test_unit_grid_values_are_the_identity_rows(dim, n):
+    basis = build_basis(dim, n, 2 * (n + 1))
+    tables = [basis.eval_table, product_quadrature(basis, 2 * n)[2]]
+    if dim < 3:  # the d = 3 audit grid holds 225^3 points
+        tables.append(basis.audit_table())
+    for table in tables:
+        for a, b in ((0, basis.size), (1, basis.size - 2), (basis.size - 1, basis.size)):
+            want = basis.grid_values(np.eye(b - a, basis.size, a), table)
+            assert np.array_equal(_unit_grid_values(basis, a, b, table), want)
 
 
 # ------------------------------------------- smoothing as a quadratic form

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -247,18 +248,119 @@ def test_eval_at_on_nodes_is_the_eval_table(dim):
     assert np.max(np.abs(back - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
 
 
-@pytest.mark.parametrize("dim,n", [(1, 6), (2, 4), (2, 6), (3, 2)])
+def tile_sup(basis, coeffs):
+    """The max over ``audit_tiles``, the audit sup before it pruned: the bitwise reference."""
+    sup = np.zeros(coeffs.shape[0])
+    for vals in basis.audit_tiles(coeffs):
+        np.maximum(sup, vals.max(axis=0), out=sup)
+    return sup
+
+
+@pytest.mark.parametrize("dim,n", [(1, 6), (2, 4), (2, 6), (3, 2), (3, 4)])
 def test_audit_sup_does_not_depend_on_tile_size(monkeypatch, dim, n):
     basis = build_basis(dim, n, 2 * (n + 1))
     rng = np.random.default_rng(7)
     coeffs = rng.normal(size=(5, basis.size)) + 1j * rng.normal(size=(5, basis.size))
+    want = tile_sup(basis, coeffs)
     sups = []
     for tile_bytes in (1, 3 * 2**10, 2**16, hermite.AUDIT_TILE_BYTES, 2**40):
         monkeypatch.setattr(hermite, "AUDIT_TILE_BYTES", tile_bytes)
         sups.append(basis.audit_sup(coeffs))
-    assert all(np.array_equal(sup, sups[0]) for sup in sups)
-    full = np.abs(basis.grid_values(coeffs, basis.audit_table())).max(axis=1)
-    assert np.max(np.abs(sups[0] - full) / full) <= 1e-13
+    assert all(np.array_equal(sup, want) for sup in sups)
+    if audit_axis(n, dim).size ** dim < 10**7:  # at d = 3, N = 4 the whole grid of 5 rows takes 1 GiB
+        full = np.abs(basis.grid_values(coeffs, basis.audit_table())).max(axis=1)
+        assert np.max(np.abs(sups[0] - full) / full) <= 1e-13
+
+
+FINITE_ROW_KINDS = ("random", "zero", "single", "large", "small", "phase")
+
+
+@st.composite
+def audit_rows(draw, dim, kinds):
+    n = draw(st.integers(0, {2: 8, 3: 4}[dim]))
+    basis = hermite.cached_basis(dim, n, 2 * (n + 1))
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(len(kinds), basis.size)) + 1j * rng.normal(size=(len(kinds), basis.size))
+    for r, kind in enumerate(kinds):
+        if kind == "zero":
+            rows[r] = 0
+        elif kind == "single":
+            rows[r] = 0
+            rows[r, rng.integers(basis.size)] = np.exp(2j * np.pi * rng.random())
+        elif kind in ("large", "small", "subnormal"):
+            rows[r] *= 2.0 ** {"large": 400, "small": -400, "subnormal": -1060}[kind]
+        elif kind == "phase":  # a time node of the flow of row 0
+            rows[r] = rows[0] * np.exp(-1j * np.pi * rng.random() * basis.lambda2)
+        elif kind == "nan":
+            rows[r, rng.integers(basis.size)] = np.nan
+        elif kind == "inf":  # h_0..0 has no zero on the audit grid, so no inf * 0 arises
+            rows[r, 0] = np.inf
+    return basis, rows
+
+
+def runtime_warnings(fn, *args):
+    """fn(*args) and the set of RuntimeWarning messages it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        out = fn(*args)
+    return out, {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
+
+
+def check_audit_sup_against_tile_max(basis, rows):
+    # bit for bit, NaN rows included; and no RuntimeWarning the tile max does not raise too
+    # (OpenBLAS can flag an invalid operation for a lone inf in a matmul, so the tiles may warn)
+    want, expected = runtime_warnings(tile_sup, basis, rows)
+    got, raised = runtime_warnings(basis.audit_sup, rows)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert raised <= expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(audit_rows(2, FINITE_ROW_KINDS + ("subnormal", "nan", "inf")))
+def test_audit_sup_is_the_tile_max_bit_for_bit_d2(case):
+    check_audit_sup_against_tile_max(*case)
+
+
+# rows that are never pruned (NaN, inf, and subnormal, whose bounds are below 2^-900) each cost
+# two whole-grid passes of 1-3 s at d = 3, so they are drawn at d = 2, whose walk d = 3 recurses
+@settings(max_examples=10, deadline=None)
+@given(audit_rows(3, FINITE_ROW_KINDS))
+def test_audit_sup_is_the_tile_max_bit_for_bit_d3(case):
+    check_audit_sup_against_tile_max(*case)
+
+
+def test_audit_sup_contracts_few_slabs_of_the_ground_state(monkeypatch):
+    basis = build_basis(2, 16, 34)
+    contract, contracted = hermite.BasisGrid._contract, []
+
+    def counting(vals, table, axes):
+        if list(axes) == [1]:
+            contracted.append(len(vals))
+        return contract(vals, table, axes)
+
+    h00 = unit_field(basis, (0, 0)).coeffs[None, :]
+    want = tile_sup(basis, h00)
+    monkeypatch.setattr(hermite.BasisGrid, "_contract", staticmethod(counting))
+    assert np.array_equal(basis.audit_sup(h00), want)
+    assert 0 < sum(contracted) < audit_axis(16, 2).size / 2
+
+
+def test_d3_audit_sup_memory():
+    # 65 time-node rows at d = 3, N = 2: a first-axis tile of 214^2 points x 65 rows alone is 47.6 MB
+    basis = build_basis(3, 2, 6)
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    rows = coeffs * np.exp(-1j * np.linspace(0.0, np.pi / 4, 65)[:, None] * basis.lambda2)
+    basis.audit_table()
+    tracemalloc.start()
+    try:
+        sup = basis.audit_sup(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sup.shape == (65,) and np.all(sup > 0)
+    assert peak <= 32 * 2**20
 
 
 @st.composite
