@@ -8,9 +8,10 @@ Sampling is counter-based and fully deterministic: the draw for a given
 or worker count.  Each omega gets its own Philox4x64-10 stream keyed by
 (seed, omega_id); variate k of that stream is the gain of coefficient k.
 One uniform is consumed per variate (inverse-CDF transforms throughout),
-which is what makes the position addressing exact.  The Gaussian and Weibull
-transforms allocate one fresh buffer and run every later step in place on it
-(never on the uniforms), bit-identical to the plain elementwise formulas.
+which is what makes the position addressing exact.  The transforms consume
+their uniforms: every step runs in place on the input array, which then holds
+the gains (the Weibull transform allocates one extra buffer, the two-point one
+its output), bit-identical to the plain elementwise formulas.
 
 Variate k is word k % 4 of the block at counter (k // 4 + 1, 0, 0, 0) (numpy
 increments the counter before its first block), read as the uniform
@@ -24,13 +25,15 @@ one range through numpy's ``Generator`` (about 10x faster on a long range),
 advanced to the range's first block.
 
 Both streams have one chunking primitive on ``mc.run_chunked``: ``fold_block``
-sums a bulk experiment's partials over chunks of ``sample_block``, and
+sums a bulk experiment's partials over chunks of ``sample_block``, each drawn
+into the one float buffer its worker thread keeps for that call, and
 ``map_gains`` maps a per-omega kernel over chunks of ``sample_gain_matrix``
 rows and concatenates its values in omega order.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,29 +115,42 @@ def make_ensemble(family: str, seed: int, gamma: float | None = None) -> Ensembl
 
 
 def _from_uniforms(spec: EnsembleSpec, u: np.ndarray) -> np.ndarray:
-    """Map uniforms on [0, 1) to the family's law, one variate per uniform."""
+    """Map uniforms on [0, 1) to the family's law, one variate per uniform.
+
+    A float array ``u`` is consumed: the result is written into it (except
+    for the two-point family), so a caller that reads ``u`` again passes a copy.
+    """
     u = np.asarray(u, dtype=float)
     if spec.family == "gaussian":
-        x = np.clip(u, 1e-300, 1.0 - 1e-16)
-        return ndtri(x, out=x)
+        # fl(1 - 1e-16) is the largest double below 1
+        np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+        return ndtri(u, out=u)
     if spec.family == "rademacher":
-        return np.where(u < 0.5, -1.0, 1.0)
+        # u - 1/2 is negative exactly when u < 1/2, and +0.0 at u = 1/2
+        np.subtract(u, 0.5, out=u)
+        return np.copysign(1.0, u, out=u)
     if spec.family == "uniform_symmetric":
         # uniform on [-sqrt(3), sqrt(3)]: unit variance
-        return np.sqrt(3.0) * (2.0 * u - 1.0)
+        u *= 2.0
+        u -= 1.0
+        u *= np.sqrt(3.0)
+        return u
     if spec.family == "symmetric_weibull":
         # magnitude has exact survival exp(-x^gamma); sign from the same uniform.
         # 2 min(u, 1 - u) is exactly 2u below 1/2 and 2(1 - u) above, where
         # 1 - u is exact (Sterbenz).  The sign is a factor -1 or 1 applied last,
-        # not copysign, so u = 1/2 keeps the -0.0 that -log(1) gives.
-        w = np.minimum(u, 1.0 - u)
+        # not copied onto the magnitude, so u = 1/2 keeps the -0.0 that -log(1) gives.
+        w = 1.0 - u
+        np.minimum(u, w, out=w)
         w *= 2.0
         np.clip(w, 2.0**-53, 1.0, out=w)
         np.log(w, out=w)
         np.negative(w, out=w)
         np.power(w, 1.0 / spec.gamma, out=w)
-        w *= np.where(u < 0.5, -1.0, 1.0)
-        return w
+        np.subtract(u, 0.5, out=u)
+        np.copysign(1.0, u, out=u)
+        u *= w
+        return u
     if spec.family == "centered_two_point":
         return np.where(u < TWO_POINT_P_HIGH, TWO_POINT_HIGH, TWO_POINT_LOW)
     raise ValueError(f"unknown family {spec.family!r}")
@@ -176,30 +192,42 @@ def sample_gain_matrix(spec: EnsembleSpec, omega_ids, count: int) -> np.ndarray:
     return _from_uniforms(spec, _philox_uniforms(spec.seed, omega_ids, count))
 
 
-def sample_block(spec: EnsembleSpec, start: int, stop: int, width: int = 1) -> np.ndarray:
+def sample_block(spec: EnsembleSpec, start: int, stop: int, width: int = 1, out=None) -> np.ndarray:
     """Rows [start, stop) of the (n, width) bulk matrix of the stream keyed
-    (seed, 0); variate (i, k) sits at position i * width + k."""
-    first = start * width
+    (seed, 0); variate (i, k) sits at position i * width + k.
+
+    With ``out``, a 1-D float array of at least (stop - start) * width
+    entries, the uniforms are drawn into its head and the rows returned may
+    live there, so a caller that reuses ``out`` must be done with them first.
+    """
+    first, size = start * width, (stop - start) * width
     gen = np.random.Generator(np.random.Philox(key=[np.uint64(spec.seed), np.uint64(0)]))
     gen.bit_generator.advance(first // 4)
     gen.random(first % 4)
-    return _from_uniforms(spec, gen.random((stop - start) * width)).reshape(stop - start, width)
+    u = np.empty(size) if out is None else out[:size]
+    gen.random(out=u)
+    return _from_uniforms(spec, u).reshape(stop - start, width)
 
 
 def fold_block(spec: EnsembleSpec, n_samples: int, width: int, partial, workers: int = 1):
     """Sum of partial(rows) over the chunks of the (n_samples, width) bulk matrix.
 
-    partial maps a chunk of rows to an array of partial sums.  Chunks hold
-    max(1, 2**20 // width) rows and their partials are added left to right in
-    chunk order, so the result is bitwise independent of workers.
+    partial maps a chunk of rows to an array of partial sums, and must not
+    keep ``rows``: each worker thread draws every chunk it runs into one
+    buffer, sized to the rows of one chunk and freed when the call returns.
+    Chunks hold max(1, 2**20 // width) rows and their partials are added left
+    to right in chunk order, so the result is bitwise independent of workers.
     """
+    chunk = max(1, 2**20 // width)
+    buffers = threading.local()
 
     def kernel(a, b):
-        rows = sample_block(spec, a, b, width)
-        return partial(rows), rows
+        if not hasattr(buffers, "u"):
+            buffers.u = np.empty(min(n_samples, chunk) * width)
+        return partial(sample_block(spec, a, b, width, out=buffers.u))
 
     acc = 0.0
-    for part in run_chunked(n_samples, holding(kernel), workers, max(1, 2**20 // width)):
+    for part in run_chunked(n_samples, kernel, workers, chunk):
         acc += part
     return acc
 
@@ -270,7 +298,8 @@ def verify_tail(spec: EnsembleSpec, n_samples: int, rho_grid, workers: int = 1) 
         raise ValueError("rho_grid must be strictly increasing with >= 2 points")
 
     def partial(rows):
-        return (np.abs(rows.ravel())[None, :] >= rho_grid[:, None]).sum(axis=1)
+        a = np.abs(rows.ravel())
+        return np.array([np.count_nonzero(a >= r) for r in rho_grid])
 
     survival = fold_block(spec, n_samples, 1, partial, workers) / n_samples
 

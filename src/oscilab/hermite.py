@@ -321,8 +321,10 @@ class BasisGrid:
     def audit_sup(self, coeffs: np.ndarray) -> np.ndarray:
         """max |u| over the audit grid for each row of ``coeffs`` (shape (m, size)).
 
-        At d = 1 this is the max over the one tile of ``audit_tiles``.  Above,
-        it is an exact branch and bound that works one grid axis at a time.
+        At d = 1 this is the max over the one tile of ``audit_tiles``, taken
+        from the (m, points) values in row blocks of a quarter of
+        AUDIT_TILE_BYTES, so their |u| never exists whole.  Above, it is an
+        exact branch and bound that works one grid axis at a time.
 
         Bound: with M[n] = max_j |h_n(y_j)| over the audit table and
         ``partial`` the first-axis contraction of ``audit_tiles``, every |u| in
@@ -361,8 +363,11 @@ class BasisGrid:
         coeffs = np.asarray(coeffs)
         sup = np.zeros(coeffs.shape[0])
         if self.dim == 1:
-            for vals in self.audit_tiles(coeffs):
-                np.maximum(sup, vals.max(axis=0), out=sup)
+            # blocks cut from the one matmul's result: a split of its inputs could change its bits
+            vals = self.grid_values(coeffs, self.audit_table())
+            step = max(1, AUDIT_TILE_BYTES // 4 // max(8 * vals.shape[1], 1))
+            for lo in range(0, len(vals), step):
+                np.abs(vals[lo : lo + step]).max(axis=1, out=sup[lo : lo + step])
             return sup
         table = self.audit_table()
         partial = self._contract(self._box(coeffs), table, range(1))
@@ -436,7 +441,12 @@ class BasisGrid:
             vals = np.ascontiguousarray(vals)
             lead = vals.shape[:a]
             stack = vals.view(float).reshape(int(np.prod(lead)), table.shape[0], -1)
-            vals = (table.T @ stack).view(vals.dtype).reshape(lead + (table.shape[1],) + vals.shape[a + 1 :])
+            # OpenBLAS can raise the FPU's FE_INVALID flag for a lone inf at some stack widths
+            # where no inf * 0 occurs, which numpy reports as "invalid value encountered in
+            # matmul"; a real inf * 0 still gives NaN values
+            with np.errstate(invalid="ignore"):
+                out = table.T @ stack
+            vals = out.view(vals.dtype).reshape(lead + (table.shape[1],) + vals.shape[a + 1 :])
         return vals
 
 

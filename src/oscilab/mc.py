@@ -37,7 +37,9 @@ def holding(kernel):
     Freeing every large array of a chunk lets malloc trim the heap top, and
     the next chunk page-faults it all back in; holding the previous chunk's
     arrays keeps the top in use.  The held slot is shared by all threads,
-    but no result ever reads it.
+    but no result ever reads it.  ``ensembles.map_gains`` is its one user:
+    ``ensembles.fold_block`` draws every chunk into one buffer per worker
+    instead, which costs neither the fault nor a second chunk held.
     """
     held = [None]
 

@@ -577,10 +577,13 @@ def chernoff_tail(
     q_grid = np.array([2, 4, 6, 8, 10])
 
     def partial(rows):
+        # one t at a time into one buffer: the rows of exp(outer(t_grid, g0)).sum(axis=1), bit for bit
         s = np.abs(rows @ coeffs)
+        g0 = rows[:, 0].copy()
+        buf = np.empty_like(g0)
         return np.concatenate([
-            np.exp(np.outer(t_grid, rows[:, 0])).sum(axis=1),
-            (s[None, :] >= rho_grid[:, None]).sum(axis=1),
+            [np.exp(np.multiply(t, g0, out=buf), out=buf).sum() for t in t_grid],
+            [np.count_nonzero(s >= r) for r in rho_grid],
             [(s**q).sum() for q in q_grid],
         ])
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
+from oscilab import ensembles
 from oscilab.ensembles import (
     FAMILIES,
     TWO_POINT_HIGH,
@@ -47,7 +48,7 @@ def test_symmetric_families_have_odd_transforms(spec):
     # g(u) = -g(1 - u) makes every odd moment vanish, which is what satisfies_HE1 claims
     assert spec.satisfies_HE1
     u = np.linspace(0.01, 0.49, 25)
-    assert np.allclose(_from_uniforms(spec, u), -_from_uniforms(spec, 1.0 - u), rtol=0, atol=1e-12)
+    assert np.allclose(_from_uniforms(spec, u.copy()), -_from_uniforms(spec, 1.0 - u), rtol=0, atol=1e-12)
 
 
 def test_flag_consistency_enforced():
@@ -152,29 +153,56 @@ def test_stream_determinism():
 
 
 def elementwise_transform(spec, u):
-    """The Gaussian and Weibull transforms as plain elementwise formulas."""
+    """Every family's transform as a plain elementwise formula, on fresh arrays."""
     if spec.family == "gaussian":
         return ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+    if spec.family == "rademacher":
+        return np.where(u < 0.5, -1.0, 1.0)
+    if spec.family == "uniform_symmetric":
+        return np.sqrt(3.0) * (2.0 * u - 1.0)
+    if spec.family == "centered_two_point":
+        return np.where(u < TWO_POINT_P_HIGH, TWO_POINT_HIGH, TWO_POINT_LOW)
     sign = np.where(u < 0.5, -1.0, 1.0)
     w = np.where(u < 0.5, 2.0 * u, 2.0 * (1.0 - u))
     w = np.clip(w, 2.0**-53, 1.0)
     return sign * (-np.log(w)) ** (1.0 / spec.gamma)
 
 
-EDGE_UNIFORMS = [0.0, 2.0**-53, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+EDGE_UNIFORMS = [0.0, 2.0**-53, 0.25, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 0.75, 1.0 - 2.0**-53]
+
+TRANSFORM_CASES = [(family, None) for family in FAMILIES if family != "symmetric_weibull"] + [
+    ("symmetric_weibull", gamma) for gamma in (0.5, 1.0, 1.5, 2.0)
+]
 
 
-@pytest.mark.parametrize(
-    "family,gamma", [("gaussian", None)] + [("symmetric_weibull", g) for g in (0.5, 1.0, 1.5, 2.0)]
-)
-def test_in_place_transforms_match_elementwise_formulas_bitwise(family, gamma):
-    spec = make_ensemble(family, seed=SEED, gamma=gamma)
-    u = np.concatenate([reference_uniforms(SEED, 0, 2**20), EDGE_UNIFORMS])
-    kept = u.copy()
-    got, want = _from_uniforms(spec, u), elementwise_transform(spec, kept)
+def check_transform(spec, u):
+    # the transform consumes u: its result is written into u, except for the two-point family
+    want = elementwise_transform(spec, u.copy())
+    got = _from_uniforms(spec, u)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 at u = 1/2 included
-    assert np.array_equal(u, kept)
+    assert (got is u) == (spec.family != "centered_two_point")
+
+
+@pytest.mark.parametrize("family,gamma", TRANSFORM_CASES)
+def test_in_place_transforms_match_elementwise_formulas_bitwise(family, gamma):
+    spec = make_ensemble(family, seed=SEED, gamma=gamma)
+    check_transform(spec, np.concatenate([reference_uniforms(SEED, 0, 2**20), EDGE_UNIFORMS]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(TRANSFORM_CASES),
+    st.lists(
+        st.one_of(st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53), st.sampled_from(EDGE_UNIFORMS)),
+        min_size=1,
+        max_size=64,
+    ),
+)
+def test_transforms_on_the_uniform_grid_match_elementwise_formulas_bitwise(case, uniforms):
+    # every value numpy's random() can return is k 2^-53, k < 2^53
+    family, gamma = case
+    check_transform(make_ensemble(family, seed=SEED, gamma=gamma), np.array(uniforms))
 
 
 @st.composite
@@ -219,6 +247,9 @@ def test_block_is_counter_addressed(case):
     assert np.array_equal(rows, sample_block(spec, 0, stop, width)[start:])
     flat = _from_uniforms(spec, reference_uniforms(spec.seed, 0, stop * width))
     assert np.array_equal(rows, flat[start * width :].reshape(-1, width))
+    # drawn into the head of a longer buffer that holds stale values
+    buffer = np.full((stop - start) * width + 3, np.nan)
+    assert np.array_equal(sample_block(spec, start, stop, width, out=buffer), rows)
 
 
 def test_block_wider_than_a_chunk():
@@ -250,6 +281,30 @@ def test_fold_block_matches_sequential_reference():
         return np.array([p.sum(), (p * p).sum()])
 
     assert fold_block(w, n, 1, partial).tolist() == [total, total_sq]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [make_ensemble("gaussian", seed=SEED), make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5),
+     make_ensemble("centered_two_point", seed=SEED)],
+    ids=lambda s: s.family,
+)
+def test_fold_block_matches_a_fold_over_fresh_rows(spec):
+    # three chunks of 2^20 // 3 rows, the last one partial: every chunk reuses its worker's buffer
+    width = 3
+    chunk = 2**20 // width
+    n = 2 * chunk + 12345
+    weights = np.array([1.0, -2.0, 0.5])
+
+    def partial(rows):
+        s = rows @ weights
+        return np.array([s.sum(), (s * s).sum(), np.abs(rows).max()])
+
+    want = 0.0
+    for lo in range(0, n, chunk):
+        want += partial(sample_block(spec, lo, min(lo + chunk, n), width))
+    for workers in (1, 2, 3):
+        assert fold_block(spec, n, width, partial, workers).tolist() == want.tolist()
 
 
 def test_khinchin_matches_sequential_reference():
@@ -337,6 +392,22 @@ def test_tail_fit_consistent_on_exact_law():
     assert abs(fit["gamma_hat"] - 2.0) <= 0.15
     fit = _fit_tail_exponent(np.linspace(1, 8, 15), np.exp(-np.linspace(1, 8, 15)), 10**6)
     assert abs(fit["gamma_hat"] - 1.0) <= 0.02
+
+
+def test_verify_tail_counts_match_the_bool_matrix_form(monkeypatch):
+    captured = []
+
+    def recording(spec, n_samples, width, partial, workers=1):
+        captured.append(partial)
+        return fold_block(spec, n_samples, width, partial, workers)
+
+    monkeypatch.setattr(ensembles, "fold_block", recording)
+    w = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0)
+    rho_grid = np.linspace(0.5, 12.0, 24)
+    verify_tail(w, 10**5, rho_grid)
+    rows = sample_block(w, 0, 2**17)
+    want = (np.abs(rows.ravel())[None, :] >= rho_grid[:, None]).sum(axis=1)
+    assert np.array_equal(captured[0](rows), want)
 
 
 def test_verify_tail_validation():

@@ -211,24 +211,54 @@ def test_product_quadrature_holds_no_dense_table():
     assert peak < 16 * 2**20
 
 
+def audit_value_slabs(basis, coeffs):
+    """grid_values(coeffs, audit_table()) one slab of ``audit_tiles`` at a time, as (start, values):
+    the (m, points) values of the grid points start, start + 1, ... in C order.
+
+    A slab is the points of one first-axis grid point.  It runs the
+    contractions of grid_values, so the whole (m, P^dim) values never exist
+    at once.
+    """
+    table = basis.audit_table()
+    if basis.dim == 1:
+        yield 0, basis.grid_values(coeffs, table)
+        return
+    partial = basis._contract(basis._box(coeffs), table, range(1))
+    for i in range(len(partial)):
+        vals = basis._contract(partial[i : i + 1], table, range(1, basis.dim))
+        yield i * table.shape[1] ** (basis.dim - 1), np.moveaxis(vals, -1, 0).reshape(len(coeffs), -1)
+
+
 @pytest.mark.parametrize("dim,n", [(1, 0), (1, 6), (2, 1), (2, 6), (3, 2), (3, 6)])
 def test_factored_audit_values_match_eval_at(dim, n):
     basis = build_basis(dim, n, 2 * (n + 1))
     rng = np.random.default_rng(dim * 100 + n)
     coeffs = rng.normal(size=(3, basis.size)) + 1j * rng.normal(size=(3, basis.size))
-    values = basis.grid_values(coeffs, basis.audit_table())
-    points = tensor_grid(audit_axis(n, dim), dim)  # C order, the order of grid_values
-    assert basis.audit_table().shape == (n + 1, audit_axis(n, dim).size)
-    assert values.shape == (3, points.shape[0])
-    subset = rng.choice(points.shape[0], size=min(500, points.shape[0]), replace=False)
-    want = coeffs @ basis.eval_at(points[subset])
-    if dim == 1:
-        assert np.array_equal(values[:, subset], want)
-    else:
-        assert np.max(np.abs(values[:, subset] - want)) <= 1e-13 * np.max(np.abs(want))
+    axis = audit_axis(n, dim)
+    count = axis.size**dim
+    assert basis.audit_table().shape == (n + 1, axis.size)
+    subset = rng.choice(count, size=min(500, count), replace=False)
+    # the C-order points of grid_values, as tensor_grid lists them
+    points = axis[np.stack(np.unravel_index(subset, (axis.size,) * dim), axis=1)]
+    if dim < 3:
+        assert np.array_equal(points, tensor_grid(axis, dim)[subset])
+    want = coeffs @ basis.eval_at(points)
+    seen = err = single_err = single_max = 0.0
     # one field synthesizes like a row of the batch
-    single = basis.grid_values(coeffs[1], basis.audit_table())
-    assert np.max(np.abs(single - values[1])) <= 1e-13 * np.max(np.abs(single))
+    for (start, values), (_, single) in zip(audit_value_slabs(basis, coeffs), audit_value_slabs(basis, coeffs[1:2])):
+        assert values.shape[0] == 3 and start == seen
+        seen += values.shape[1]
+        inside = (subset >= start) & (subset < seen)
+        got = values[:, subset[inside] - start]
+        if dim == 1:
+            assert np.array_equal(got, want[:, inside])
+        else:
+            err = max(err, np.max(np.abs(got - want[:, inside]), initial=0.0))
+        single_err = max(single_err, np.max(np.abs(single[0] - values[1])))
+        single_max = max(single_max, np.max(np.abs(single)))
+    assert seen == count
+    assert err <= 1e-13 * np.max(np.abs(want))
+    assert single_err <= 1e-13 * single_max
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -262,13 +292,15 @@ def test_audit_sup_does_not_depend_on_tile_size(monkeypatch, dim, n):
     rng = np.random.default_rng(7)
     coeffs = rng.normal(size=(5, basis.size)) + 1j * rng.normal(size=(5, basis.size))
     want = tile_sup(basis, coeffs)
+    full = None
+    if audit_axis(n, dim).size ** dim < 10**7:  # the whole grid: 9.8M points at d = 3, N = 2, 13.1M at N = 4
+        full = np.max([np.abs(values).max(axis=1) for _, values in audit_value_slabs(basis, coeffs)], axis=0)
     sups = []
     for tile_bytes in (1, 3 * 2**10, 2**16, hermite.AUDIT_TILE_BYTES, 2**40):
         monkeypatch.setattr(hermite, "AUDIT_TILE_BYTES", tile_bytes)
         sups.append(basis.audit_sup(coeffs))
     assert all(np.array_equal(sup, want) for sup in sups)
-    if audit_axis(n, dim).size ** dim < 10**7:  # at d = 3, N = 4 the whole grid of 5 rows takes 1 GiB
-        full = np.abs(basis.grid_values(coeffs, basis.audit_table())).max(axis=1)
+    if full is not None:
         assert np.max(np.abs(sups[0] - full) / full) <= 1e-13
 
 
@@ -277,7 +309,7 @@ FINITE_ROW_KINDS = ("random", "zero", "single", "large", "small", "phase")
 
 @st.composite
 def audit_rows(draw, dim, kinds):
-    n = draw(st.integers(0, {2: 8, 3: 4}[dim]))
+    n = draw(st.integers(0, {1: 16, 2: 8, 3: 4}[dim]))
     basis = hermite.cached_basis(dim, n, 2 * (n + 1))
     kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -309,11 +341,23 @@ def runtime_warnings(fn, *args):
 
 def check_audit_sup_against_tile_max(basis, rows):
     # bit for bit, NaN rows included; and no RuntimeWarning the tile max does not raise too
-    # (OpenBLAS can flag an invalid operation for a lone inf in a matmul, so the tiles may warn)
+    # (at d = 1 the complex matmul of an inf row computes inf * 0, so the tiles may warn)
     want, expected = runtime_warnings(tile_sup, basis, rows)
     got, raised = runtime_warnings(basis.audit_sup, rows)
     assert np.array_equal(got, want, equal_nan=True)
     assert raised <= expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    audit_rows(1, FINITE_ROW_KINDS + ("subnormal", "nan", "inf")),
+    st.sampled_from([1, 3 * 2**10, hermite.AUDIT_TILE_BYTES]),
+)
+def test_audit_sup_is_the_tile_max_bit_for_bit_d1(case, tile_bytes):
+    # the row blocks of the d = 1 sup: one row at a time, a few, and all rows at once
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(hermite, "AUDIT_TILE_BYTES", tile_bytes)
+        check_audit_sup_against_tile_max(*case)
 
 
 @settings(max_examples=40, deadline=None)
@@ -344,6 +388,24 @@ def test_audit_sup_contracts_few_slabs_of_the_ground_state(monkeypatch):
     monkeypatch.setattr(hermite.BasisGrid, "_contract", staticmethod(counting))
     assert np.array_equal(basis.audit_sup(h00), want)
     assert 0 < sum(contracted) < audit_axis(16, 2).size / 2
+
+
+def test_d1_audit_sup_memory():
+    # 4096 complex rows at N = 15 (308 points): the grid values and one quarter-tile block of their |u|
+    basis = build_basis(1, 15, 32)
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(4096, basis.size)) + 1j * rng.normal(size=(4096, basis.size))
+    table = basis.audit_table()
+    tracemalloc.start()
+    try:
+        sup = basis.audit_sup(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(sup, tile_sup(basis, rows))
+    values_bytes = rows.shape[0] * table.shape[1] * 16
+    complex_table_bytes = table.size * 16  # the matmul's complex copy of the real table
+    assert peak <= values_bytes + hermite.AUDIT_TILE_BYTES // 4 + complex_table_bytes + 2**16
 
 
 def test_d3_audit_sup_memory():
@@ -377,6 +439,26 @@ def fields_on_bases(draw):
 def test_analysis_inverts_synthesis(u):
     back = analyze(synthesize(u), u.basis)
     assert np.max(np.abs(back.coeffs - u.coeffs)) <= 1e-13 * np.max(np.abs(u.coeffs))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 6, 7, 8])
+def test_contract_warns_for_no_lone_inf(n):
+    # OpenBLAS flags an invalid operation for a lone inf at some stack widths; only its values count
+    basis = hermite.cached_basis(2, n, 2 * (n + 1))
+    row = np.zeros((1, basis.size), dtype=complex)
+    row[0, 0] = np.inf  # h_00 has no zero on the audit grid
+    table = basis.audit_table()
+    zeroed = table.copy()
+    zeroed[:, 5] = 0.0  # every h_n vanishes at axis point 5: inf * 0 there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = basis.grid_values(row, table)
+        assert np.all(np.isposinf(values.real)) and np.all(values.imag == 0)
+        assert np.all(np.isposinf(basis.audit_sup(row)))
+        values = basis.grid_values(row, zeroed).real.reshape(table.shape[1], table.shape[1])
+    on_zero = np.zeros(values.shape, dtype=bool)
+    on_zero[5, :] = on_zero[:, 5] = True
+    assert np.all(np.isnan(values[on_zero])) and np.all(np.isposinf(values[~on_zero]))
 
 
 def reference_hermite_function_values(n_max, x):

@@ -1,12 +1,13 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscilab import ensembles
-from oscilab.ensembles import FAMILIES, make_ensemble, sample_gain_matrix
+from oscilab import ensembles, proba
+from oscilab.ensembles import FAMILIES, make_ensemble, sample_block, sample_gain_matrix
 from oscilab.fields import SpectralField, _trapezoid_weights, unit_field
 from oscilab.hermite import build_basis, cached_basis
 from oscilab.mc import DEFAULT_CHUNK
@@ -444,6 +445,53 @@ def test_chernoff_weibull():
         10**6,
     )
     assert rep["verdict"]
+
+
+def chernoff_partial(monkeypatch, spec, coeffs, rho_grid):
+    """The chunk partial that chernoff_tail folds, captured from its fold_block call."""
+    captured = []
+
+    def recording(spec, n_samples, width, partial, workers=1):
+        captured.append(partial)
+        return ensembles.fold_block(spec, n_samples, width, partial, workers)
+
+    monkeypatch.setattr(proba, "fold_block", recording)
+    chernoff_tail(spec, coeffs, rho_grid, 10**5)
+    return captured[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([make_ensemble("gaussian", seed=SEED), make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5)]),
+    st.integers(0, 2**20),
+    st.integers(1, 2**16),
+)
+def test_chernoff_partial_matches_outer_and_bool_matrix_forms(spec, start, count):
+    coeffs, rho_grid = np.ones(16) / 4.0, np.linspace(1.0, 6.0, 21)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        partial = chernoff_partial(monkeypatch, spec, coeffs, rho_grid)
+    rows = sample_block(spec, start, start + count, coeffs.size)
+    s = np.abs(rows @ coeffs)
+    want = np.concatenate([
+        np.exp(np.outer(np.linspace(-1.0, 1.0, 21), rows[:, 0])).sum(axis=1),
+        (s[None, :] >= rho_grid[:, None]).sum(axis=1),
+        [(s**q).sum() for q in (2, 4, 6, 8, 10)],
+    ])
+    assert np.array_equal(partial(rows), want)
+
+
+def test_chernoff_memory_budget():
+    # two full chunks of 2^16 rows x 16: the chunk's 8 MiB of gains and a few row-length vectors,
+    # where (21 x rows) MGF temporaries and a second chunk held took 37 MiB
+    spec = make_ensemble("gaussian", seed=SEED)
+    tracemalloc.start()
+    try:
+        rep = chernoff_tail(spec, np.ones(16) / 4.0, np.linspace(1.0, 4.5, 15), 2**17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["n_samples"] == 2**17
+    assert peak <= 1.5 * 8 * 2**20
 
 
 def test_chernoff_gamma_range():
