@@ -14,13 +14,12 @@ import json
 import sys
 from pathlib import Path
 
-from . import acceptance
 from .experiments import DEFAULT_SEED, EXPERIMENTS, TIERS, ConfigError, Context, Result
 from .lens import AliasingGuardError
 from .picard import DivergenceError
 from .reports import write_csv, write_manifest, write_report
 
-REGISTRY = {e.name: e for e in (*EXPERIMENTS, acceptance.EXPERIMENT)}
+REGISTRY = {e.name: e for e in EXPERIMENTS}
 
 COMMANDS = tuple(REGISTRY)
 

@@ -31,7 +31,6 @@ __all__ = [
     "picard_solve",
     "residual",
     "mass_curve",
-    "uniqueness_probe",
     "scattering_extract",
     "global_nls_solution",
     "save_trajectory",
@@ -225,29 +224,26 @@ def _apply_duhamel(ws: _Workspace, u0: np.ndarray, v_mat: np.ndarray) -> np.ndar
     return -1j * ws.phases * cumulative
 
 
-def picard_solve(
-    u0: SpectralField,
-    cfg: SolverConfig,
-    v_init: np.ndarray | None = None,
-) -> Trajectory:
-    """Iterate v <- L(v) to the fixed point.
+def picard_solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
+    """Iterate v <- L(v) from v = 0 to the fixed point.
 
     Stops when the update, measured in the surrogate intersection norm,
     falls to TOL.  Raises DivergenceError when the blow-up guard trips (any
     field norm beyond 1e6 times the data) or MAX_ITER is hit;
     the error carries the contraction history.
     """
+    return _iterate(u0, cfg, np.zeros((cfg.time_nodes, u0.basis.size), dtype=complex))
+
+
+def _iterate(u0: SpectralField, cfg: SolverConfig, v_mat: np.ndarray) -> Trajectory:
+    """picard_solve from the complex (time nodes x modes) start v_mat, which
+    it reads but does not modify."""
     basis = u0.basis
     if basis.dim != cfg.dim:
         raise ValueError(f"basis dim {basis.dim} != config dim {cfg.dim}")
     if basis.max_degree != cfg.N:
         raise ValueError(f"basis degree {basis.max_degree} != config N {cfg.N}")
     ws = _Workspace(cfg, basis)
-    v_mat = (
-        np.zeros((cfg.time_nodes, basis.size), dtype=complex)
-        if v_init is None
-        else np.array(v_init, dtype=complex, copy=True)
-    )
     guard = BLOWUP_FACTOR * max(float(np.linalg.norm(u0.coeffs)), 1e-30)
     history: list[float] = []
     for iteration in range(1, MAX_ITER + 1):
@@ -330,59 +326,6 @@ def mass_curve(traj: Trajectory) -> dict:
         "times": traj.times.tolist(),
         "mass": masses.tolist(),
         "drift": float(masses.max() - masses.min()),
-    }
-
-
-def uniqueness_probe(
-    u0: SpectralField,
-    cfg: SolverConfig,
-    perturbation: SpectralField,
-) -> dict:
-    """Fixed-point uniqueness and the Gronwall-type differential inequality.
-
-    Part one solves from v = 0 and from v = perturbation (inside the ball)
-    and checks both initializations land on the same fixed point within
-    10 TOL.  Part two compares the solutions with data u0 and
-    u0 + perturbation, whose gap is genuinely nonzero, and verifies
-    |d/dt ||u_a - u_b||^2| <= 2 (p-1) (sup|u_a|^{p-1} + sup|u_b|^{p-1}) ||u_a - u_b||^2
-    at the interior nodes (identical-data trajectories coincide to solver
-    tolerance, which would leave the ratio undefined).
-    """
-    if (perturbation.basis.dim, perturbation.basis.max_degree) != (u0.basis.dim, u0.basis.max_degree):
-        raise ValueError("perturbation must live on the data's basis")
-    traj_a = picard_solve(u0, cfg)
-    pert_stack = np.tile(perturbation.coeffs, (cfg.time_nodes, 1))
-    traj_b = picard_solve(u0, cfg, v_init=pert_stack)
-    gap = float(np.max(np.linalg.norm(traj_a.v - traj_b.v, axis=1)))
-
-    shifted = SpectralField(u0.basis, u0.coeffs + perturbation.coeffs)
-    traj_c = picard_solve(shifted, cfg)
-    ua = traj_a.u_matrix()
-    uc = traj_c.u_matrix()
-    diff_sq = np.linalg.norm(ua - uc, axis=1) ** 2
-    h = float(traj_a.times[1] - traj_a.times[0])
-    sup_a = u0.basis.audit_sup(ua)
-    sup_c = u0.basis.audit_sup(uc)
-    p = cfg.nonlinearity_p
-    ratios, bounds = [], []
-    for j in range(1, cfg.time_nodes - 1):
-        if diff_sq[j] <= (10 * TOL) ** 2:
-            continue
-        ratios.append(abs(diff_sq[j + 1] - diff_sq[j - 1]) / (2 * h) / diff_sq[j])
-        bounds.append(2.0 * (p - 1) * (sup_a[j] ** (p - 1) + sup_c[j] ** (p - 1)))
-    ratios = np.asarray(ratios)
-    bounds = np.asarray(bounds)
-    # vacuously true when the perturbed data coincide with u0 (no usable gap)
-    gronwall_ok = ratios.size == 0 or bool(np.all(ratios <= bounds * 1.1 + 1e-12))
-    return {
-        "fixed_point_gap": gap,
-        "gap_tolerance": 10.0 * TOL,
-        "fixed_point_unique": gap <= 10.0 * TOL,
-        "gronwall_points": int(ratios.size),
-        "gronwall_max_ratio": float(ratios.max()) if ratios.size else 0.0,
-        "gronwall_min_bound": float(bounds.min()) if bounds.size else 0.0,
-        "gronwall_ok": gronwall_ok,
-        "iterations": [traj_a.iterations, traj_b.iterations, traj_c.iterations],
     }
 
 

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from oscilab import acceptance
 from oscilab.cli import main
 from oscilab.experiments import EXPERIMENTS, TIERS
 
@@ -109,14 +108,8 @@ def test_every_option_is_set_by_the_program_or_the_benchmark():
 
 def test_every_command_declares_exactly_the_tiers():
     assert TIERS == ("smoke", "reference")
-    for experiment in (*EXPERIMENTS, acceptance.EXPERIMENT):
+    for experiment in EXPERIMENTS:
         assert tuple(experiment.params_by_tier) == TIERS, experiment.name
-    # acceptance criteria read the registry presets: acceptance.py keys nothing by tier
-    tier_keyed = [
-        node.lineno for node in ast.walk(ast.parse((SRC / "acceptance.py").read_text()))
-        if isinstance(node, ast.Dict) and any(getattr(key, "value", None) in TIERS for key in node.keys)
-    ]
-    assert tier_keyed == []
 
 
 def test_cli_refuses_an_unknown_tier(tmp_path, capsys):

@@ -46,6 +46,7 @@ def test_cycle_counts_brute_equals_closed(p, expected):
 def test_cycle_count_bound():
     rep = cycle_23_bound_constant(12)
     c = rep["fitted_C"]
+    assert np.isfinite(c)
     for row in rep["rows"]:
         assert row["count"] <= (c * row["p"]) ** (4 * row["p"] / 3) * (1 + 1e-12)
 
