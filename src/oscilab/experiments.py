@@ -204,7 +204,7 @@ def lens_check(params, ctx):
     for t in params["times"]:
         frame = lens_forward(propagate_linear(u0, lens_time_map(t)), t)
         free = free_propagate(u0, t)
-        dx = float(frame.grid[1] - frame.grid[0])
+        dx = float(frame.axis[1] - frame.axis[0])
         worst_conj = max(worst_conj, float(np.sqrt(dx * np.sum(np.abs(frame.values - free.values) ** 2))))
     rng = np.random.default_rng(ctx.seed)
     c = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
@@ -252,7 +252,10 @@ def _trajectory(params, ctx):
     checkpoint = ctx.out_dir / "trajectory.npz"
     u0, cfg = _solve_from_params(params)
     if ctx.resume and checkpoint.exists():
-        traj = load_trajectory(checkpoint)
+        try:
+            traj = load_trajectory(checkpoint)
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint {checkpoint} cannot be resumed ({exc}); rerun without --resume") from exc
         if (
             traj.config != cfg
             or traj.basis.quad_per_axis != u0.basis.quad_per_axis
@@ -303,7 +306,7 @@ def solve_nls(params, ctx):
     frames = {}
     for t in params["times"]:
         frame = global_nls_solution(traj, t)
-        frames[f"frame_t{t}"] = {"x": frame.grid, "re_u": frame.values.real, "im_u": frame.values.imag}
+        frames[f"frame_t{t}"] = {"x": frame.axis, "re_u": frame.values.real, "im_u": frame.values.imag}
         masses.append({"t": t, "mass": frame_l2_norm(frame)})
     drift = max(abs(m["mass"] - u0.l2_norm) for m in masses)
     return Result(
@@ -374,6 +377,8 @@ def khinchin(params, ctx):
 
 def b2p(params, ctx):
     p = params["p"]
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     # counts of 2/3-cycle permutations of 2p symbols in closed form and,
     # for 2p <= 10 (else -1), by brute force
     rows = {"two_p": [], "closed_form": [], "brute_force": []}

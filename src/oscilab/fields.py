@@ -115,9 +115,9 @@ def analyze(values: np.ndarray, basis: BasisGrid) -> SpectralField:
     Exact left inverse of synthesize on the truncated span.
     """
     values = np.asarray(values)
-    if values.shape != (basis.nodes.shape[0],):
+    if values.shape != basis.weights.shape:
         raise BasisError(
-            f"value array length {values.shape} does not match node count {basis.nodes.shape[0]}"
+            f"value array length {values.shape} does not match node count {basis.weights.size}"
         )
     coeffs = basis.grid_coeffs(values, basis.eval_table, basis.weights)
     return SpectralField(basis, coeffs.astype(complex))
@@ -167,8 +167,7 @@ def rayleigh_quotient(u: SpectralField) -> float:
         derivative_coefficients(u, axis=a).l2_norm ** 2 for a in range(u.basis.dim)
     )
     vals = synthesize(u)
-    x2 = np.sum(u.basis.nodes**2, axis=1)
-    potential = float(np.sum(u.basis.weights * x2 * np.abs(vals) ** 2))
+    potential = float(np.sum(u.basis.weights * u.basis.radius2 * np.abs(vals) ** 2))
     return (kinetic + potential) / denom
 
 
@@ -203,19 +202,20 @@ _PRODUCT_QUAD_CACHE: dict = {}
 def product_quadrature(basis: BasisGrid, product_degree: int):
     """Quadrature grid exact for degree-product_degree polynomial factors.
 
-    Returns the de-aliased tensor grid (nodes, weights) and its per-axis table
-    h_n(axis node j) for ``basis.grid_values`` and ``basis.grid_coeffs``, sized
-    so that (product of fields) x (basis function) stays inside the exactness
-    degree.  The arrays are a BasisGrid's, read-only: the input's own when its
-    grid is already fine enough, else a cached finer one.
+    Returns (radius2, weights, table): |x|^2 and the weights on the
+    de-aliased tensor grid, and its per-axis table h_n(axis node j) for
+    ``basis.grid_values`` and ``basis.grid_coeffs``, sized so that (product
+    of fields) x (basis function) stays inside the exactness degree.  The
+    arrays are a BasisGrid's, read-only: the input's own when its grid is
+    already fine enough, else a cached finer one.
     """
     per_axis = max(basis.quad_per_axis, int(np.ceil((product_degree + basis.max_degree) / 2)) + 1)
     if per_axis == basis.quad_per_axis:
-        return basis.nodes, basis.weights, basis.eval_table
+        return basis.radius2, basis.weights, basis.eval_table
     key = (basis.dim, basis.max_degree, basis.quad_per_axis, per_axis)
     if key not in _PRODUCT_QUAD_CACHE:
         fine = build_basis(basis.dim, basis.max_degree, per_axis)
-        _PRODUCT_QUAD_CACHE[key] = (fine.nodes, fine.weights, fine.eval_table)
+        _PRODUCT_QUAD_CACHE[key] = (fine.radius2, fine.weights, fine.eval_table)
     return _PRODUCT_QUAD_CACHE[key]
 
 
@@ -223,9 +223,9 @@ def weighted_x_L2_norm(u: SpectralField, s: float) -> float:
     """|| <x>^s u ||_{L^2} with <x> = sqrt(1 + |x|^2), by de-aliased quadrature."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    nodes, weights, table = product_quadrature(u.basis, 2 * u.basis.max_degree)
+    radius2, weights, table = product_quadrature(u.basis, 2 * u.basis.max_degree)
     vals = u.basis.grid_values(u.coeffs, table)
-    w = (1.0 + np.sum(nodes**2, axis=1)) ** s
+    w = (1.0 + radius2) ** s
     return float(np.sqrt(np.sum(weights * w * np.abs(vals) ** 2)))
 
 
@@ -236,9 +236,9 @@ def fractional_laplacian_L2_norm(u: SpectralField, s: float) -> float:
     if s == 0:
         return u.l2_norm
     uhat = fourier_transform(u)
-    nodes, weights, table = product_quadrature(u.basis, 2 * u.basis.max_degree)
+    radius2, weights, table = product_quadrature(u.basis, 2 * u.basis.max_degree)
     vals = u.basis.grid_values(uhat.coeffs, table)
-    w = np.sum(nodes**2, axis=1) ** s
+    w = radius2**s
     return float(np.sqrt(np.sum(weights * w * np.abs(vals) ** 2)))
 
 
@@ -252,17 +252,14 @@ def classical_sobolev_norm(u: SpectralField, s: float) -> float:
 def lebesgue_audit_norm(u: SpectralField, r: float) -> float:
     """L^r norm over the uniform audit grid (Riemann sum), summed tile by tile; r = inf is the sup."""
     basis, rows = u.basis, u.coeffs[None, :]
+    vmax = basis.audit_sup(rows)[0]
     if np.isinf(r):
-        return float(basis.audit_sup(rows)[0])
-    if basis.dim == 1:  # one matmul serves the max and the sum
-        tiles = [np.abs(basis.grid_values(u.coeffs, basis.audit_table()))]
-        vmax = tiles[0].max()
-    else:  # the tiles are made again after the sup: the whole grid never exists at once
-        tiles, vmax = basis.audit_tiles(rows), basis.audit_sup(rows)[0]
+        return float(vmax)
     if vmax == 0:
         return 0.0
-    # factored form keeps the evaluation exactly degree-1 homogeneous in u
-    total = sum(np.sum((vals / vmax) ** r) for vals in tiles)
+    # factored form keeps the evaluation exactly degree-1 homogeneous in u; the tiles come after the sup,
+    # so the whole grid never exists at once
+    total = sum(np.sum((vals / vmax) ** r) for vals in basis.audit_tiles(rows))
     return float(vmax * (basis.audit_cell_volume() * total) ** (1.0 / r))
 
 
@@ -335,8 +332,6 @@ def _unit_grid_values(basis: BasisGrid, a: int, b: int, table: np.ndarray) -> np
     contracts the axes (the matmul adds only exact zeros to each product).
     At d = 1 they are the table rows themselves.
     """
-    if basis.dim == 1:
-        return table[a:b]
     idx = np.array(basis.indices[a:b])
     vals = table[idx[:, 0]]
     for axis in range(1, basis.dim):
@@ -381,14 +376,14 @@ def smoothing_functional(
     if np.any(denom == 0):
         raise ValueError("smoothing functional of the zero field")
 
-    nodes, weights, table = product_quadrature(basis, 2 * basis.max_degree)
+    radius2, weights, table = product_quadrature(basis, 2 * basis.max_degree)
     # quadrature weights times the squared weight (<x>^{-(1/2-eps)})^2 = (1 + |x|^2)^{-(1/2-eps)}
-    weight_sq = weights * (1.0 + np.sum(nodes**2, axis=1)) ** (-(0.5 - eps))
+    weight_sq = weights * (1.0 + radius2) ** (-(0.5 - eps))
     coeffs = np.stack([u.coeffs for u in fields])
     if variant == "sqrtH":  # H^{(1/2-2 eps)/2} is diagonal: it scales the coefficients
         coeffs = coeffs * basis.lambda2 ** ((0.5 - 2 * eps) / 2.0)
     else:
-        mult = np.sum(nodes**2, axis=1) ** ((basis.dim / 2.0 - 2 * eps) / 2.0)
+        mult = radius2 ** ((basis.dim / 2.0 - 2 * eps) / 2.0)
         # the Fourier conjugation's phase i^{|m|-|n|} on the parity classes the even multiplier couples
         sign = 1.0 - 2.0 * (basis.degrees // 2 % 2)
     sizes = np.bincount(basis.degrees)  # eigenspace k: the sizes[k] consecutive positions of degree k

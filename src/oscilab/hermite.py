@@ -5,14 +5,17 @@ Gauss-Hermite quadrature adapted to function space (the Gaussian factor is
 folded into the weights analytically, so nothing overflows at large node
 counts), and analysis/synthesis between coefficient and physical space.
 
-Fields are evaluated on tensor grids (quadrature nodes, the audit grid, lens
-grids) by sum factorization: the coefficients fill the (N+1)^d box, zero above
-total degree N, and the box is contracted with the 1-D Hermite table one axis
-at a time, never with a (modes x grid points) table; quadrature analysis runs
-it backwards.  L^r norms are reduced tile by tile along the first axis.  The
-sup is an exact branch and bound over the same contractions: a slab of the
-grid whose bound, from the largest |h_n| on the audit axis, cannot beat the
-running max is never synthesized (``BasisGrid.audit_sup``).
+A tensor grid (quadrature nodes, the audit grid, lens grids) is kept as its
+1-D axis, its points in C order; its weights and |y|^2 (``grid_radius2``)
+are outer products and sums over the axis, so no (points x d) array exists.
+Fields are evaluated on it by sum factorization: the coefficients fill the
+(N+1)^d box, zero above total degree N, and the box is contracted with the
+1-D Hermite table one axis at a time, never with a (modes x grid points)
+table; quadrature analysis runs it backwards.  L^r norms are reduced tile by
+tile along the first axis.  The sup is an exact branch and bound over the
+same contractions: a slab of the grid whose bound, from the largest |h_n| on
+the audit axis, cannot beat the running max is never synthesized
+(``BasisGrid.audit_sup``).
 
 Every 1-D value comes from one recurrence kernel, ``_recurrence``, which
 keeps only the rows its caller reads: ``hermite_function_values`` keeps all
@@ -25,7 +28,8 @@ few steps, at no cost to the bits (see ``_recurrence``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -39,7 +43,7 @@ __all__ = [
     "hermite_function_values",
     "gauss_hermite_nodes",
     "audit_axis",
-    "tensor_grid",
+    "grid_radius2",
 ]
 
 # hard ceiling on the coefficient enumeration; build_basis refuses beyond it
@@ -188,56 +192,76 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisGrid:
     """Hermite basis of R^dim truncated at total degree max_degree.
 
-    Immutable after construction; its arrays are read-only, so worker threads
-    share them safely.  ``weights`` are adjusted so that
-    ``sum_j weights[j] f(nodes[j])`` approximates the integral of f over R^dim
+    Frozen, with read-only arrays, so worker threads share it safely; each
+    derived table is a cached property, built on first use (threads racing
+    on it build equal copies).  On the tensor grid y of ``axis_nodes``,
+    ``sum_j weights[j] f(y_j)`` approximates the integral of f over R^dim
     for smooth decaying f, and is exact when f is a polynomial of per-axis
-    degree <= 2*quad_per_axis - 1 times the squared Gaussian.
-
-    The nodes and the audit grid are tensor grids of one axis; ``eval_table``
-    and ``audit_table()`` are their per-axis tables h_n(y_j), shape (N+1, P).
-    ``grid_values`` synthesizes coefficient rows on such a grid by contracting
-    the coefficient box with the per-axis table one axis at a time, at most
-    N+1 multiply-adds per grid value and axis instead of one per basis
-    function; ``grid_coeffs`` is the quadrature analysis back, and
-    ``audit_tiles`` yields |u| tile by tile for L^r norms.  ``audit_sup``
-    gives the max over those tiles bit for bit, but contracts only the slabs
-    and pencils of the grid whose rigorous bound can beat the running max.
+    degree <= 2*quad_per_axis - 1 times the squared Gaussian.  ``eval_table``
+    and ``audit_table()`` are the per-axis tables h_n(y_j), shape (N+1, P),
+    of the nodes and the audit grid.  ``grid_values`` synthesizes coefficient
+    rows on such a grid by contracting the coefficient box with the per-axis
+    table one axis at a time, at most N+1 multiply-adds per grid value and
+    axis instead of one per basis function; ``grid_coeffs`` is the quadrature
+    analysis back, and ``audit_tiles`` yields |u| tile by tile for L^r norms.
+    ``audit_sup`` gives the max over those tiles bit for bit, but contracts
+    only the slabs and pencils of the grid whose rigorous bound can beat the
+    running max.
     """
 
     dim: int
     max_degree: int
     quad_per_axis: int
     indices: tuple[tuple[int, ...], ...]
-    nodes: np.ndarray        # (n_nodes, dim)
-    weights: np.ndarray      # (n_nodes,)
+    weights: np.ndarray      # (quad_per_axis^dim,)
     eval_table: np.ndarray   # (max_degree + 1, quad_per_axis)
     axis_nodes: np.ndarray   # (quad_per_axis,)
     axis_weights: np.ndarray
-    degrees: np.ndarray = field(init=False)   # |n| per enumerated index
-    lambda2: np.ndarray = field(init=False)   # 2|n| + dim per index
-
-    def __post_init__(self):
-        self.degrees = np.array([sum(n) for n in self.indices], dtype=int)
-        self.lambda2 = 2.0 * self.degrees + self.dim
-        for name in ("nodes", "weights", "eval_table", "axis_nodes", "axis_weights", "degrees", "lambda2"):
-            _read_only(getattr(self, name))
-        self._aux: dict = {}
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
+    @cached_property
+    def degrees(self) -> np.ndarray:  # |n| per enumerated index
+        return _read_only(np.array([sum(n) for n in self.indices], dtype=int))
+
+    @cached_property
+    def lambda2(self) -> np.ndarray:  # 2|n| + dim per enumerated index
+        return _read_only(2.0 * self.degrees + self.dim)
+
+    @cached_property
+    def radius2(self) -> np.ndarray:  # |y|^2 at the quadrature nodes
+        return _read_only(grid_radius2(self.axis_nodes, self.dim))
+
+    @cached_property
+    def _positions(self) -> dict:
+        return {n: k for k, n in enumerate(self.indices)}
+
+    @cached_property
+    def _index_array(self) -> np.ndarray:
+        return _read_only(np.array(self.indices, dtype=np.intp).reshape(self.size, self.dim))
+
+    @cached_property
+    def _box_positions(self) -> np.ndarray:  # flat position of each enumerated index in the C-order (N+1)^dim box
+        return _read_only(np.ravel_multi_index(tuple(self._index_array.T), (self.max_degree + 1,) * self.dim))
+
+    @cached_property
+    def _audit_table(self) -> np.ndarray:
+        return _read_only(hermite_function_values(self.max_degree, audit_axis(self.max_degree, self.dim)))
+
+    @cached_property
+    def _audit_peak(self) -> np.ndarray:  # max_j |h_n(y_j)| on the audit axis, per degree n
+        return _read_only(np.abs(self._audit_table).max(axis=1))
+
     def index_position(self, index) -> int:
-        if "pos" not in self._aux:
-            self._aux["pos"] = {n: k for k, n in enumerate(self.indices)}
         key = (int(index),) if np.isscalar(index) else tuple(int(i) for i in index)
         try:
-            return self._aux["pos"][key]
+            return self._positions[key]
         except KeyError:
             raise BasisError(f"multi-index {key} outside basis (d={self.dim}, N={self.max_degree})")
 
@@ -252,7 +276,7 @@ class BasisGrid:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise BasisError(f"points must have shape (m, {self.dim})")
-        idx = self._index_array()
+        idx = self._index_array
         out = hermite_function_values(self.max_degree, pts[:, 0])[idx[:, 0]]
         for a in range(1, self.dim):
             out = out * hermite_function_values(self.max_degree, pts[:, a])[idx[:, a]]
@@ -260,10 +284,7 @@ class BasisGrid:
 
     def audit_table(self) -> np.ndarray:
         """Per-axis audit table h_n(y_j), shape (N+1, P), on the audit axis y."""
-        if "audit_table" not in self._aux:
-            table = hermite_function_values(self.max_degree, audit_axis(self.max_degree, self.dim))
-            self._aux["audit_table"] = _read_only(table)
-        return self._aux["audit_table"]
+        return self._audit_table
 
     def audit_cell_volume(self) -> float:
         ax = audit_axis(self.max_degree, self.dim)
@@ -295,7 +316,7 @@ class BasisGrid:
             return ((table * weights) @ values.T).T
         rows = (values * weights).reshape(-1, weights.size)
         box = self._contract(rows.T.reshape((table.shape[1],) * self.dim + (-1,)), table.T, range(self.dim))
-        out = box.reshape(-1, rows.shape[0])[self._box_positions()].T
+        out = box.reshape(-1, rows.shape[0])[self._box_positions].T
         return out.reshape(values.shape[:-1] + (-1,))
 
     def audit_tiles(self, coeffs: np.ndarray):
@@ -371,7 +392,7 @@ class BasisGrid:
             return sup
         table = self.audit_table()
         partial = self._contract(self._box(coeffs), table, range(1))
-        self._sup_walk(partial, table, np.abs(table).max(axis=1), sup)
+        self._sup_walk(partial, table, self._audit_peak, sup)
         return sup
 
     def _sup_walk(self, cells: np.ndarray, table: np.ndarray, peak: np.ndarray, sup: np.ndarray) -> None:
@@ -408,23 +429,11 @@ class BasisGrid:
             else:
                 self._sup_walk(vals, table, peak, sup)
 
-    def _index_array(self) -> np.ndarray:
-        if "index_array" not in self._aux:
-            self._aux["index_array"] = _read_only(np.array(self.indices, dtype=np.intp).reshape(self.size, self.dim))
-        return self._aux["index_array"]
-
-    def _box_positions(self) -> np.ndarray:
-        """Flat position of each enumerated index in the C-order (N+1)^dim box."""
-        if "box_positions" not in self._aux:
-            flat = np.ravel_multi_index(tuple(self._index_array().T), (self.max_degree + 1,) * self.dim)
-            self._aux["box_positions"] = _read_only(flat)
-        return self._aux["box_positions"]
-
     def _box(self, rows: np.ndarray) -> np.ndarray:
         """(m, size) rows scattered into the coefficient box (N+1, ..., N+1, m), zero above degree N."""
         n = self.max_degree + 1
         box = np.zeros((n**self.dim, rows.shape[0]), dtype=np.result_type(rows, float))
-        box[self._box_positions()] = rows.T
+        box[self._box_positions] = rows.T
         return box.reshape((n,) * self.dim + (rows.shape[0],))
 
     @staticmethod
@@ -476,10 +485,12 @@ def _cell_bounds(cells: np.ndarray, peak: np.ndarray) -> np.ndarray:
     return out
 
 
-def tensor_grid(axis: np.ndarray, dim: int) -> np.ndarray:
-    """The dim-fold tensor grid of a 1-D axis as points, shape (len(axis)^dim, dim), C order."""
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def grid_radius2(axis: np.ndarray, dim: int) -> np.ndarray:
+    """|y|^2 on the C-order dim-fold tensor grid of a 1-D axis, shape (len(axis)^dim,), added first axis first."""
+    out = square = np.asarray(axis, dtype=float) ** 2
+    for _ in range(1, dim):
+        out = np.add.outer(out, square).ravel()
+    return out
 
 
 def audit_axis(max_degree: int, dim: int) -> np.ndarray:
@@ -518,25 +529,24 @@ def build_basis(dim: int, max_degree: int, quad_per_axis: int) -> BasisGrid:
         raise BasisError(
             f"enumeration size {len(indices)} exceeds coefficient budget {DEFAULT_COEFF_BUDGET}"
         )
+    # (points x dim) nodes plus weights; above d = 1 this overestimates what is allocated, since the grid is
+    # kept as its axis with weights and radius2 as its only point arrays.  The same grids stay refused.
     grid_bytes = quad_per_axis**dim * (dim + 1) * 8
     if grid_bytes > GRID_BYTES_BUDGET:
         raise BasisError(
             f"tensor grid of {quad_per_axis}^{dim} nodes and weights needs "
             f"{grid_bytes} B, over the budget of {GRID_BYTES_BUDGET} B"
         )
-    axis_nodes, axis_weights, eval_table = gauss_hermite_nodes(quad_per_axis, max_degree)
-    nodes = tensor_grid(axis_nodes, dim)
-    weights = np.ones(nodes.shape[0])
-    for w in tensor_grid(axis_weights, dim).T:
-        weights = weights * w
-
+    axis_nodes, axis_weights, eval_table = map(_read_only, gauss_hermite_nodes(quad_per_axis, max_degree))
+    weights = axis_weights
+    for _ in range(1, dim):
+        weights = np.multiply.outer(weights, axis_weights).ravel()
     return BasisGrid(
         dim=dim,
         max_degree=max_degree,
         quad_per_axis=quad_per_axis,
         indices=indices,
-        nodes=nodes,
-        weights=weights,
+        weights=_read_only(weights),
         eval_table=eval_table,
         axis_nodes=axis_nodes,
         axis_weights=axis_weights,
@@ -560,7 +570,7 @@ def gram_deviation(basis: BasisGrid) -> float:
     G[k, l] = prod_a g[n_a(k), n_a(l)] is built from the per-axis Gram g.
     """
     axis_gram = (basis.eval_table * basis.axis_weights) @ basis.eval_table.T
-    idx = basis._index_array()
+    idx = basis._index_array
     gram = np.ones((basis.size, basis.size))
     for a in range(basis.dim):
         gram = gram * axis_gram[np.ix_(idx[:, a], idx[:, a])]

@@ -6,7 +6,8 @@ The transform sends a function u of internal time s = arctan(2t)/2 to
     u_lens(t, x) = (1 + 4 t^2)^(-d/4) u(s, x / sqrt(1 + 4 t^2)) e^{i |x|^2 t / (1 + 4 t^2)},
 
 an L^2 isometry for each t that intertwines the oscillator flow exp(-isH)
-with the free flow exp(it del^2).
+with the free flow exp(it del^2).  A frame holds the axis of its tensor grid,
+the audit axis scaled by sqrt(1 + 4 t^2), and the values at its points.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .fields import SpectralField, analyze, embed_field, fourier_transform, inverse_fourier_transform, synthesize
-from .hermite import DEFAULT_COEFF_BUDGET, audit_axis, cached_basis, hermite_function_values, tensor_grid
+from .hermite import DEFAULT_COEFF_BUDGET, audit_axis, cached_basis, grid_radius2, hermite_function_values
 
 __all__ = [
     "PhysicalFrame",
@@ -51,15 +52,16 @@ class AliasingGuardError(RuntimeError):
 
 @dataclass
 class PhysicalFrame:
-    """Complex values sampled on a spatial grid at one external time."""
+    """Complex values at one external time on the C-order dim-fold tensor grid of a uniform axis."""
 
-    grid: np.ndarray    # (n_points,) for d = 1, else (n_points, d)
-    values: np.ndarray
+    axis: np.ndarray    # (P,)
+    dim: int
+    values: np.ndarray  # (P^dim,)
     time: float
 
     def __post_init__(self):
-        if self.grid.shape[0] != self.values.shape[0]:
-            raise ValueError("grid and values must have matching length")
+        if self.values.shape != (self.axis.size**self.dim,):
+            raise ValueError("values must hold one entry per point of the axis's tensor grid")
 
 
 def lens_time_map(t: float) -> float:
@@ -79,10 +81,6 @@ def _scaled_axis(basis, t: float) -> np.ndarray:
     return np.sqrt(1.0 + 4.0 * t * t) * audit_axis(basis.max_degree, basis.dim)
 
 
-def _frame_grid(axis: np.ndarray, dim: int) -> np.ndarray:
-    return axis if dim == 1 else tensor_grid(axis, dim)
-
-
 def lens_forward(u_internal: SpectralField, t: float) -> PhysicalFrame:
     """Lens image at external time t of the field u at internal time arctan(2t)/2.
 
@@ -94,20 +92,15 @@ def lens_forward(u_internal: SpectralField, t: float) -> PhysicalFrame:
     """
     basis = u_internal.basis
     alpha = 1.0 + 4.0 * t * t
-    grid = _frame_grid(_scaled_axis(basis, t), basis.dim)
+    axis = _scaled_axis(basis, t)
     inner = basis.grid_values(u_internal.coeffs, basis.audit_table())
-    x2 = grid**2 if basis.dim == 1 else np.sum(grid**2, axis=1)
-    values = alpha ** (-basis.dim / 4.0) * inner * np.exp(1j * x2 * t / alpha)
-    return PhysicalFrame(grid=grid, values=values, time=float(t))
+    values = alpha ** (-basis.dim / 4.0) * inner * np.exp(1j * grid_radius2(axis, basis.dim) * t / alpha)
+    return PhysicalFrame(axis=axis, dim=basis.dim, values=values, time=float(t))
 
 
 def frame_l2_norm(frame: PhysicalFrame) -> float:
     """L^2 norm of a frame on its uniform grid (Riemann sum)."""
-    if frame.grid.ndim == 1:
-        cell = float(frame.grid[1] - frame.grid[0])
-    else:
-        axis = np.unique(frame.grid[:, -1])
-        cell = float(axis[1] - axis[0]) ** frame.grid.shape[1]
+    cell = float(frame.axis[1] - frame.axis[0]) ** frame.dim
     return float(np.sqrt(cell * np.sum(np.abs(frame.values) ** 2)))
 
 
@@ -184,8 +177,7 @@ def free_propagate_field(u0: SpectralField, t: float) -> SpectralField:
     big = cached_basis(dim, big_degree, 2 * (big_degree + 1))
     uhat = fourier_transform(embed_field(u0, big))
     vals = synthesize(uhat)
-    xi2 = np.sum(big.nodes**2, axis=1)
-    vals = np.exp(-1j * t * xi2) * vals
+    vals = np.exp(-1j * t * big.radius2) * vals
     return inverse_fourier_transform(analyze(vals, big))
 
 
@@ -194,6 +186,5 @@ def free_propagate(u0: SpectralField, t: float) -> PhysicalFrame:
     out = free_propagate_field(u0, t)
     axis = _scaled_axis(u0.basis, t)
     table = hermite_function_values(out.basis.max_degree, axis)
-    return PhysicalFrame(
-        grid=_frame_grid(axis, u0.basis.dim), values=out.basis.grid_values(out.coeffs, table), time=float(t)
-    )
+    values = out.basis.grid_values(out.coeffs, table)
+    return PhysicalFrame(axis=axis, dim=u0.basis.dim, values=values, time=float(t))

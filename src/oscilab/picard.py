@@ -15,7 +15,9 @@ Also extracts scattering profiles of the lens-transported global solution.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,7 @@ __all__ = [
     "load_trajectory",
 ]
 
-TRAJECTORY_VERSION = 3
+TRAJECTORY_VERSION = 4
 
 T = np.pi / 4  # half-width of the solved time window; the lens maps every external time inside it
 TOL = 1e-12  # the iteration stops once an update's surrogate norm is at most TOL
@@ -109,16 +111,22 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Solved correction v on the time grid, plus the linear data to rebuild u."""
+    """Solved correction v on the config's time grid, plus the linear data to rebuild u; only a
+    converged solve returns one."""
 
     config: SolverConfig
     basis: BasisGrid
     u0: np.ndarray            # initial coefficients
-    times: np.ndarray
     v: np.ndarray             # (time_nodes, basis.size) fixed-point correction
-    iterations: int
-    contraction_history: list[float]
-    converged: bool
+    contraction_history: list[float]  # the update norm of each iteration
+
+    @property
+    def iterations(self) -> int:
+        return len(self.contraction_history)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return self.config.times()
 
     def u_matrix(self) -> np.ndarray:
         phases = np.exp(-1j * np.outer(self.times, self.basis.lambda2))
@@ -246,7 +254,7 @@ def _iterate(u0: SpectralField, cfg: SolverConfig, v_mat: np.ndarray) -> Traject
     ws = _Workspace(cfg, basis)
     guard = BLOWUP_FACTOR * max(float(np.linalg.norm(u0.coeffs)), 1e-30)
     history: list[float] = []
-    for iteration in range(1, MAX_ITER + 1):
+    for _ in range(MAX_ITER):
         new_v = _apply_duhamel(ws, u0.coeffs, v_mat)
         norms = np.linalg.norm(new_v, axis=1)
         if norms.max() > guard:
@@ -261,16 +269,7 @@ def _iterate(u0: SpectralField, cfg: SolverConfig, v_mat: np.ndarray) -> Traject
         history.append(update)
         v_mat = new_v
         if update <= TOL:
-            return Trajectory(
-                config=cfg,
-                basis=basis,
-                u0=u0.coeffs.copy(),
-                times=ws.times,
-                v=v_mat,
-                iterations=iteration,
-                contraction_history=history,
-                converged=True,
-            )
+            return Trajectory(config=cfg, basis=basis, u0=u0.coeffs.copy(), v=v_mat, contraction_history=history)
     raise DivergenceError(
         f"no contraction after {MAX_ITER} iterations (last update {history[-1]:.3e})",
         history=history,
@@ -344,8 +343,6 @@ def scattering_extract(traj: Trajectory, u0: SpectralField) -> ScatteringPair:
     on the spectral side and stays accurate at large t where a multiplier
     propagator would alias.
     """
-    if not traj.converged:
-        raise ValueError("scattering extraction requires a converged trajectory")
     basis = traj.basis
     cfg = traj.config
     t_end = float(traj.times[-1])
@@ -378,29 +375,29 @@ def save_trajectory(traj: Trajectory, path) -> None:
         version=np.array([TRAJECTORY_VERSION]),
         config_json=np.array([json.dumps(asdict(traj.config), sort_keys=True)]),
         quad_per_axis=np.array([traj.basis.quad_per_axis]),
-        times=traj.times,
-        v=traj.v,
         u0=traj.u0,
-        iterations=np.array([traj.iterations]),
+        v=traj.v,
         contraction_history=np.array(traj.contraction_history),
-        converged=np.array([traj.converged]),
     )
 
 
 def load_trajectory(path) -> Trajectory:
+    """The trajectory of a save_trajectory checkpoint; ValueError if the file is not a complete one of this version."""
+    if not zipfile.is_zipfile(path):
+        raise ValueError("not an npz archive")
     with np.load(path) as data:
+        names = ("version", "config_json", "quad_per_axis", "u0", "v", "contraction_history")
+        missing = [name for name in names if name not in data]
+        if missing:
+            raise ValueError(f"missing checkpoint arrays {missing}")
         version = int(data["version"][0])
         if version != TRAJECTORY_VERSION:
-            raise ValueError(f"trajectory checkpoint version {version} unsupported")
+            raise ValueError(f"checkpoint version {version}, expected {TRAJECTORY_VERSION}")
         cfg = SolverConfig(**json.loads(str(data["config_json"][0])))
-        basis = cached_basis(cfg.dim, cfg.N, int(data["quad_per_axis"][0]))
         return Trajectory(
             config=cfg,
-            basis=basis,
+            basis=cached_basis(cfg.dim, cfg.N, int(data["quad_per_axis"][0])),
             u0=data["u0"],
-            times=data["times"],
             v=data["v"],
-            iterations=int(data["iterations"][0]),
             contraction_history=list(data["contraction_history"]),
-            converged=bool(data["converged"][0]),
         )

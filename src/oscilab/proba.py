@@ -467,8 +467,8 @@ def paley_zygmund_check(
     if sigma_sq == 0:
         raise ValueError("sigma_N vanishes: cutoff removes the whole base field")
 
-    nodes, weights, table = product_quadrature(basis, 2 * basis.max_degree)
-    xi_pow = np.sum(nodes**2, axis=1) ** cutoff.s
+    radius2, weights, table = product_quadrature(basis, 2 * basis.max_degree)
+    xi_pow = radius2**cutoff.s
     fourier_phase = (-1j) ** basis.degrees
 
     def kernel(gains):
@@ -518,8 +518,8 @@ def eigenfunction_lp_decay(p_exp: float, n_max: int) -> dict:
     """
     if p_exp < 4:
         raise ValueError(f"p exponent must be >= 4, got {p_exp}")
-    if n_max > 400:
-        raise ValueError(f"n_max must be <= 400, got {n_max}")
+    if not 11 <= n_max <= 400:  # the window n = 10..n_max needs two points for a rank correlation
+        raise ValueError(f"n_max must lie in [11, 400], got {n_max}")
     axis = audit_axis(n_max, 1)
     table = hermite_function_values(n_max, axis)
     cell = float(axis[1] - axis[0])

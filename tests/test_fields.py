@@ -25,7 +25,8 @@ from oscilab.fields import (
     _unit_grid_values,
 )
 from oscilab import hermite
-from oscilab.hermite import build_basis, cached_basis
+from oscilab.hermite import build_basis, cached_basis, gauss_hermite_nodes
+from test_hermite import tensor_grid
 
 
 def random_unit_field(basis, rng):
@@ -346,7 +347,8 @@ def per_time_smoothing(u, eps, variant, time_nodes):
     basis = u.basis
     d = basis.dim
     denom = u.l2_norm if variant == "sqrtH" or d == 1 else harmonic_sobolev_norm(u, (d - 1) / 2.0)
-    nodes, weights, _ = product_quadrature(basis, 2 * basis.max_degree)
+    _, weights, table = product_quadrature(basis, 2 * basis.max_degree)
+    nodes = tensor_grid(gauss_hermite_nodes(table.shape[1], 0)[0], d)
     table = basis.eval_at(nodes)  # dense (modes x nodes), independent of the factored path
     times = np.linspace(-2 * np.pi, 2 * np.pi, time_nodes)
     phases = np.exp(1j * np.outer(times, basis.lambda2))

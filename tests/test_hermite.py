@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 import warnings
@@ -17,9 +18,15 @@ from oscilab.hermite import (
     gauss_hermite_nodes,
     gram_deviation,
     hermite_function_values,
-    tensor_grid,
 )
 from oscilab.fields import SpectralField, analyze, product_quadrature, synthesize, unit_field
+
+
+def tensor_grid(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The dim-fold tensor grid of a 1-D axis as points, shape (len(axis)^dim, dim), C order:
+    the point order of ``grid_values``, ``BasisGrid.radius2`` and ``BasisGrid.weights``."""
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def test_ground_state_value(basis64):
@@ -117,14 +124,14 @@ def test_analyze_picks_out_single_mode(basis64):
 
 def test_analyze_x_times_ground_state(basis64):
     # x h_0 = h_1 / sqrt(2) from the ladder recurrence
-    vals = basis64.nodes[:, 0] * basis64.eval_table[0]
+    vals = basis64.axis_nodes * basis64.eval_table[0]
     c = analyze(vals, basis64).coeffs
     assert abs(c[1] - 1.0 / np.sqrt(2)) < 1e-12
 
 
 def test_analyze_out_of_span_energy():
     basis = build_basis(1, 16, 40)
-    h17 = hermite_function_values(17, basis.nodes[:, 0])[17]
+    h17 = hermite_function_values(17, basis.axis_nodes)[17]
     u = analyze(h17, basis)
     assert np.max(np.abs(u.coeffs)) <= 1e-10  # orthogonal to the span
     # its quadrature mass is all outside the span: analysis drops it
@@ -143,21 +150,46 @@ def test_shared_tables_read_only(dim, n):
     # worker threads share these arrays; an in-place write must fail, not race
     basis = build_basis(dim, n, 2 * (n + 1))
     tables = [getattr(basis, name) for name in (
-        "nodes", "weights", "eval_table", "axis_nodes", "axis_weights", "degrees", "lambda2")]
+        "radius2", "weights", "eval_table", "axis_nodes", "axis_weights", "degrees", "lambda2")]
     tables += [basis.audit_table(), *product_quadrature(basis, 2 * n)]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0
 
 
+@pytest.mark.parametrize("dim,n", [(1, 40), (2, 12), (3, 6)])
+def test_frozen_basis_derives_each_table_once(dim, n):
+    basis = build_basis(dim, n, 2 * (n + 1))
+    for field in dataclasses.fields(basis):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(basis, field.name, getattr(basis, field.name))
+    derived = ("degrees", "lambda2", "radius2", "_positions", "_index_array", "_box_positions", "_audit_peak")
+    for name in derived:
+        assert getattr(basis, name) is getattr(basis, name), name
+        if name != "_positions":
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(basis, name)[...] = 0
+    assert basis.audit_table() is basis.audit_table()
+    # the axis-only grid gives the bits of the (points x dim) grid that it replaces
+    points = tensor_grid(basis.axis_nodes, dim)
+    assert np.array_equal(basis.radius2, np.sum(points**2, axis=1))
+    weights = np.ones(len(points))
+    for w in tensor_grid(basis.axis_weights, dim).T:
+        weights = weights * w
+    assert np.array_equal(basis.weights, weights)
+    radius2, _, table = product_quadrature(basis, 5 * n)
+    points = tensor_grid(gauss_hermite_nodes(table.shape[1], 0)[0], dim)
+    assert np.array_equal(radius2, np.sum(points**2, axis=1))
+
+
 @pytest.mark.parametrize("n", [8, 40])
 def test_product_quadrature_reuses_a_fine_enough_basis(n):
     basis = build_basis(1, n, 2 * (n + 1))
-    nodes, weights, table = product_quadrature(basis, 2 * n)
-    assert nodes is basis.nodes and weights is basis.weights and table is basis.eval_table
+    radius2, weights, table = product_quadrature(basis, 2 * n)
+    assert radius2 is basis.radius2 and weights is basis.weights and table is basis.eval_table
     # a quintic product needs ceil(6n / 2) + 1 > 2(n + 1) nodes: a finer grid is built
-    nodes, weights, table = product_quadrature(basis, 5 * n)
-    assert nodes.shape == (3 * n + 1, 1) and table.shape == (basis.size, 3 * n + 1)
+    radius2, weights, table = product_quadrature(basis, 5 * n)
+    assert radius2.shape == (3 * n + 1,) and table.shape == (basis.size, 3 * n + 1)
     assert table is not basis.eval_table
 
 
@@ -185,7 +217,7 @@ def test_three_dim_basis():
 
 
 def test_off_node_evaluation_matches_table(basis16):
-    pts = basis16.nodes[:, 0][:5]
+    pts = basis16.axis_nodes[:5]
     table = basis16.eval_at(pts)
     assert np.allclose(table, basis16.eval_table[:, :5], atol=1e-13)
 
@@ -203,11 +235,11 @@ def test_product_quadrature_holds_no_dense_table():
     basis = build_basis(3, 12, 26)
     tracemalloc.start()
     try:
-        nodes, weights, table = product_quadrature(basis, 72)
+        radius2, weights, table = product_quadrature(basis, 72)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert nodes.shape == (43**3, 3) and weights.shape == (43**3,) and table.shape == (13, 43)
+    assert radius2.shape == (43**3,) and weights.shape == (43**3,) and table.shape == (13, 43)
     assert peak < 16 * 2**20
 
 
@@ -268,7 +300,7 @@ def test_eval_at_on_nodes_is_the_eval_table(dim):
     assert basis.eval_table.shape == (4, 8)
     rng = np.random.default_rng(dim)
     coeffs = rng.normal(size=(3, basis.size)) + 1j * rng.normal(size=(3, basis.size))
-    dense = basis.eval_at(basis.nodes)
+    dense = basis.eval_at(tensor_grid(basis.axis_nodes, dim))
     want = coeffs @ dense
     values = basis.grid_values(coeffs, basis.eval_table)
     assert np.max(np.abs(values - want)) <= 1e-13 * np.max(np.abs(want))

@@ -35,7 +35,7 @@ def test_lens_identity_at_zero(basis64, rng):
     c = rng.normal(size=basis64.size) + 1j * rng.normal(size=basis64.size)
     u = SpectralField(basis64, c / np.linalg.norm(c))
     frame = lens_forward(u, 0.0)
-    direct = u.coeffs @ u.basis.eval_at(frame.grid)
+    direct = u.coeffs @ u.basis.eval_at(frame.axis)
     assert np.max(np.abs(frame.values - direct)) < 1e-13
 
 
@@ -64,8 +64,8 @@ def test_conjugation_with_free_flow(basis64):
         s = lens_time_map(t)
         frame = lens_forward(propagate_linear(u0, s), t)
         free = free_propagate(u0, t)
-        assert np.array_equal(free.grid, frame.grid)
-        dx = float(frame.grid[1] - frame.grid[0])
+        assert np.array_equal(free.axis, frame.axis)
+        dx = float(frame.axis[1] - frame.axis[0])
         err = np.sqrt(dx * np.sum(np.abs(frame.values - free.values) ** 2))
         assert err <= 1e-6
 
@@ -117,7 +117,7 @@ def test_lens_on_given_points(basis32):
     u = unit_field(basis32, 0)
     frame = lens_forward(u, 0.7)
     alpha = 1 + 4 * 0.49
-    assert np.allclose(frame.grid / np.sqrt(alpha), audit_axis(basis32.max_degree, 1), rtol=0, atol=1e-13)
-    inner = u.coeffs @ basis32.eval_at(frame.grid / np.sqrt(alpha))
-    expected = alpha**-0.25 * inner * np.exp(1j * frame.grid**2 * 0.7 / alpha)
+    assert np.allclose(frame.axis / np.sqrt(alpha), audit_axis(basis32.max_degree, 1), rtol=0, atol=1e-13)
+    inner = u.coeffs @ basis32.eval_at(frame.axis / np.sqrt(alpha))
+    expected = alpha**-0.25 * inner * np.exp(1j * frame.axis**2 * 0.7 / alpha)
     assert np.max(np.abs(frame.values - expected)) < 1e-13

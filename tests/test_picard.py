@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscilab.fields import SpectralField, harmonic_sobolev_norm, product_quadrature, propagate_linear, unit_field
-from oscilab.hermite import cached_basis
+from oscilab.hermite import cached_basis, gauss_hermite_nodes
 from oscilab.picard import (
     TOL,
     DivergenceError,
@@ -24,6 +24,7 @@ from oscilab.picard import (
     scattering_extract,
 )
 from oscilab.lens import frame_l2_norm, free_propagate, lens_forward, lens_time_map
+from test_hermite import tensor_grid
 
 
 def reference_data(amplitude=0.1, mode=0, **cfg_kwargs):
@@ -100,7 +101,6 @@ def test_reference_solve_contracts():
     for k in (1, -1):
         _, u0, cfg = reference_data(K=k)
         traj = picard_solve(u0, cfg)
-        assert traj.converged, k
         assert traj.iterations <= 20, k
         assert contraction_factor(traj) < 0.5, k
         assert traj.contraction_history[-1] <= 1e-10, k
@@ -168,8 +168,8 @@ def test_factored_nonlinearity_matches_dense_reference(dim, n):
     ws = _Workspace(cfg, basis)
     rng = np.random.default_rng(dim)
     u_mat = 0.3 * (rng.normal(size=(33, basis.size)) + 1j * rng.normal(size=(33, basis.size)))
-    nodes, weights, _ = product_quadrature(basis, (cfg.nonlinearity_p + 1) * n)
-    dense = basis.eval_at(nodes)  # (modes x nodes)
+    _, weights, table = product_quadrature(basis, (cfg.nonlinearity_p + 1) * n)
+    dense = basis.eval_at(tensor_grid(gauss_hermite_nodes(table.shape[1], 0)[0], dim))  # (modes x nodes)
     vals = u_mat @ dense
     nl = np.abs(vals) ** (cfg.nonlinearity_p - 1) * vals
     want = cfg.K * np.cos(2.0 * ws.times)[:, None] ** cfg.cos_exponent * ((nl * weights) @ dense.T)
@@ -300,7 +300,7 @@ def test_global_solution_at_zero_matches_data():
     basis, u0, cfg = reference_data()
     traj = picard_solve(u0, cfg)
     frame = global_nls_solution(traj, 0.0)
-    direct = u0.coeffs @ u0.basis.eval_at(frame.grid)
+    direct = u0.coeffs @ u0.basis.eval_at(frame.axis)
     assert np.max(np.abs(frame.values - direct)) < 1e-10
 
 
@@ -316,16 +316,16 @@ def test_global_solution_linear_consistency():
     # with a zero correction the global solution is the lens image of the linear flow, bit for bit
     basis, u0, cfg = reference_data()
     v = np.zeros((cfg.time_nodes, basis.size), complex)
-    traj = Trajectory(cfg, basis, u0.coeffs.copy(), cfg.times(), v, 1, [0.0], True)
+    traj = Trajectory(cfg, basis, u0.coeffs.copy(), v, [0.0])
     for t in (0.25, 0.5, 1.0, 10.0):
         frame = global_nls_solution(traj, t)
         linear = lens_forward(propagate_linear(u0, lens_time_map(t)), t)
-        assert np.array_equal(frame.grid, linear.grid)
+        assert np.array_equal(frame.axis, linear.axis)
         assert np.array_equal(frame.values, linear.values)
     # and that is the free flow
     frame = global_nls_solution(traj, 0.5)
     free = free_propagate(u0, 0.5)
-    dx = float(frame.grid[1] - frame.grid[0])
+    dx = float(frame.axis[1] - frame.axis[0])
     assert np.sqrt(dx * np.sum(np.abs(frame.values - free.values) ** 2)) <= 1e-6
 
 

@@ -171,6 +171,38 @@ def test_cli_solve_resume_identical(tmp_path, capsys):
     assert error_report["stats"]["error_type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("damage", ["missing_v", "not_npz", "old_version"])
+def test_cli_refuses_a_bad_checkpoint(tmp_path, capsys, damage):
+    # a checkpoint that cannot be read is refused like one of another problem, naming the file
+    assert run_cli(["solve-nlsh", "--tier", "smoke", "--out", str(tmp_path)]) == 0
+    checkpoint = tmp_path / "solve_nlsh" / "trajectory.npz"
+    if damage == "not_npz":
+        checkpoint.write_text("not a checkpoint\n")
+    else:
+        with np.load(checkpoint) as data:
+            arrays = {name: data[name] for name in data.files}
+        if damage == "missing_v":
+            del arrays["v"]
+        else:
+            arrays["version"] = np.array([3])
+        np.savez(checkpoint, **arrays)
+    capsys.readouterr()
+    assert run_cli(["solve-nlsh", "--tier", "smoke", "--out", str(tmp_path), "--resume"]) == 2
+    assert str(checkpoint) in capsys.readouterr().err
+    stats = json.loads((tmp_path / "solve_nlsh" / "error.json").read_text())["stats"]
+    assert stats["error_type"] == "ConfigError" and str(checkpoint) in stats["message"]
+
+
+@pytest.mark.parametrize("command,setting", [("eigen-lp", "n_max=5"), ("eigen-lp", "n_max=10"), ("b2p", "p=0")])
+def test_cli_refuses_out_of_range_parameters(tmp_path, capsys, command, setting):
+    # eigen-lp's trend window n = 10..n_max needs two points; b2p counts for p = 1..p
+    assert run_cli([command, "--tier", "smoke", "--out", str(tmp_path), "--set", setting]) == 3
+    assert "must" in capsys.readouterr().err
+    name = command.replace("-", "_")
+    assert json.loads((tmp_path / name / "error.json").read_text())["stats"]["error_type"] == "ValueError"
+    assert not (tmp_path / name / f"{name}.json").exists()
+
+
 def test_cli_solve_nlsh_in_two_dimensions(tmp_path, capsys):
     out = str(tmp_path)
     assert run_cli(["solve-nlsh", "--tier", "smoke", "--out", out, "--set", "dim=2"]) == 0
