@@ -1,4 +1,4 @@
-"""Spectral fields on a Hermite basis: norms, propagators, smoothing functional.
+"""Spectral fields on a Hermite basis: norms, propagators, the smoothing functional and its sharp constant.
 
 A SpectralField is a complex coefficient vector over the basis enumeration.
 All operations are pure functions of immutable inputs.
@@ -7,7 +7,6 @@ All operations are pure functions of immutable inputs.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ __all__ = [
     "classical_sobolev_norm",
     "evaluate_norm",
     "spacetime_norm",
-    "smoothing_functional",
+    "smoothing_constant",
 ]
 
 NORM_KINDS = (
@@ -339,57 +338,29 @@ def _unit_grid_values(basis: BasisGrid, a: int, b: int, table: np.ndarray) -> np
     return vals
 
 
-def smoothing_functional(
-    u0: SpectralField | Sequence[SpectralField],
-    eps: float,
-    variant: str = "sqrtH",
-) -> float | np.ndarray:
-    """Normalized space-time smoothing ratio of the oscillator flow.
+def _smoothing_order(basis: BasisGrid, variant: str) -> float:  # of the smoothing ratio's denominator norm
+    return 0.0 if variant == "sqrtH" else (basis.dim - 1) / 2.0
 
-    variant "sqrtH": || <x>^{-(1/2-eps)} H^{(1/2-2 eps)/2} e^{itH} u0 ||
-    over L^2([-2 pi, 2 pi] x R^d), divided by ||u0||_{L^2}.
 
-    variant "fractional_grad": same weight with |del|^{d/2-2 eps} instead,
-    divided by ||u0|| in the harmonic Sobolev space of order (d-1)/2.
-
-    The weight acts pointwise on the de-aliased grid; the fractional
-    derivative acts through the Fourier side with a projection back onto the
-    span (a logged approximation).  The time integral is exact (an M-node
-    trapezoid sums e^{2ikt} to 4 pi whenever (M - 1) divides 4k): each
-    lambda_n^2 = 2|n| + d is an integer, so the squared numerator is
-    4 pi sum_k c_k^H S_k c_k over the eigenspaces |n| = k, contiguous slices
-    c_k of the graded enumeration, with S_k the weighted Gram matrix of the
-    spatial operator on eigenspace k.  Each field is evaluated by its own
-    products with the S_k, so no value depends on the batch.  Returns
-    empirical candidates for the inequality constant: a float for one field,
-    a 1-D array for a sequence of fields on one basis.
-    """
+def _smoothing_blocks(basis: BasisGrid, eps: float, variant: str):
+    """Yield (a, b, S) for each run of consecutive equal-size eigenspaces |n| = k (all of
+    them at d = 1), cut where their grid values outgrow a tile: positions a..b-1 of the graded
+    enumeration, and the run's blocks S_k, the real symmetric weighted Gram matrices of the
+    spatial operator, stacked (eigenspaces, size, size).  For "sqrtH" they carry
+    H^{(1/2-2 eps)/2} on both sides, a factor (2k + d)^{1/2-2 eps}."""
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     if variant not in ("sqrtH", "fractional_grad"):
         raise ValueError(f"unknown variant {variant!r}")
-    fields = [u0] if isinstance(u0, SpectralField) else list(u0)
-    if not fields or any(u.basis is not fields[0].basis for u in fields):
-        raise BasisError("smoothing functional needs one or more fields on one basis")
-    basis = fields[0].basis
-    denom = np.array([harmonic_sobolev_norm(u, 0.0 if variant == "sqrtH" else (basis.dim - 1) / 2.0) for u in fields])
-    if np.any(denom == 0):
-        raise ValueError("smoothing functional of the zero field")
-
     radius2, weights, table = product_quadrature(basis, 2 * basis.max_degree)
     # quadrature weights times the squared weight (<x>^{-(1/2-eps)})^2 = (1 + |x|^2)^{-(1/2-eps)}
     weight_sq = weights * (1.0 + radius2) ** (-(0.5 - eps))
-    coeffs = np.stack([u.coeffs for u in fields])
-    if variant == "sqrtH":  # H^{(1/2-2 eps)/2} is diagonal: it scales the coefficients
-        coeffs = coeffs * basis.lambda2 ** ((0.5 - 2 * eps) / 2.0)
-    else:
+    if variant == "fractional_grad":
         mult = radius2 ** ((basis.dim / 2.0 - 2 * eps) / 2.0)
         # the Fourier conjugation's phase i^{|m|-|n|} on the parity classes the even multiplier couples
         sign = 1.0 - 2.0 * (basis.degrees // 2 % 2)
     sizes = np.bincount(basis.degrees)  # eigenspace k: the sizes[k] consecutive positions of degree k
-    # runs of consecutive equal-size eigenspaces (all of them at d = 1), cut where their grid values outgrow a tile
     per_tile = max(1, hermite.AUDIT_TILE_BYTES // (weight_sq.nbytes * sizes.max()))
-    form_c = np.empty_like(coeffs)  # S_k c_k, eigenspace by eigenspace
     for (_, size), run in itertools.groupby(range(len(sizes)), lambda k: (k // per_tile, sizes[k])):
         run = list(run)
         a, b = np.searchsorted(basis.degrees, (run[0], run[-1] + 1))
@@ -398,8 +369,44 @@ def smoothing_functional(
             # to the Fourier side, |xi|^s on the grid, analysis back onto the span, back to x
             v = basis.grid_values(sign * basis.grid_coeffs(v * mult, table, weights), table)
         v = v.reshape(len(run), size, -1)
-        # (draws, eigenspaces, 1, size) @ (eigenspaces, size, size): one small product per row
-        part = coeffs[:, a:b].reshape(-1, len(run), 1, size)
-        form_c[:, a:b] = (part @ ((v * weight_sq) @ v.mT).mT).reshape(-1, b - a)
-    value = np.sqrt(4 * np.pi * np.vecdot(coeffs, form_c).real) / denom
-    return float(value[0]) if isinstance(u0, SpectralField) else value
+        blocks = (v * weight_sq) @ v.mT
+        if variant == "sqrtH":
+            blocks *= basis.lambda2[a:b:size, None, None] ** (0.5 - 2 * eps)
+        yield a, b, blocks
+
+
+def smoothing_functional(u0: SpectralField, eps: float, variant: str) -> float:
+    """Normalized space-time smoothing ratio of the oscillator flow.
+
+    variant "sqrtH": || <x>^{-(1/2-eps)} H^{(1/2-2 eps)/2} e^{itH} u0 || over L^2([-2 pi, 2 pi] x R^d),
+    divided by ||u0||_{L^2}.  variant "fractional_grad": |del|^{d/2-2 eps} in place of the H power,
+    through the Fourier side with a projection back onto the span (a logged approximation), divided
+    by the harmonic Sobolev norm of order (d-1)/2.  The weight acts pointwise on the de-aliased grid.
+    Every lambda_n^2 = 2|n| + d is an integer, so the time integral is exact: the squared numerator
+    is 4 pi sum_k c_k^H S_k c_k over the eigenspaces |n| = k.
+    """
+    form_c = np.empty_like(u0.coeffs)  # S_k c_k, eigenspace by eigenspace
+    for a, b, blocks in _smoothing_blocks(u0.basis, eps, variant):
+        form_c[a:b] = (blocks @ u0.coeffs[a:b].reshape(len(blocks), -1, 1)).reshape(-1)
+    denom = harmonic_sobolev_norm(u0, _smoothing_order(u0.basis, variant))
+    if denom == 0:
+        raise ValueError("smoothing functional of the zero field")
+    return float(np.sqrt(4 * np.pi * np.vecdot(u0.coeffs, form_c).real) / denom)
+
+
+def smoothing_constant(basis: BasisGrid, eps: float, variant: str) -> tuple[float, SpectralField]:
+    """Sharp constant of smoothing_functional over the span of basis, and an l2-unit
+    field inside one eigenspace that attains it: the squared ratio is
+    4 pi sum_k c_k^H S_k c_k / sum_k w_k |c_k|^2 with w_k = (2k + d)^s, s the
+    denominator's order, so its sup is 4 pi max_k top-eig(S_k) / w_k.
+    """
+    best = -np.inf
+    for a, b, blocks in _smoothing_blocks(basis, eps, variant):
+        evals, evecs = np.linalg.eigh(blocks)
+        ratio = evals[:, -1] / basis.lambda2[a:b:blocks.shape[1]] ** _smoothing_order(basis, variant)
+        k = int(np.argmax(ratio))
+        if ratio[k] > best:
+            best, start, top = ratio[k], a + k * evecs.shape[1], evecs[k, :, -1]
+    mode = np.zeros(basis.size, dtype=complex)
+    mode[start : start + top.size] = top
+    return float(np.sqrt(4 * np.pi * best)), SpectralField(basis, mode)

@@ -52,7 +52,7 @@ DEFAULT_COEFF_BUDGET = 200_000
 AUDIT_POINTS_PER_UNIT = 16
 AUDIT_MARGIN = 4.0
 
-# largest tile of grid values that BasisGrid.audit_tiles and fields.smoothing_functional hold at
+# largest tile of grid values that BasisGrid.audit_tiles and fields._smoothing_blocks hold at
 # once; a batch of BasisGrid.audit_sup takes a quarter of it
 AUDIT_TILE_BYTES = 8 * 2**20
 

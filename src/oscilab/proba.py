@@ -7,7 +7,7 @@ Verdicts with a standard error and a 3 sigma margin: ``odd_moment_witness``,
 The others use fixed margins: ``khinchin_growth`` slope <= 1/m(gamma) + 0.15,
 ``chernoff_tail`` growth <= 1/gamma + 0.1 (and fit R^2 >= 0.9, as in
 ``norm_tail``), ``ensembles.verify_tail`` gamma_hat >= gamma - 0.15; ROADMAP
-item 2 calibrates them.
+item 4 calibrates them.
 The per-omega estimators (``norm_tail``, ``good_set_probability``,
 ``paley_zygmund_check``) are kernels on one chunk of gain rows, which
 ``ensembles.map_gains`` draws once per omega.

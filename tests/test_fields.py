@@ -18,6 +18,7 @@ from oscilab.fields import (
     product_quadrature,
     propagate_linear,
     rayleigh_quotient,
+    smoothing_constant,
     smoothing_functional,
     spacetime_norm,
     unit_field,
@@ -318,10 +319,11 @@ def test_smoothing_refinement_stability(rng):
 
 def test_smoothing_validation(basis32):
     u = unit_field(basis32, 0)
-    with pytest.raises(ValueError):
-        smoothing_functional(u, 0.7, "sqrtH")
-    with pytest.raises(ValueError):
-        smoothing_functional(u, 0.25, "bogus")
+    for eps, variant in ((0.7, "sqrtH"), (0.0, "fractional_grad"), (0.25, "bogus")):
+        with pytest.raises(ValueError):
+            smoothing_functional(u, eps, variant)
+        with pytest.raises(ValueError):
+            smoothing_constant(basis32, eps, variant)
     with pytest.raises(ValueError):
         smoothing_functional(SpectralField(basis32, np.zeros(basis32.size, complex)), 0.25, "sqrtH")
 
@@ -390,39 +392,30 @@ def test_smoothing_batch_matches_per_time_reference(case, data):
     n = fields[0].basis.max_degree
     # M - 1 > 4N: the trapezoid sums no e^{2ikt}, 0 < |k| <= N, to 4 pi
     time_nodes = data.draw(st.sampled_from([m for m in (17, 33, 65, 129) if m - 1 > 4 * n]))
-    got = smoothing_functional(fields, eps, variant)
-    want = np.array([per_time_smoothing(u, eps, variant, time_nodes) for u in fields])
-    assert got.shape == (len(fields),)
-    assert np.max(np.abs(got - want) / want) < 1e-13
-
-
-@SMOOTHING_SETTINGS
-@given(smoothing_batches())
-def test_smoothing_rows_independent_of_batch(case):
-    fields, eps, variant = case
-    batch = smoothing_functional(fields, eps, variant)
-    single = [smoothing_functional(u, eps, variant) for u in fields]
-    assert all(isinstance(v, float) for v in single)
-    assert np.array_equal(batch, single)
+    for u in fields:
+        got = smoothing_functional(u, eps, variant)
+        want = per_time_smoothing(u, eps, variant, time_nodes)
+        assert isinstance(got, float)
+        assert abs(got - want) / want < 1e-13
 
 
 @SMOOTHING_SETTINGS
 @given(smoothing_batches(), st.floats(0.0, 2 * np.pi))
 def test_smoothing_global_phase_invariance(case, theta):
     fields, eps, variant = case
-    rotated = [SpectralField(u.basis, np.exp(1j * theta) * u.coeffs) for u in fields]
-    a = smoothing_functional(fields, eps, variant)
-    b = smoothing_functional(rotated, eps, variant)
-    assert np.max(np.abs(a - b) / a) < 1e-14
+    for u in fields:
+        a = smoothing_functional(u, eps, variant)
+        b = smoothing_functional(SpectralField(u.basis, np.exp(1j * theta) * u.coeffs), eps, variant)
+        assert abs(a - b) / a < 1e-14
 
 
 @SMOOTHING_SETTINGS
 @given(smoothing_batches(), st.integers(-40, 40))
 def test_smoothing_power_of_two_scaling_bitwise(case, k):
     fields, eps, variant = case
-    scaled = [SpectralField(u.basis, 2.0**k * u.coeffs) for u in fields]
-    a = smoothing_functional(fields, eps, variant)
-    assert np.array_equal(smoothing_functional(scaled, eps, variant), a)
+    for u in fields:
+        a = smoothing_functional(u, eps, variant)
+        assert smoothing_functional(SpectralField(u.basis, 2.0**k * u.coeffs), eps, variant) == a
 
 
 @pytest.mark.parametrize("dim,n", [(1, 40), (2, 6)])
@@ -432,9 +425,9 @@ def test_smoothing_matches_fine_trapezoid(dim, n):
     fields = [SpectralField(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)) for _ in range(2)]
     for variant in ("sqrtH", "fractional_grad"):
         for eps in (0.05, 0.45):
-            got = smoothing_functional(fields, eps, variant)
-            want = np.array([per_time_smoothing(u, eps, variant, 8193) for u in fields])
-            assert np.max(np.abs(got - want) / want) < 1e-12
+            for u in fields:
+                want = per_time_smoothing(u, eps, variant, 8193)
+                assert abs(smoothing_functional(u, eps, variant) - want) / want < 1e-12
 
 
 def test_smoothing_time_integral_does_not_alias():
@@ -453,18 +446,45 @@ def test_smoothing_independent_of_tile_size(monkeypatch):
     basis = cached_basis(1, 12, 26)
     rng = np.random.default_rng(12)
     fields = [SpectralField(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)) for _ in range(3)]
-    whole = {variant: smoothing_functional(fields, 0.05, variant) for variant in ("sqrtH", "fractional_grad")}
+    variants = ("sqrtH", "fractional_grad")
+    whole = {v: ([smoothing_functional(u, 0.05, v) for u in fields], smoothing_constant(basis, 0.05, v)) for v in variants}
     for tile_bytes in (1, 2**11, 2**14):  # 1, 9 and all 13 eigenspaces per tile
         monkeypatch.setattr(hermite, "AUDIT_TILE_BYTES", tile_bytes)
-        for variant, want in whole.items():
-            assert np.max(np.abs(smoothing_functional(fields, 0.05, variant) - want) / want) < 1e-14
+        for variant, (values, (constant, mode)) in whole.items():
+            for u, want in zip(fields, values):
+                assert abs(smoothing_functional(u, 0.05, variant) - want) / want < 1e-14
+            value, tiled_mode = smoothing_constant(basis, 0.05, variant)
+            assert abs(value - constant) / constant < 1e-14
+            assert np.array_equal(np.flatnonzero(tiled_mode.coeffs), np.flatnonzero(mode.coeffs))
 
 
-def test_smoothing_batch_validation(basis32, basis16):
-    u = unit_field(basis32, 0)
-    with pytest.raises(ValueError):
-        smoothing_functional([], 0.25)
-    with pytest.raises(ValueError):
-        smoothing_functional([u, unit_field(basis16, 0)], 0.25)
-    with pytest.raises(ValueError):
-        smoothing_functional([u, SpectralField(basis32, np.zeros(basis32.size, complex))], 0.25)
+# ------------------------------------------- the sharp smoothing constant
+
+
+@SMOOTHING_SETTINGS
+@given(smoothing_batches())
+def test_smoothing_constant_bounds_every_field_and_its_mode_attains_it(case):
+    fields, eps, variant = case
+    basis = fields[0].basis
+    value, mode = smoothing_constant(basis, eps, variant)
+    # the mode is an l2-unit field inside one eigenspace
+    degrees = basis.degrees[mode.coeffs != 0]
+    assert degrees.size and np.all(degrees == degrees[0])
+    assert abs(mode.l2_norm - 1.0) < 1e-14
+    assert abs(smoothing_functional(mode, eps, variant) - value) <= 1e-12 * value
+    # every field tried, and its part in the mode's eigenspace (where the sup sits), stays below
+    for u in fields:
+        inside = SpectralField(basis, np.where(basis.degrees == degrees[0], u.coeffs, 0))
+        for w in (u, inside):
+            assert smoothing_functional(w, eps, variant) <= value * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("variant", ["sqrtH", "fractional_grad"])
+def test_smoothing_constant_is_the_best_unit_field_at_d1(variant):
+    # at d = 1 every eigenspace is one basis function, so the sup is a max over the N + 1 of them
+    basis = cached_basis(1, 24, 50)
+    for eps in (0.05, 0.25, 0.45):
+        value, mode = smoothing_constant(basis, eps, variant)
+        units = [smoothing_functional(unit_field(basis, n), eps, variant) for n in range(basis.size)]
+        assert abs(value - max(units)) <= 1e-14 * value
+        assert np.flatnonzero(mode.coeffs).tolist() == [int(np.argmax(units))]

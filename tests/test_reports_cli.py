@@ -80,11 +80,13 @@ def test_cli_divergence_keeps_diagnostics(tmp_path, capsys):
 
 
 def test_cli_refuses_smoothing_time_nodes(tmp_path, capsys):
-    # the time integral is taken in closed form, so smoothing has no time grid to set
-    code = run_cli(["smoothing", "--tier", "smoke", "--out", str(tmp_path), "--set", "time_nodes=129"])
-    assert code == 2
-    assert "unknown override field 'time_nodes'" in capsys.readouterr().err
-    assert not (tmp_path / "smoothing" / "smoothing.json").exists()
+    # the time integral is taken in closed form and the sharp constant is an eigenvalue,
+    # so smoothing has neither a time grid nor draws to set
+    for field, value in (("time_nodes", 129), ("draws", 10)):
+        code = run_cli(["smoothing", "--tier", "smoke", "--out", str(tmp_path), "--set", f"{field}={value}"])
+        assert code == 2
+        assert f"unknown override field {field!r}" in capsys.readouterr().err
+        assert not (tmp_path / "smoothing" / "smoothing.json").exists()
 
 
 def test_cli_rejects_unknown_config_field(tmp_path, capsys):
