@@ -3,7 +3,9 @@
 Provides orthonormal Hermite functions on R^d with total-degree truncation,
 Gauss-Hermite quadrature adapted to function space (the Gaussian factor is
 folded into the weights analytically, so nothing overflows at large node
-counts), and analysis/synthesis between coefficient and physical space.
+counts), and analysis/synthesis between coefficient and physical space.  The
+nodes come from numpy's dense ``eigvalsh`` with the bits of scipy's
+tridiagonal solver (see ``gauss_hermite_nodes``), so no scipy is needed.
 
 A tensor grid (quadrature nodes, the audit grid, lens grids) is kept as its
 1-D axis, its points in C order; its weights and |y|^2 (``grid_radius2``)
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "BasisGrid",
@@ -140,9 +141,15 @@ def gauss_hermite_nodes(q: int, table_degree: int) -> tuple[np.ndarray, np.ndarr
     """Gauss-Hermite nodes and function-space weights of size q, with the
     table h_0..h_table_degree on the nodes.
 
-    The nodes are the zeros of the degree-q Hermite polynomial (Golub-Welsch
-    eigenvalues, polished with two Newton steps).  The weights are the
-    classical Gauss-Hermite weights with the Gaussian already divided out,
+    The nodes are the zeros of the degree-q Hermite polynomial: the
+    Golub-Welsch eigenvalues of the Jacobi matrix from numpy's dense
+    ``eigvalsh``, polished with two Newton steps.  LAPACK's ``dsytrd`` leaves
+    that matrix tridiagonal and passes it to ``dsterf``, the routine behind
+    scipy's ``eigh_tridiagonal``, so the bits are the same without scipy.
+    The dense route is O(q^3); on one core of a 2-core Xeon VM it takes 16 ms
+    at q = 514 and 0.88 s (a 33.6 MB matrix) at q = 2050, where the
+    tridiagonal solver took 5.6 ms and 82 ms.  The weights are the classical
+    Gauss-Hermite weights with the Gaussian already divided out,
     via the identity ``w_j e^{x_j^2} = 1 / (q h_{q-1}(x_j)^2)``, so that
 
         sum_j w_j f(x_j) == integral f(x) dx
@@ -161,8 +168,8 @@ def gauss_hermite_nodes(q: int, table_degree: int) -> tuple[np.ndarray, np.ndarr
     if q == 1:
         nodes = np.zeros(1)
     else:
-        off = np.sqrt(np.arange(1, q) / 2.0)
-        nodes = eigh_tridiagonal(np.zeros(q), off, eigvals_only=True)
+        # eigvalsh reads the lower triangle: the Jacobi matrix's sub-diagonal
+        nodes = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1, q) / 2.0), -1))
     for _ in range(2):
         h_below, h_q = _recurrence(q, nodes, (q - 1, q))
         # d/dx h_q = sqrt(2q) h_{q-1} - x h_q

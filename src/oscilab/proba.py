@@ -17,7 +17,6 @@ scaling the base by a power of two scales each sample exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial
 
@@ -165,25 +164,18 @@ def count_23_cycle_permutations(p: int, method: str = "closed_form") -> int:
     if method == "brute_force":
         if n > 10:
             raise ValueError("brute force supported for 2p <= 10")
+        # S_{n-1} by insertion, as int8: the rest of one block, keyed by the image j != 0 of 0
+        rest = np.zeros((1, 0), np.int8)
+        for k in range(n - 1):
+            rest = np.concatenate([np.insert(rest, pos, k, axis=1) for pos in range(k + 1)])
+        ident = np.arange(n, dtype=np.int8)
         count = 0
-        for perm in itertools.permutations(range(n)):
-            if any(perm[i] == i for i in range(n)):
-                continue
-            seen = [False] * n
-            ok = True
-            for i in range(n):
-                if seen[i]:
-                    continue
-                length = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                if length not in (2, 3):
-                    ok = False
-                    break
-            count += ok
+        for j in range(1, n):
+            perm = np.concatenate([np.full((len(rest), 1), j, np.int8), np.delete(ident, j)[rest]], axis=1)
+            twice = np.take_along_axis(perm, perm, axis=1)
+            thrice = np.take_along_axis(perm, twice, axis=1)
+            # no fixed point, and every cycle length divides 2 or 3
+            count += int(((perm != ident) & ((twice == ident) | (thrice == ident))).all(axis=1).sum())
         return count
     raise ValueError(f"unknown method {method!r}")
 

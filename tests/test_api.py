@@ -121,9 +121,16 @@ def test_cli_refuses_an_unknown_tier(tmp_path, capsys):
 
 
 def test_cli_import_loads_only_the_scipy_subpackages_it_needs():
-    # every command's process pays this import; scipy.stats alone once cost 0.65 s of it
-    probe = "import sys, oscilab.cli; print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))"
+    # every command's process pays this import; scipy.stats alone once cost 0.65 s of it, scipy.linalg 0.09 s.
+    # The numerical core loads no scipy at all: ensembles' ndtri is the one scipy dependency left.
+    probe = (
+        "import sys, oscilab.hermite, oscilab.fields, oscilab.lens, oscilab.picard; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+        "import oscilab.cli; print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
     loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    public = {name for name in loaded.stdout.split() if not name.startswith("_")}
-    assert public <= {"special", "linalg", "version"}
+    core, cli = loaded.stdout.splitlines()
+    assert core == "[]"
+    public = {name for name in cli.split() if not name.startswith("_")}
+    assert "special" in public and public <= {"special", "version"}

@@ -586,3 +586,13 @@ def test_gauss_hermite_nodes_match_the_reference_bitwise(q, degree):
     want_nodes, want_weights = reference_gauss_hermite_nodes(q)
     assert same_bits(nodes, want_nodes) and same_bits(weights, want_weights)
     assert same_bits(table, reference_hermite_function_values(degree, want_nodes))
+
+
+def test_gauss_hermite_nodes_match_the_reference_bitwise_for_every_q_up_to_300():
+    # one looped case: numpy's dense eigvalsh must start the Newton polish on scipy's exact eigenvalues
+    for q in range(1, 301):
+        degree = max(q // 2 - 1, 0)
+        nodes, weights, table = gauss_hermite_nodes(q, degree)
+        want_nodes, want_weights = reference_gauss_hermite_nodes(q)
+        assert same_bits(nodes, want_nodes) and same_bits(weights, want_weights), q
+        assert same_bits(table, reference_hermite_function_values(degree, want_nodes)), q

@@ -37,7 +37,7 @@ SEED = 1
 # ------------------------------------------------------------ combinatorics
 
 
-@pytest.mark.parametrize("p,expected", [(1, 1), (2, 3), (3, 55), (4, 1225)])
+@pytest.mark.parametrize("p,expected", [(1, 1), (2, 3), (3, 55), (4, 1225), (5, 26145)])
 def test_cycle_counts_brute_equals_closed(p, expected):
     assert count_23_cycle_permutations(p, "brute_force") == expected
     assert count_23_cycle_permutations(p, "closed_form") == expected
