@@ -10,8 +10,9 @@ or worker count.  Each omega gets its own Philox4x64-10 stream keyed by
 One uniform is consumed per variate (inverse-CDF transforms throughout),
 which is what makes the position addressing exact.  The transforms consume
 their uniforms: every step runs in place on the input array, which then holds
-the gains (the Weibull transform allocates one extra buffer, the two-point one
-its output), bit-identical to the plain elementwise formulas.
+the gains (the Weibull transform also uses one scratch tile of 8192 doubles,
+the two-point one allocates its output), bit-identical to the plain
+elementwise formulas.
 
 Variate k is word k % 4 of the block at counter (k // 4 + 1, 0, 0, 0) (numpy
 increments the counter before its first block), read as the uniform
@@ -114,13 +115,18 @@ def make_ensemble(family: str, seed: int, gamma: float | None = None) -> Ensembl
     return EnsembleSpec(family=family, gamma=float(gamma), seed=int(seed))
 
 
+# variates per scratch tile of the Weibull transform (64 KiB of doubles)
+_WEIBULL_TILE = 8192
+
+
 def _from_uniforms(spec: EnsembleSpec, u: np.ndarray) -> np.ndarray:
     """Map uniforms on [0, 1) to the family's law, one variate per uniform.
 
-    A float array ``u`` is consumed: the result is written into it (except
-    for the two-point family), so a caller that reads ``u`` again passes a copy.
+    A contiguous float array ``u`` is consumed: the result is written into it
+    (except for the two-point family), so a caller that reads ``u`` again
+    passes a copy.
     """
-    u = np.asarray(u, dtype=float)
+    u = np.ascontiguousarray(u, dtype=float)
     if spec.family == "gaussian":
         # fl(1 - 1e-16) is the largest double below 1
         np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
@@ -140,16 +146,23 @@ def _from_uniforms(spec: EnsembleSpec, u: np.ndarray) -> np.ndarray:
         # 2 min(u, 1 - u) is exactly 2u below 1/2 and 2(1 - u) above, where
         # 1 - u is exact (Sterbenz).  The sign is a factor -1 or 1 applied last,
         # not copied onto the magnitude, so u = 1/2 keeps the -0.0 that -log(1) gives.
-        w = 1.0 - u
-        np.minimum(u, w, out=w)
-        w *= 2.0
-        np.clip(w, 2.0**-53, 1.0, out=w)
-        np.log(w, out=w)
-        np.negative(w, out=w)
-        np.power(w, 1.0 / spec.gamma, out=w)
-        np.subtract(u, 0.5, out=u)
-        np.copysign(1.0, u, out=u)
-        u *= w
+        # The magnitude needs a second array; it is built one tile of u at a
+        # time in one small scratch array, not in a copy of the whole of u.
+        flat = u.reshape(-1)  # a view: u is contiguous
+        scratch = np.empty(min(flat.size, _WEIBULL_TILE))
+        for lo in range(0, flat.size, _WEIBULL_TILE):
+            x = flat[lo : lo + _WEIBULL_TILE]
+            w = scratch[: x.size]
+            np.subtract(1.0, x, out=w)
+            np.minimum(x, w, out=w)
+            w *= 2.0
+            np.clip(w, 2.0**-53, 1.0, out=w)
+            np.log(w, out=w)
+            np.negative(w, out=w)
+            np.power(w, 1.0 / spec.gamma, out=w)
+            np.subtract(x, 0.5, out=x)
+            np.copysign(1.0, x, out=x)
+            x *= w
         return u
     if spec.family == "centered_two_point":
         return np.where(u < TWO_POINT_P_HIGH, TWO_POINT_HIGH, TWO_POINT_LOW)

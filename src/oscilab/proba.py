@@ -515,10 +515,12 @@ def eigenfunction_lp_decay(p_exp: float, n_max: int) -> dict:
     axis = audit_axis(n_max, 1)
     table = hermite_function_values(n_max, axis)
     cell = float(axis[1] - axis[0])
+    np.abs(table, out=table)  # the table is this call's own: |h_n| and its powers overwrite it
     if np.isinf(p_exp):
-        norms = np.abs(table).max(axis=1)
+        norms = table.max(axis=1)
     else:
-        norms = (cell * np.sum(np.abs(table) ** p_exp, axis=1)) ** (1.0 / p_exp)
+        table **= p_exp
+        norms = (cell * np.sum(table, axis=1)) ** (1.0 / p_exp)
     lam = np.sqrt(2.0 * np.arange(n_max + 1) + 1.0)
     ratio = norms * lam ** (1.0 / 6.0)
 

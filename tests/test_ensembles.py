@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,20 @@ def check_transform(spec, u):
 def test_in_place_transforms_match_elementwise_formulas_bitwise(family, gamma):
     spec = make_ensemble(family, seed=SEED, gamma=gamma)
     check_transform(spec, np.concatenate([reference_uniforms(SEED, 0, 2**20), EDGE_UNIFORMS]))
+
+
+def test_weibull_transform_allocates_one_tile():
+    # the magnitudes are built one tile at a time; a second chunk-sized array took 8 MiB here
+    spec = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0)
+    u = reference_uniforms(SEED, 0, 2**20)
+    tracemalloc.start()
+    try:
+        got = _from_uniforms(spec, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is u
+    assert peak <= 2**20
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from oscilab import ensembles, proba
 from oscilab.ensembles import FAMILIES, make_ensemble, sample_block, sample_gain_matrix
 from oscilab.fields import SpectralField, _trapezoid_weights, unit_field
-from oscilab.hermite import build_basis, cached_basis
-from oscilab.mc import DEFAULT_CHUNK
+from oscilab.hermite import audit_axis, build_basis, cached_basis
+from oscilab.mc import DEFAULT_CHUNK, run_chunked
 from oscilab.proba import (
     FLOW_SUP_REGULARITY,
     FLOW_TIME_NODES,
@@ -296,7 +296,8 @@ def test_flow_sup_over_one_period_matches_every_node(dim, n, family):
     assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
-N_OVER_THREE_CHUNKS = 2 * DEFAULT_CHUNK + 2000  # three chunks, and norm_tail needs 1e4
+# three chunks or more, the last one partial; norm_tail needs 1e4
+N_OVER_THREE_CHUNKS = max(2 * DEFAULT_CHUNK, 10**4) + 192
 
 
 def _as_lists(report: dict) -> dict:
@@ -325,6 +326,58 @@ def test_paley_zygmund_worker_invariance(s):
     ens, cutoff = make_ensemble("gaussian", seed=SEED), CutoffSpec(N=8, s=s)
     serial = paley_zygmund_check(base, ens, cutoff, N_OVER_THREE_CHUNKS, workers=1)
     assert paley_zygmund_check(base, ens, cutoff, N_OVER_THREE_CHUNKS, workers=3) == serial
+
+
+def map_gains_values(run, chunk_size, monkeypatch):
+    """The per-omega values of every map_gains call that run() makes, with chunks of chunk_size rows."""
+    values = []
+
+    def chunked(total, kernel, workers=1):
+        parts = run_chunked(total, kernel, workers, chunk_size)
+        values.append(np.concatenate(parts, axis=-1))
+        return parts
+
+    monkeypatch.setattr(ensembles, "run_chunked", chunked)
+    run()
+    return values
+
+
+def _omega_reference(seed):
+    good_set_probability(_flat_base(), make_ensemble("gaussian", seed=seed), (0.75, 1.0, 1.5, 2.0, 3.0), 10**4)
+
+
+def _paley_zygmund_s05_reference(seed):
+    basis = cached_basis(1, 40, 84)
+    decay = 1.0 / np.sqrt(basis.lambda2)
+    base = SpectralField(basis, (decay / np.linalg.norm(decay)).astype(complex))
+    for scale in (4, 8, 16):
+        paley_zygmund_check(base, make_ensemble("gaussian", seed=seed), CutoffSpec(N=scale, s=0.5), 10**4)
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+@pytest.mark.parametrize("run", [_omega_reference, _paley_zygmund_s05_reference])
+def test_reference_values_do_not_depend_on_the_chunk_size(monkeypatch, run, seed):
+    # the per-omega kernels work row by row, except the one zgemm per chunk behind the d = 1 audit
+    # and hat values: its rows must come out the same whether a chunk holds 4096 rows or 1024
+    wide, narrow = (map_gains_values(lambda: run(seed), size, monkeypatch) for size in (4096, 1024))
+    assert len(wide) == len(narrow) > 0
+    for a, b in zip(wide, narrow):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_good_set_memory_is_bounded_by_one_chunk():
+    # omega's reference shape: a chunk's largest array is its (rows x 308 audit points) complex
+    # values, one zgemm's output.  Two of them at 1024 rows bound the run; 4096-row chunks took 24.7 MiB
+    base = _flat_base()
+    points = base.basis.audit_table().shape[1]
+    tracemalloc.start()
+    try:
+        rep = good_set_probability(base, make_ensemble("gaussian", seed=SEED), (0.75, 1.0, 1.5, 2.0, 3.0), 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["n_samples"] == 10**4
+    assert peak <= 2 * 1024 * points * 16
 
 
 def test_wilson_interval():
@@ -414,6 +467,19 @@ def test_eigen_l4_ground_state_value():
     rep = eigenfunction_lp_decay(4.0, 20)
     # || h_0 ||_{L^4} = (2 pi)^{-1/8}
     assert abs(rep["ratios"][0] - (2 * np.pi) ** -0.125) < 1e-6
+
+
+def test_eigen_lp_works_in_its_table():
+    # |h_n|^p overwrites the table; a fresh |table| and its power took 9.5 MiB at n_max = 400
+    table_bytes = 401 * audit_axis(400, 1).size * 8
+    tracemalloc.start()
+    try:
+        rep = eigenfunction_lp_decay(4.0, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["verdict"]
+    assert peak <= table_bytes + 2**20
 
 
 def test_eigen_lp_validation():
