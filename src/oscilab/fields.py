@@ -367,7 +367,8 @@ def _smoothing_blocks(basis: BasisGrid, eps: float, variant: str):
         v = _unit_grid_values(basis, a, b, table)
         if variant == "fractional_grad":
             # to the Fourier side, |xi|^s on the grid, analysis back onto the span, back to x
-            v = basis.grid_values(sign * basis.grid_coeffs(v * mult, table, weights), table)
+            v *= mult  # v is a fresh array: in place, one grid-sized array fewer during the analysis
+            v = basis.grid_values(sign * basis.grid_coeffs(v, table, weights), table)
         v = v.reshape(len(run), size, -1)
         blocks = (v * weight_sq) @ v.mT
         if variant == "sqrtH":

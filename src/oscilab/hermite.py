@@ -10,14 +10,15 @@ tridiagonal solver (see ``gauss_hermite_nodes``), so no scipy is needed.
 A tensor grid (quadrature nodes, the audit grid, lens grids) is kept as its
 1-D axis, its points in C order; its weights and |y|^2 (``grid_radius2``)
 are outer products and sums over the axis, so no (points x d) array exists.
-Fields are evaluated on it by sum factorization: the coefficients fill the
-(N+1)^d box, zero above total degree N, and the box is contracted with the
-1-D Hermite table one axis at a time, never with a (modes x grid points)
-table; quadrature analysis runs it backwards.  L^r norms are reduced tile by
-tile along the first axis.  The sup is an exact branch and bound over the
-same contractions: a slab of the grid whose bound, from the largest |h_n| on
-the audit axis, cannot beat the running max is never synthesized
-(``BasisGrid.audit_sup``).
+Fields are evaluated on it by sum factorization, the same path at every d:
+the coefficients fill the (N+1)^d box, zero above total degree N, and the
+box is contracted with the 1-D Hermite table one axis at a time, never with
+a (modes x grid points) table; quadrature analysis runs it backwards.  L^r
+norms are reduced tile by tile along the first axis.  The sup is an exact
+branch and bound over the same contractions: a slab of the grid whose bound,
+from the largest |h_n| on the audit axis, cannot beat the running max is
+never synthesized (``BasisGrid.audit_sup``); at d = 1 the first contraction
+is the values.
 
 Every 1-D value comes from one recurrence kernel, ``_recurrence``, which
 keeps only the rows its caller reads: ``hermite_function_values`` keeps all
@@ -217,7 +218,7 @@ class BasisGrid:
     analysis back, and ``audit_tiles`` yields |u| tile by tile for L^r norms.
     ``audit_sup`` gives the max over those tiles bit for bit, but contracts
     only the slabs and pencils of the grid whose rigorous bound can beat the
-    running max.
+    running max.  Each method has one path for every dim, d = 1 included.
     """
 
     dim: int
@@ -302,44 +303,36 @@ class BasisGrid:
 
         ``coeffs`` has shape (..., size) and ``table[n, j] = h_n(y_j)`` shape
         (N+1, P); the result has shape (..., P^dim), the points y^dim in C
-        order.  At d = 1 this is the matmul ``coeffs @ table``; above, the
-        coefficients are scattered into the (N+1)^dim box and contracted with
-        the table one axis at a time.
+        order.  The coefficients are scattered into the (N+1)^dim box and
+        contracted with the table one axis at a time.
         """
         coeffs = np.asarray(coeffs)
-        if self.dim == 1:
-            return coeffs @ table
         vals = self._contract(self._box(coeffs.reshape(-1, self.size)), table, range(self.dim))
         return np.moveaxis(vals, -1, 0).reshape(coeffs.shape[:-1] + (-1,))
 
     def grid_coeffs(self, values: np.ndarray, table: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Quadrature analysis sum_j weights[j] h_n(y_j) values[..., j] on the grid of grid_values.
 
-        Above d = 1 the weighted values are contracted with the transposed
-        table one grid axis at a time, and the basis positions of the box kept.
+        The weighted values are contracted with the transposed table one grid
+        axis at a time, and the basis positions of the box kept.
         """
         values = np.asarray(values)
-        if self.dim == 1:
-            return ((table * weights) @ values.T).T
-        rows = (values * weights).reshape(-1, weights.size)
-        box = self._contract(rows.T.reshape((table.shape[1],) * self.dim + (-1,)), table.T, range(self.dim))
+        rows = values.reshape(-1, weights.size)
+        weighted = np.multiply(rows.T, weights[:, None], order="C")  # (points, m), contiguous for _contract
+        box = self._contract(weighted.reshape((table.shape[1],) * self.dim + (-1,)), table.T, range(self.dim))
         out = box.reshape(-1, rows.shape[0])[self._box_positions].T
         return out.reshape(values.shape[:-1] + (-1,))
 
     def audit_tiles(self, coeffs: np.ndarray):
         """|u| on the audit grid for each row of ``coeffs`` (shape (m, size)), as (points, m) tiles.
 
-        Above d = 1 the grid is cut along its first axis, a tile holding about
-        AUDIT_TILE_BYTES of values (at least one slice), so the (m, P^dim)
-        values never exist at once.  Every tile runs the same equal-shape
-        contractions, so no value depends on the tile size.  At d = 1 the one
-        tile is the matmul of grid_values.
+        The grid is cut along its first axis, a tile holding about
+        AUDIT_TILE_BYTES of values (at least one point or slice), so the
+        (m, P^dim) values never exist at once.  Every tile runs the same
+        equal-shape contractions, so no value depends on the tile size.
         """
         coeffs = np.asarray(coeffs)
         table = self.audit_table()
-        if self.dim == 1:
-            yield np.abs(self.grid_values(coeffs, table)).T
-            return
         m = coeffs.shape[0]
         partial = self._contract(self._box(coeffs), table, range(1))
         tile = max(1, AUDIT_TILE_BYTES // (partial.itemsize * m * table.shape[1] ** (self.dim - 1)))
@@ -349,10 +342,9 @@ class BasisGrid:
     def audit_sup(self, coeffs: np.ndarray) -> np.ndarray:
         """max |u| over the audit grid for each row of ``coeffs`` (shape (m, size)).
 
-        At d = 1 this is the max over the one tile of ``audit_tiles``, taken
-        from the (m, points) values in row blocks of a quarter of
-        AUDIT_TILE_BYTES, so their |u| never exists whole.  Above, it is an
-        exact branch and bound that works one grid axis at a time.
+        An exact branch and bound that works one grid axis at a time; at d = 1
+        the first-axis contraction already gives the values, whose |u| is
+        maxed a quarter of AUDIT_TILE_BYTES at a time.
 
         Bound: with M[n] = max_j |h_n(y_j)| over the audit table and
         ``partial`` the first-axis contraction of ``audit_tiles``, every |u| in
@@ -390,13 +382,6 @@ class BasisGrid:
         """
         coeffs = np.asarray(coeffs)
         sup = np.zeros(coeffs.shape[0])
-        if self.dim == 1:
-            # blocks cut from the one matmul's result: a split of its inputs could change its bits
-            vals = self.grid_values(coeffs, self.audit_table())
-            step = max(1, AUDIT_TILE_BYTES // 4 // max(8 * vals.shape[1], 1))
-            for lo in range(0, len(vals), step):
-                np.abs(vals[lo : lo + step]).max(axis=1, out=sup[lo : lo + step])
-            return sup
         table = self.audit_table()
         partial = self._contract(self._box(coeffs), table, range(1))
         self._sup_walk(partial, table, self._audit_peak, sup)
@@ -406,12 +391,18 @@ class BasisGrid:
         """Raise ``sup`` (shape (m,)) to max |u| over the grid points of ``cells``, by branch and bound.
 
         ``cells`` has shape (S, N+1, ..., N+1, m): S grid cells with their
-        remaining degree axes.  Cells go in decreasing order of their best
-        normalized bound; each batch first drops the cells that ``sup`` rules
-        out, then contracts the next degree axis of the rest.  On the last
-        axis that gives values; above it, the batch's new cells, P for each
-        kept one, are walked in turn.
+        remaining degree axes.  With none left they are grid values, shape
+        (points, m), whose |u| is maxed a quarter of AUDIT_TILE_BYTES at a
+        time.  Otherwise cells go in decreasing order of their best normalized
+        bound; each batch first drops the cells that ``sup`` rules out, then
+        contracts the next degree axis of the rest, and the batch's new cells,
+        P for each kept one, are walked in turn.
         """
+        if cells.ndim == 2:
+            step = max(1, AUDIT_TILE_BYTES // 4 // max(8 * cells.shape[1], 1))
+            for lo in range(0, len(cells), step):
+                np.maximum(sup, np.abs(cells[lo : lo + step]).max(axis=0), out=sup)
+            return
         bound = _cell_bounds(cells, peak)
         top = np.fmax.reduce(bound, axis=0)  # per row, NaN bounds left out
         ratio = np.divide(bound, top, out=np.zeros_like(bound), where=(top > 0) & (top < np.inf))
@@ -430,11 +421,7 @@ class BasisGrid:
             take, rest = rest[:batch], rest[batch:]
             batch = most
             vals = self._contract(cells[take], table, range(1, 2))
-            vals = vals.reshape((-1,) + vals.shape[2:])
-            if last:
-                np.maximum(sup, np.abs(vals).max(axis=0), out=sup)
-            else:
-                self._sup_walk(vals, table, peak, sup)
+            self._sup_walk(vals.reshape((-1,) + vals.shape[2:]), table, peak, sup)
 
     def _box(self, rows: np.ndarray) -> np.ndarray:
         """(m, size) rows scattered into the coefficient box (N+1, ..., N+1, m), zero above degree N."""

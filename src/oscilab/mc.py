@@ -12,10 +12,10 @@ from concurrent.futures import ThreadPoolExecutor
 __all__ = ["run_chunked", "holding"]
 
 # Rows per chunk of ``ensembles.map_gains``, its one user.  A per-omega
-# kernel's largest array is (rows x grid) complex values (omega's 308-point
-# audit grid is 4.8 MiB at 1024 rows, 19.3 MiB at 4096), and two chunks of
-# them are live under ``holding``; 1024 rows keep that small without making
-# the per-chunk overhead show.
+# kernel's largest array is (grid x rows) complex values (omega's audit sup
+# contracts its 308-point audit axis into 4.8 MiB at 1024 rows, 19.3 MiB at
+# 4096), and two chunks of them are live under ``holding``; 1024 rows keep
+# that small without making the per-chunk overhead show.
 DEFAULT_CHUNK = 1024
 
 

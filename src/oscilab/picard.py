@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from functools import cached_property
 
 import numpy as np
@@ -393,7 +393,11 @@ def load_trajectory(path) -> Trajectory:
         version = int(data["version"][0])
         if version != TRAJECTORY_VERSION:
             raise ValueError(f"checkpoint version {version}, expected {TRAJECTORY_VERSION}")
-        cfg = SolverConfig(**json.loads(str(data["config_json"][0])))
+        config = json.loads(str(data["config_json"][0]))
+        known = {f.name for f in fields(SolverConfig)}  # every one an int
+        if not (isinstance(config, dict) and config.keys() <= known and all(type(v) is int for v in config.values())):
+            raise ValueError(f"checkpoint config {config!r} is not an object of integer SolverConfig fields")
+        cfg = SolverConfig(**config)
         return Trajectory(
             config=cfg,
             basis=cached_basis(cfg.dim, cfg.N, int(data["quad_per_axis"][0])),

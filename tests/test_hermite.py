@@ -373,7 +373,6 @@ def runtime_warnings(fn, *args):
 
 def check_audit_sup_against_tile_max(basis, rows):
     # bit for bit, NaN rows included; and no RuntimeWarning the tile max does not raise too
-    # (at d = 1 the complex matmul of an inf row computes inf * 0, so the tiles may warn)
     want, expected = runtime_warnings(tile_sup, basis, rows)
     got, raised = runtime_warnings(basis.audit_sup, rows)
     assert np.array_equal(got, want, equal_nan=True)
@@ -386,7 +385,7 @@ def check_audit_sup_against_tile_max(basis, rows):
     st.sampled_from([1, 3 * 2**10, hermite.AUDIT_TILE_BYTES]),
 )
 def test_audit_sup_is_the_tile_max_bit_for_bit_d1(case, tile_bytes):
-    # the row blocks of the d = 1 sup: one row at a time, a few, and all rows at once
+    # the point blocks of |u| in the d = 1 sup: one point at a time, a few, and all points at once
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(hermite, "AUDIT_TILE_BYTES", tile_bytes)
         check_audit_sup_against_tile_max(*case)
@@ -436,8 +435,9 @@ def test_d1_audit_sup_memory():
         tracemalloc.stop()
     assert np.array_equal(sup, tile_sup(basis, rows))
     values_bytes = rows.shape[0] * table.shape[1] * 16
-    complex_table_bytes = table.size * 16  # the matmul's complex copy of the real table
-    assert peak <= values_bytes + hermite.AUDIT_TILE_BYTES // 4 + complex_table_bytes + 2**16
+    # the (m,) sup and a block's (m,) max take the 2^16 B; a table-sized margin covers the small rest
+    margin_bytes = table.size * 16
+    assert peak <= values_bytes + hermite.AUDIT_TILE_BYTES // 4 + margin_bytes + 2**16
 
 
 def test_d3_audit_sup_memory():
@@ -473,12 +473,15 @@ def test_analysis_inverts_synthesis(u):
     assert np.max(np.abs(back.coeffs - u.coeffs)) <= 1e-13 * np.max(np.abs(u.coeffs))
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 6, 7, 8])
-def test_contract_warns_for_no_lone_inf(n):
+# the d = 2 cases keep their bare-N ids
+@pytest.mark.parametrize(
+    "dim,n", [pytest.param(d, n, id=f"{n}" if d == 2 else f"d1-{n}") for d in (1, 2) for n in (1, 3, 4, 6, 7, 8)]
+)
+def test_contract_warns_for_no_lone_inf(dim, n):
     # OpenBLAS flags an invalid operation for a lone inf at some stack widths; only its values count
-    basis = hermite.cached_basis(2, n, 2 * (n + 1))
+    basis = hermite.cached_basis(dim, n, 2 * (n + 1))
     row = np.zeros((1, basis.size), dtype=complex)
-    row[0, 0] = np.inf  # h_00 has no zero on the audit grid
+    row[0, 0] = np.inf  # the ground state has no zero on the audit grid
     table = basis.audit_table()
     zeroed = table.copy()
     zeroed[:, 5] = 0.0  # every h_n vanishes at axis point 5: inf * 0 there
@@ -487,9 +490,10 @@ def test_contract_warns_for_no_lone_inf(n):
         values = basis.grid_values(row, table)
         assert np.all(np.isposinf(values.real)) and np.all(values.imag == 0)
         assert np.all(np.isposinf(basis.audit_sup(row)))
-        values = basis.grid_values(row, zeroed).real.reshape(table.shape[1], table.shape[1])
+        values = basis.grid_values(row, zeroed).real.reshape((table.shape[1],) * dim)
     on_zero = np.zeros(values.shape, dtype=bool)
-    on_zero[5, :] = on_zero[:, 5] = True
+    for a in range(dim):
+        on_zero[(slice(None),) * a + (5,)] = True
     assert np.all(np.isnan(values[on_zero])) and np.all(np.isposinf(values[~on_zero]))
 
 

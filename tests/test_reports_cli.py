@@ -173,7 +173,9 @@ def test_cli_solve_resume_identical(tmp_path, capsys):
     assert error_report["stats"]["error_type"] == "ConfigError"
 
 
-@pytest.mark.parametrize("damage", ["missing_v", "not_npz", "old_version"])
+@pytest.mark.parametrize(
+    "damage", ["missing_v", "not_npz", "old_version", "config_unknown_field", "config_not_object", "config_not_int"]
+)
 def test_cli_refuses_a_bad_checkpoint(tmp_path, capsys, damage):
     # a checkpoint that cannot be read is refused like one of another problem, naming the file
     assert run_cli(["solve-nlsh", "--tier", "smoke", "--out", str(tmp_path)]) == 0
@@ -185,6 +187,14 @@ def test_cli_refuses_a_bad_checkpoint(tmp_path, capsys, damage):
             arrays = {name: data[name] for name in data.files}
         if damage == "missing_v":
             del arrays["v"]
+        elif damage == "config_unknown_field":
+            config = json.loads(str(arrays["config_json"][0]))
+            arrays["config_json"] = np.array([json.dumps({**config, "extra": 1})])
+        elif damage == "config_not_object":
+            arrays["config_json"] = np.array([json.dumps([1, 2])])
+        elif damage == "config_not_int":
+            config = json.loads(str(arrays["config_json"][0]))
+            arrays["config_json"] = np.array([json.dumps({**config, "dim": "1"})])
         else:
             arrays["version"] = np.array([3])
         np.savez(checkpoint, **arrays)
