@@ -1,7 +1,8 @@
 """Command-line entry point: argument parsing, parameter resolution and
 artifact output over the experiment registry.
 
-Every run writes a manifest echoing the fully resolved configuration; for a
+Every run first deletes the reports an earlier run left in its directory,
+then writes a manifest echoing the fully resolved configuration; for a
 fixed manifest and BLAS thread count the report and CSV bytes are identical
 across runs (and across --workers settings).  Tiers scale Monte Carlo effort
 only; every tolerance is pinned in code.
@@ -87,6 +88,16 @@ def _write(name: str, result: Result, out_dir: Path) -> None:
     write_report(name, result.stats, out_dir, verdict=result.verdict, meta=result.meta)
 
 
+def _clear_reports(out_dir: Path) -> None:
+    """Delete an earlier run's top-level reports, CSVs and plot scripts, so that none
+    outlives the run it came from.  The trajectory checkpoint, which --resume reads,
+    and subdirectories (acceptance's per-command runs) stay."""
+    if out_dir.is_dir():
+        for path in out_dir.iterdir():
+            if path.suffix in (".json", ".csv", ".gp") and path.name != "manifest.json" and path.is_file():
+                path.unlink()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="oscilab",
@@ -117,6 +128,7 @@ def main(argv=None) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
+    _clear_reports(out_dir)
     write_manifest(out_dir, args.command, {"params": params, "seed": args.seed, "tier": args.tier, "workers": args.workers})
     ctx = Context(seed=args.seed, workers=args.workers, tier=args.tier, out_dir=out_dir, resume=args.resume)
     experiment = REGISTRY[args.command]

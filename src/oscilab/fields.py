@@ -18,7 +18,6 @@ __all__ = [
     "SpectralField",
     "NormSpec",
     "unit_field",
-    "embed_field",
     "synthesize",
     "analyze",
     "derivative_coefficients",
@@ -65,9 +64,6 @@ class SpectralField:
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.basis, self.coeffs.copy())
-
 
 @dataclass(frozen=True)
 class NormSpec:
@@ -90,16 +86,6 @@ def unit_field(basis: BasisGrid, index) -> SpectralField:
     """Field equal to a single basis function h_index."""
     c = np.zeros(basis.size, dtype=complex)
     c[basis.index_position(index)] = 1.0
-    return SpectralField(basis, c)
-
-
-def embed_field(u: SpectralField, basis: BasisGrid) -> SpectralField:
-    """Re-express u in a finer basis of the same dimension (degree >= original)."""
-    if basis.dim != u.basis.dim or basis.max_degree < u.basis.max_degree:
-        raise BasisError("target basis must have same dim and at least the same degree")
-    # the graded enumeration of degree <= N is a prefix of every finer one
-    c = np.zeros(basis.size, dtype=complex)
-    c[: u.basis.size] = u.coeffs
     return SpectralField(basis, c)
 
 
@@ -189,10 +175,6 @@ def propagate_linear(u: SpectralField, t: float) -> SpectralField:
 def fourier_transform(u: SpectralField) -> SpectralField:
     """Unitary Fourier transform: c_n -> (-i)^{|n|} c_n (Hermite eigenfunctions)."""
     return SpectralField(u.basis, (-1j) ** u.basis.degrees * u.coeffs)
-
-
-def inverse_fourier_transform(u: SpectralField) -> SpectralField:
-    return SpectralField(u.basis, (1j) ** u.basis.degrees * u.coeffs)
 
 
 _PRODUCT_QUAD_CACHE: dict = {}

@@ -7,18 +7,19 @@ The transform sends a function u of internal time s = arctan(2t)/2 to
 
 an L^2 isometry for each t that intertwines the oscillator flow exp(-isH)
 with the free flow exp(it del^2).  A frame holds the axis of its tensor grid,
-the audit axis scaled by sqrt(1 + 4 t^2), and the values at its points.
+the audit axis scaled by sqrt(1 + 4 t^2), and the values at its points.  The
+free propagator works on that same grid with an FFT, so it shares nothing with
+the transform but the synthesis of the data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .fields import SpectralField, analyze, embed_field, fourier_transform, inverse_fourier_transform, synthesize
-from .hermite import DEFAULT_COEFF_BUDGET, audit_axis, cached_basis, grid_radius2, hermite_function_values
+from .fields import SpectralField
+from .hermite import AUDIT_MARGIN, audit_axis, grid_radius2, hermite_function_values
 
 __all__ = [
     "PhysicalFrame",
@@ -28,26 +29,15 @@ __all__ = [
     "lens_forward",
     "frame_l2_norm",
     "free_propagate",
-    "free_propagate_field",
-    "free_time_limit",
 ]
 
 # coefficient magnitude below this fraction of the total norm is treated as
 # unoccupied when estimating the data's phase-space extent
 BANDWIDTH_RTOL = 1e-9
 
-# chirp-tail truncation target for the enlarged free-propagation span
-FREE_TAIL_TOL = 1e-10
-
-# largest Hermite degree the enlarged free-propagation span may reach
-DEGREE_CAP = 1024
-
-# largest tensor grid (nodes and weights) of the enlarged free-propagation span
-FREE_GRID_BYTES = 2**27
-
 
 class AliasingGuardError(RuntimeError):
-    """Requested free evolution would alias on any affordable span."""
+    """Requested free evolution would alias on the frame's grid."""
 
 
 @dataclass
@@ -113,78 +103,34 @@ def _effective_degree(u0: SpectralField) -> int:
     return int(occupied.max()) if occupied.size else 0
 
 
-def _free_span_degree(n_eff: int, t: float, dim: int) -> int:
-    """Span needed to hold exp(it del^2) applied to data of degree n_eff.
-
-    The free flow is the metaplectic operator of the shear (x, xi) ->
-    (x + 2 t xi, xi); its largest singular value squared is
-    sigma2 = 1 + 2 t^2 + 2 |t| sqrt(1 + t^2), which dilates the occupied
-    phase-space disk, and the expansion tail beyond that decays geometrically
-    with ratio rho = (sigma2 - 1) / (sigma2 + 1) per mode pair.
-    """
-    a = 2.0 * abs(t)
-    sigma2 = 0.5 * (2.0 + a * a + np.sqrt((2.0 + a * a) ** 2 - 4.0))
-    center = sigma2 * (2.0 * n_eff + dim) / 2.0
-    rho = (sigma2 - 1.0) / (sigma2 + 1.0)
-    if rho <= 0:
-        margin = 8
-    else:
-        margin = int(np.ceil(2.0 * np.log(1.0 / FREE_TAIL_TOL) / np.log(1.0 / rho))) + 8
-    return int(np.ceil(center)) + margin
-
-
-def free_time_limit(u0: SpectralField) -> float:
-    """Largest |t| the guard admits for this data under the degree cap."""
-    n_eff = _effective_degree(u0)
-    lo, hi = 0.0, 1.0
-    while _free_span_degree(n_eff, hi, u0.basis.dim) <= DEGREE_CAP and hi < 1e6:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _free_span_degree(n_eff, mid, u0.basis.dim) <= DEGREE_CAP:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def free_propagate_field(u0: SpectralField, t: float) -> SpectralField:
-    """exp(it del^2) u0 as a spectral field on an internally enlarged span.
-
-    Realized as the Fourier multiplier e^{-it |xi|^2}: transform, multiply on
-    the quadrature grid, project back, inverse transform.  The span is grown
-    until the chirp tail falls below FREE_TAIL_TOL; if that would exceed
-    DEGREE_CAP the call fails loudly rather than aliasing silently.
-    """
-    if t == 0:
-        return u0.copy()
-    n_eff = _effective_degree(u0)
-    need = _free_span_degree(n_eff, t, u0.basis.dim)
-    if need > DEGREE_CAP:
-        raise AliasingGuardError(
-            f"free propagation to t={t} needs degree {need} > cap {DEGREE_CAP} "
-            f"(data degree {n_eff}); max admissible |t| is {free_time_limit(u0):.4g}"
-        )
-    dim = u0.basis.dim
-    big_degree = max(need, u0.basis.max_degree)
-    big_degree = 32 * int(np.ceil((big_degree + 1) / 32))  # quantize to bound the basis cache
-    size, grid_bytes = comb(big_degree + dim, dim), (2 * (big_degree + 1)) ** dim * (dim + 1) * 8
-    if size > DEFAULT_COEFF_BUDGET or grid_bytes > FREE_GRID_BYTES:
-        raise AliasingGuardError(
-            f"free propagation span (degree {big_degree}, dim {dim}) is too large: "
-            f"{size} functions on a grid of {grid_bytes} B"
-        )
-    big = cached_basis(dim, big_degree, 2 * (big_degree + 1))
-    uhat = fourier_transform(embed_field(u0, big))
-    vals = synthesize(uhat)
-    vals = np.exp(-1j * t * big.radius2) * vals
-    return inverse_fourier_transform(analyze(vals, big))
-
-
 def free_propagate(u0: SpectralField, t: float) -> PhysicalFrame:
-    """exp(it del^2) u0 sampled on the audit grid scaled by sqrt(1 + 4t^2), the lens frame's grid."""
-    out = free_propagate_field(u0, t)
-    axis = _scaled_axis(u0.basis, t)
-    table = hermite_function_values(out.basis.max_degree, axis)
-    values = out.basis.grid_values(out.coeffs, table)
-    return PhysicalFrame(axis=axis, dim=u0.basis.dim, values=values, time=float(t))
+    """exp(it del^2) u0 on the lens frame's grid, the audit grid scaled by sqrt(1 + 4t^2).
+
+    u0 is synthesized on the grid, and the Fourier multiplier exp(-it |xi|^2)
+    is applied by FFT, one axis at a time.  The free flow keeps the data's
+    frequency extent sqrt(2n + d) + AUDIT_MARGIN (n its effective degree),
+    while the grid's Nyquist frequency pi / dx falls as the grid stretches; a
+    time at which the extent passes pi / dx is refused before anything
+    grid-sized is allocated, rather than aliased silently.
+    """
+    basis, dim = u0.basis, u0.basis.dim
+    axis = _scaled_axis(basis, t)
+    dx = float(axis[1] - axis[0])
+    n_eff = _effective_degree(u0)
+    extent = np.sqrt(2.0 * n_eff + dim) + AUDIT_MARGIN
+    if extent * dx > np.pi:
+        # dx = sqrt(1 + 4t^2) times the audit spacing
+        ratio = np.pi * np.sqrt(1.0 + 4.0 * t * t) / (extent * dx)
+        t_max = 0.5 * np.sqrt(max(ratio * ratio - 1.0, 0.0))
+        raise AliasingGuardError(
+            f"free propagation to t={t} aliases: data of degree {n_eff} reach frequency {extent:.4g}, "
+            f"above the Nyquist bound pi/dx = {np.pi / dx:.4g} of the frame's grid; max admissible |t| is {t_max:.4g}"
+        )
+    # the transforms work in place: the frame's values are the one grid-sized array
+    grid = basis.grid_values(u0.coeffs, hermite_function_values(basis.max_degree, axis)).reshape((axis.size,) * dim)
+    np.fft.fftn(grid, out=grid)
+    phase = np.exp(-1j * t * (2.0 * np.pi * np.fft.fftfreq(axis.size, dx)) ** 2)
+    for a in range(dim):
+        grid *= phase.reshape((-1,) + (1,) * (dim - 1 - a))
+    np.fft.ifftn(grid, out=grid)
+    return PhysicalFrame(axis=axis, dim=dim, values=grid.ravel(), time=float(t))

@@ -10,7 +10,6 @@ from oscilab.fields import (
     SpectralField,
     classical_sobolev_norm,
     derivative_coefficients,
-    embed_field,
     evaluate_norm,
     fourier_transform,
     fractional_laplacian_L2_norm,
@@ -28,6 +27,14 @@ from oscilab.fields import (
 from oscilab import hermite
 from oscilab.hermite import build_basis, cached_basis, gauss_hermite_nodes
 from test_hermite import tensor_grid
+
+
+def embed_field(u, basis):
+    """u re-expressed in a basis of the same dimension and at least its degree:
+    the graded enumeration of degree <= N is a prefix of every finer one."""
+    c = np.zeros(basis.size, dtype=complex)
+    c[: u.basis.size] = u.coeffs
+    return SpectralField(basis, c)
 
 
 def random_unit_field(basis, rng):

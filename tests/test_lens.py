@@ -1,16 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscilab.fields import SpectralField, propagate_linear, unit_field
-from oscilab.hermite import audit_axis, cached_basis
+from oscilab.hermite import AUDIT_MARGIN, audit_axis, cached_basis
 from oscilab.lens import (
     AliasingGuardError,
     frame_l2_norm,
     free_propagate,
-    free_propagate_field,
-    free_time_limit,
     lens_forward,
     lens_time_inverse,
     lens_time_map,
@@ -57,24 +57,58 @@ def test_lens_frames_isometric(dim, n, seed, t):
     assert abs(frame_l2_norm(lens_forward(u, t)) - u.l2_norm) <= 1e-10
 
 
+def _free_flow_error(u0, t):
+    """L^2 distance on the frame's grid between exp(it del^2) u0 and the lens image of the oscillator flow."""
+    frame = lens_forward(propagate_linear(u0, lens_time_map(t)), t)
+    free = free_propagate(u0, t)
+    assert np.array_equal(free.axis, frame.axis)
+    diff = free.values
+    diff -= frame.values  # in place: at d = 3 a frame is 13 million points
+    return float(np.sqrt(float(frame.axis[1] - frame.axis[0]) ** frame.dim * np.vdot(diff, diff).real))
+
+
+def _t_max(basis, degree):
+    """Largest |t| at which the frame's Nyquist bound pi/dx covers data of this degree:
+    dx = sqrt(1 + 4t^2) dy, dy the audit spacing, against the extent sqrt(2n + d) + margin."""
+    audit = audit_axis(basis.max_degree, basis.dim)
+    dy = audit[1] - audit[0]
+    extent = np.sqrt(2.0 * degree + basis.dim) + AUDIT_MARGIN
+    return 0.5 * np.sqrt((np.pi / (dy * extent)) ** 2 - 1.0)
+
+
 def test_conjugation_with_free_flow(basis64):
     # harmonic flow carried through the lens equals the free flow
     u0 = unit_field(basis64, 3)
     for t in (0.25, 0.5, 1.0):
-        s = lens_time_map(t)
-        frame = lens_forward(propagate_linear(u0, s), t)
-        free = free_propagate(u0, t)
-        assert np.array_equal(free.axis, frame.axis)
-        dx = float(frame.axis[1] - frame.axis[0])
-        err = np.sqrt(dx * np.sum(np.abs(frame.values - free.values) ** 2))
-        assert err <= 1e-6
+        assert _free_flow_error(u0, t) <= 1e-6
 
 
-def test_free_propagate_identity_and_isometry(basis64):
+@pytest.mark.parametrize("data", ["random", "top"])
+def test_free_propagate_matches_the_lens_image(basis64, data):
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=basis64.size) + 1j * rng.normal(size=basis64.size)
+    u0 = SpectralField(basis64, c / np.linalg.norm(c)) if data == "random" else unit_field(basis64, 64)
+    for t in (0.25, 0.5, 1.0, 0.99 * _t_max(basis64, 64)):
+        assert _free_flow_error(u0, t) <= 1e-10, t
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_free_propagate_matches_the_lens_image_in_higher_dimensions(dim):
+    basis = cached_basis(dim, 4, 10)
+    u0 = unit_field(basis, basis.indices[-1])
+    # a d = 3 frame is 236^3 points, two seconds a time: only the time nearest the guard
+    times = (0.25, 0.5, 1.0) if dim == 2 else ()
+    for t in (*times, 0.99 * _t_max(basis, 4)):
+        assert _free_flow_error(u0, t) <= 1e-8, t
+
+
+def test_free_propagate_identity_and_isometry(basis64, rng):
     u0 = unit_field(basis64, 3)
-    assert np.array_equal(free_propagate_field(u0, 0.0).coeffs, u0.coeffs)
-    out = free_propagate_field(u0, 0.3)
-    assert abs(out.l2_norm - 1.0) <= 1e-8
+    assert np.max(np.abs(free_propagate(u0, 0.0).values - lens_forward(u0, 0.0).values)) <= 1e-14
+    c = rng.normal(size=basis64.size) + 1j * rng.normal(size=basis64.size)
+    u = SpectralField(basis64, c / np.linalg.norm(c))
+    for t in (0.3, -1.0, 1.5):
+        assert abs(frame_l2_norm(free_propagate(u, t)) - 1.0) <= 1e-10
 
 
 def test_free_gaussian_spreading(basis64):
@@ -84,31 +118,31 @@ def test_free_gaussian_spreading(basis64):
 
 
 def test_aliasing_guard(basis64):
-    u0 = unit_field(basis64, 3)
-    tmax = free_time_limit(u0)
-    with pytest.raises(AliasingGuardError):
-        free_propagate_field(u0, 2.0 * tmax + 1.0)
-    # inside the guard everything stays finite and isometric
-    out = free_propagate_field(u0, 0.9 * tmax)
-    assert abs(out.l2_norm - 1.0) <= 1e-8
-
-
-def test_two_dimensional_free_flow_is_the_product_of_one_dimensional_flows():
-    # degree 128 at d = 2: 8385 functions on 258^2 nodes, a span priced out while a
-    # (modes x nodes) table was built; the product data h_1 (x) h_1 evolve axis by axis
-    one = free_propagate_field(unit_field(cached_basis(1, 2, 6), 1), 0.8)
-    two = free_propagate_field(unit_field(cached_basis(2, 2, 6), (1, 1)), 0.8)
-    assert two.basis.max_degree == one.basis.max_degree == 128
-    want = np.array([one.coeffs[a] * one.coeffs[b] for a, b in two.basis.indices])
-    assert np.max(np.abs(two.coeffs - want)) <= 1e-12
+    for degree in (0, 3, 64):
+        u0 = unit_field(basis64, degree)
+        t_max = _t_max(basis64, degree)
+        for t in (1.01 * t_max, -1.01 * t_max):
+            with pytest.raises(AliasingGuardError, match=rf"Nyquist bound .* max admissible \|t\| is {t_max:.4g}$"):
+                free_propagate(u0, t)
+        # inside the guard everything stays finite and isometric
+        assert abs(frame_l2_norm(free_propagate(u0, 0.99 * t_max)) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_aliasing_guard_prices_the_span_before_building_it(dim):
-    # degree ~940 is under the cap, but its basis or its tensor grid is too large to build
+    # the refused frame would be 214^dim points (157 MB of values at d = 3): the
+    # guard prices it from the audit axis and refuses before allocating any of it
     u0 = unit_field(cached_basis(dim, 2, 6), (0,) * dim)
-    with pytest.raises(AliasingGuardError, match="too large"):
-        free_propagate_field(u0, 3.0)
+    frame_bytes = 16 * len(audit_axis(u0.basis.max_degree, dim)) ** dim
+    tracemalloc.start()
+    try:
+        with pytest.raises(AliasingGuardError):
+            free_propagate(u0, 50.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < frame_bytes / 16
+    assert peak < 2**20
 
 
 def test_lens_on_given_points(basis32):

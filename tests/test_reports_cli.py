@@ -203,6 +203,8 @@ def test_cli_refuses_a_bad_checkpoint(tmp_path, capsys, damage):
     assert str(checkpoint) in capsys.readouterr().err
     stats = json.loads((tmp_path / "solve_nlsh" / "error.json").read_text())["stats"]
     assert stats["error_type"] == "ConfigError" and str(checkpoint) in stats["message"]
+    # the passing run's report and curve went with it; the checkpoint stays for inspection
+    assert sorted(p.name for p in checkpoint.parent.iterdir()) == ["error.json", "manifest.json", "trajectory.npz"]
 
 
 @pytest.mark.parametrize("command,setting", [("eigen-lp", "n_max=5"), ("eigen-lp", "n_max=10"), ("b2p", "p=0")])
@@ -259,3 +261,29 @@ def test_cli_frame_dump(tmp_path):
     frame = (tmp_path / "solve_nls" / "frame_t0.5.csv").read_text().splitlines()
     assert frame[0] == "x,re_u,im_u"
     assert (tmp_path / "solve_nls" / "frame_t0.5.gp").exists()
+
+
+def test_cli_deletes_an_earlier_runs_artifacts(tmp_path):
+    # the smoke tier writes the t = 0.5 and 2.0 frames, the reference tier t = 10.0 too
+    out = str(tmp_path)
+    assert run_cli(["solve-nls", "--tier", "reference", "--out", out]) == 0
+    assert (tmp_path / "solve_nls" / "frame_t10.0.csv").exists()
+    assert run_cli(["solve-nls", "--tier", "smoke", "--out", out]) == 0
+    assert sorted(p.name for p in (tmp_path / "solve_nls").iterdir()) == [
+        "frame_t0.5.csv", "frame_t0.5.gp", "frame_t2.0.csv", "frame_t2.0.gp",
+        "manifest.json", "solve_nls.json", "trajectory.npz",
+    ]
+
+
+def test_cli_aliasing_refusal_leaves_no_passing_report(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run_cli(["lens-check", "--tier", "smoke", "--out", out]) == 0
+    # a config that does not resolve runs nothing and deletes nothing
+    assert run_cli(["lens-check", "--tier", "smoke", "--out", out, "--set", "times=[100]x"]) == 2
+    assert json.loads((tmp_path / "lens_check" / "lens_check.json").read_text())["verdict"] is True
+    capsys.readouterr()
+    assert run_cli(["lens-check", "--tier", "smoke", "--out", out, "--set", "times=[100.0]"]) == 3
+    assert "Nyquist bound" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "lens_check").iterdir()) == ["error.json", "manifest.json"]
+    stats = json.loads((tmp_path / "lens_check" / "error.json").read_text())["stats"]
+    assert stats["error_type"] == "AliasingGuardError" and "Nyquist bound" in stats["message"]
