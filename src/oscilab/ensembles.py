@@ -19,22 +19,22 @@ increments the counter before its first block), read as the uniform
 (word >> 11) * 2**-53.  ``sample_gain_matrix`` wants many short streams:
 ``_philox_uniforms`` runs the ten Philox rounds in numpy over the whole
 (omega x block) grid at once, bit-identical to numpy's ``Philox`` and about
-15x faster than one ``Generator`` per omega.  ``sample_block(spec, start,
-stop, width)`` is rows [start, stop) of the (n, width) matrix with variate
-(i, k) at position i * width + k of the stream keyed (seed, 0); it reads that
-one range through numpy's ``Generator`` (about 10x faster on a long range),
-advanced to the range's first block.
+15x faster than one ``Generator`` per omega.  The bulk matrix of the stream
+keyed (seed, 0) holds variate (i, k) of its (n, width) rows at position
+i * width + k; numpy's ``Generator``, advanced to a range's first block, reads
+a range of it (about 10x faster on a long range).  ``sample_block`` is rows
+[start, stop) of it in one family's law, the reference the tests fold.
 
 Both streams have one chunking primitive on ``mc.run_chunked``: ``fold_block``
-sums a bulk experiment's partials over chunks of ``sample_block``, each drawn
-into the one float buffer its worker thread keeps for that call, and
+sums a bulk experiment's partials over chunks of the bulk matrix for every
+family that shares the stream, drawing each chunk's uniforms once, a tile at a
+time, and keeping per family only a per-row statistic of chunk length; and
 ``map_gains`` maps a per-omega kernel over chunks of ``sample_gain_matrix``
 rows and concatenates its values in omega order.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +46,6 @@ __all__ = [
     "EnsembleSpec",
     "make_ensemble",
     "FAMILIES",
-    "sample_block",
     "fold_block",
     "map_gains",
     "verify_tail",
@@ -205,43 +204,77 @@ def sample_gain_matrix(spec: EnsembleSpec, omega_ids, count: int) -> np.ndarray:
     return _from_uniforms(spec, _philox_uniforms(spec.seed, omega_ids, count))
 
 
-def sample_block(spec: EnsembleSpec, start: int, stop: int, width: int = 1, out=None) -> np.ndarray:
-    """Rows [start, stop) of the (n, width) bulk matrix of the stream keyed
-    (seed, 0); variate (i, k) sits at position i * width + k.
+# variates per chunk of the bulk fold, the unit of its partial sums
+_BULK_CHUNK = 2**20
+# variates per tile of a chunk's draw (512 KiB of doubles)
+_BULK_TILE = 2**16
 
-    With ``out``, a 1-D float array of at least (stop - start) * width
-    entries, the uniforms are drawn into its head and the rows returned may
-    live there, so a caller that reuses ``out`` must be done with them first.
-    """
-    first, size = start * width, (stop - start) * width
-    gen = np.random.Generator(np.random.Philox(key=[np.uint64(spec.seed), np.uint64(0)]))
+
+def _bulk_stream(seed: int, first: int) -> np.random.Generator:
+    """numpy's Generator on the stream keyed (seed, 0), positioned at variate ``first``."""
+    gen = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(0)]))
     gen.bit_generator.advance(first // 4)
     gen.random(first % 4)
-    u = np.empty(size) if out is None else out[:size]
-    gen.random(out=u)
+    return gen
+
+
+def sample_block(spec: EnsembleSpec, start: int, stop: int, width: int) -> np.ndarray:
+    """Rows [start, stop) of the (n, width) bulk matrix of the stream keyed
+    (seed, 0) in spec's law; variate (i, k) sits at position i * width + k."""
+    u = _bulk_stream(spec.seed, start * width).random((stop - start) * width)
     return _from_uniforms(spec, u).reshape(stop - start, width)
 
 
-def fold_block(spec: EnsembleSpec, n_samples: int, width: int, partial, workers: int = 1):
-    """Sum of partial(rows) over the chunks of the (n_samples, width) bulk matrix.
+def fold_block(families, n_samples: int, width: int, row_stat, workers: int = 1) -> list:
+    """Per (spec, partial) pair of ``families``, the sum of partial(stats) over
+    the chunks of the (n_samples, width) bulk matrix in spec's law.
 
-    partial maps a chunk of rows to an array of partial sums, and must not
-    keep ``rows``: each worker thread draws every chunk it runs into one
-    buffer, sized to the rows of one chunk and freed when the call returns.
-    Chunks hold max(1, 2**20 // width) rows and their partials are added left
-    to right in chunk order, so the result is bitwise independent of workers.
+    The families share the stream keyed (seed, 0), so one seed for all.  A
+    chunk holds max(1, 2**20 // width) rows; its uniforms are drawn once, a
+    tile of about 2**16 at a time, and every family maps its own copy of the
+    tile to its law.  row_stat(rows) gives a statistic per row of the tile
+    (its last axis runs over the rows), and stats is that statistic over the
+    whole chunk, so partial sums over the chunk's rows keep the bits of a
+    fold over whole chunks of rows.  The partials are added left to right in
+    chunk order, so the result is bitwise independent of workers.
     """
-    chunk = max(1, 2**20 // width)
-    buffers = threading.local()
+    seeds = sorted({spec.seed for spec, _ in families})
+    if len(seeds) != 1:
+        raise ValueError(f"families folded over one bulk stream must share its seed, got seeds {seeds}")
+    chunk = max(1, _BULK_CHUNK // width)
+    # Tiles hold whole groups of four rows and leave no lone row at the end of a
+    # chunk: OpenBLAS's gemv takes a row's dot product through a kernel chosen by
+    # the row's place in those groups, so every row keeps the bits that a product
+    # over the whole chunk gives it.
+    tile = max(4, _BULK_TILE // width // 4 * 4)
+
+    def chunk_stats(a, b):
+        gen = _bulk_stream(seeds[0], a * width)
+        bounds = [*range(0, max(b - a - 1, 1), tile), b - a]
+        u = np.empty(min(tile + 1, b - a) * width)
+        copy = np.empty_like(u) if len(families) > 1 else None
+        stats = [None] * len(families)
+        for lo, hi in zip(bounds, bounds[1:]):
+            size = (hi - lo) * width
+            gen.random(out=u[:size])
+            for f, (spec, _) in enumerate(families):
+                x = u[:size]
+                if f < len(families) - 1:  # the last family consumes the uniforms
+                    x = copy[:size]
+                    x[...] = u[:size]
+                stat = row_stat(_from_uniforms(spec, x).reshape(hi - lo, width))
+                if stats[f] is None:
+                    stats[f] = np.empty(stat.shape[:-1] + (b - a,))
+                stats[f][..., lo:hi] = stat
+        return stats
 
     def kernel(a, b):
-        if not hasattr(buffers, "u"):
-            buffers.u = np.empty(min(n_samples, chunk) * width)
-        return partial(sample_block(spec, a, b, width, out=buffers.u))
+        # the tiles are freed before the partials run
+        return [partial(stats) for (_, partial), stats in zip(families, chunk_stats(a, b))]
 
-    acc = 0.0
-    for part in run_chunked(n_samples, kernel, workers, chunk):
-        acc += part
+    acc = [0.0] * len(families)
+    for parts in run_chunked(n_samples, kernel, workers, chunk):
+        acc = [total + part for total, part in zip(acc, parts)]
     return acc
 
 
@@ -310,11 +343,10 @@ def verify_tail(spec: EnsembleSpec, n_samples: int, rho_grid, workers: int = 1) 
     if rho_grid.size < 2 or np.any(np.diff(rho_grid) <= 0):
         raise ValueError("rho_grid must be strictly increasing with >= 2 points")
 
-    def partial(rows):
-        a = np.abs(rows.ravel())
+    def partial(a):
         return np.array([np.count_nonzero(a >= r) for r in rho_grid])
 
-    survival = fold_block(spec, n_samples, 1, partial, workers) / n_samples
+    survival = fold_block([(spec, partial)], n_samples, 1, lambda rows: np.abs(rows[:, 0]), workers)[0] / n_samples
 
     # keep points with at least 20 hits so the log survival is trustworthy
     usable = (survival >= 20.0 / n_samples) & (survival < 1)

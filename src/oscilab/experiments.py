@@ -343,13 +343,19 @@ def khinchin(params, ctx):
     spread = np.ones(params["n_modes"]) / np.sqrt(params["n_modes"])
     n = params["n_samples"]
     qs = tuple(range(2, params["q_max"] + 1, 2))
-    cases = {  # name: (ensemble, coefficients, samples)
-        "gaussian": (make_ensemble("gaussian", seed=seed), spread, n),
-        "rademacher_single": (make_ensemble("rademacher", seed=seed), np.array([1.0]), max(n // 10, 10**4)),
-        "weibull_1.0": (make_ensemble("symmetric_weibull", seed=seed, gamma=1.0), spread, n),
-        "weibull_1.5": (make_ensemble("symmetric_weibull", seed=seed, gamma=1.5), spread, n),
-    }
-    runs = {name: khinchin_growth(ens, c, qs, n_samples=m, workers=ctx.workers) for name, (ens, c, m) in cases.items()}
+    # the three families on the spread coefficients share one draw of the stream
+    gaussian, weibull_1, weibull_15 = khinchin_growth(
+        [
+            make_ensemble("gaussian", seed=seed),
+            make_ensemble("symmetric_weibull", seed=seed, gamma=1.0),
+            make_ensemble("symmetric_weibull", seed=seed, gamma=1.5),
+        ],
+        spread, qs, n, ctx.workers,
+    )
+    (single,) = khinchin_growth(
+        [make_ensemble("rademacher", seed=seed)], np.array([1.0]), qs, max(n // 10, 10**4), ctx.workers
+    )
+    runs = {"gaussian": gaussian, "rademacher_single": single, "weibull_1.0": weibull_1, "weibull_1.5": weibull_15}
     lines = [
         f"{name}: exponent {r['fitted_exponent']:.3f} <= {r['exponent_bound']:.3f} [{r['hypothesis_branch']}]"
         for name, r in runs.items()
@@ -523,20 +529,12 @@ def eigen_lp(params, ctx):
 
 
 def chernoff(params, ctx):
-    c16 = np.ones(16) / 4.0
-    runs = {
-        "gaussian": chernoff_tail(
-            make_ensemble("gaussian", seed=ctx.seed), c16, np.linspace(1.0, 4.5, 15), n_samples=params["n_samples"],
-            workers=ctx.workers,
-        ),
-        "weibull_1.5": chernoff_tail(
-            make_ensemble("symmetric_weibull", seed=ctx.seed, gamma=1.5),
-            c16,
-            np.linspace(1.0, 6.0, 21),
-            n_samples=params["n_samples"],
-            workers=ctx.workers,
-        ),
+    families = {  # name: (ensemble, thresholds), drawn together from one stream
+        "gaussian": (make_ensemble("gaussian", seed=ctx.seed), np.linspace(1.0, 4.5, 15)),
+        "weibull_1.5": (make_ensemble("symmetric_weibull", seed=ctx.seed, gamma=1.5), np.linspace(1.0, 6.0, 21)),
     }
+    reports = chernoff_tail(list(families.values()), np.ones(16) / 4.0, n_samples=params["n_samples"], workers=ctx.workers)
+    runs = dict(zip(families, reports))
     return Result(
         {"runs": runs},
         all(r["verdict"] for r in runs.values()),

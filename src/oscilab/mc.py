@@ -43,8 +43,8 @@ def holding(kernel):
     the next chunk page-faults it all back in; holding the previous chunk's
     arrays keeps the top in use.  The held slot is shared by all threads,
     but no result ever reads it.  ``ensembles.map_gains`` is its one user:
-    ``ensembles.fold_block`` draws every chunk into one buffer per worker
-    instead, which costs neither the fault nor a second chunk held.
+    ``ensembles.fold_block`` holds no chunk of gains, only tiles of them and
+    per-row statistics, each a few MiB at most.
     """
     held = [None]
 

@@ -75,13 +75,14 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 
 def khinchin_growth(
-    spec: EnsembleSpec,
+    specs,
     coeffs,
     q_grid=(2, 4, 6, 8, 10, 12),
     n_samples: int = 10**6,
     workers: int = 1,
-) -> dict:
-    """Empirical L^q(Omega) norms of sum_n c_n g_n and their growth exponent.
+) -> list:
+    """Empirical L^q(Omega) norms of sum_n c_n g_n and their growth exponent,
+    one report per spec; the specs share one seed and one draw of the bulk stream.
 
     Fits log ||S||_q against log q and compares the slope with the upper
     bound 1 / m(gamma) from the concentration table (one-sided: the true
@@ -95,44 +96,49 @@ def khinchin_growth(
     if q_grid[0] < 2 or q_grid[-1] > 24 or np.any(q_grid % 2):
         raise ValueError("q_grid must be even integers inside [2, 24]")
 
-    def partial(rows):
-        s = np.abs(rows @ coeffs)
+    def partial(s):
         part = np.zeros((q_grid.size, 2))
         for i, q in enumerate(q_grid):
             p = s**q
             part[i] = p.sum(), (p * p).sum()
         return part
 
-    sums, sums_sq = fold_block(spec, n_samples, coeffs.size, partial, workers).T
-    means = sums / n_samples
-    variances = np.maximum(sums_sq / n_samples - means**2, 0.0)
-    rel_se = np.sqrt(variances / n_samples) / np.where(means > 0, means, 1.0)
-    if rel_se[-1] > 0.10:
-        raise ValueError(
-            f"moment estimate unstable at q={q_grid[-1]}: relative standard error "
-            f"{rel_se[-1]:.3f} > 0.10; widen n_samples or shrink the grid"
-        )
-    norms = means ** (1.0 / q_grid)
+    folds = fold_block(
+        [(spec, partial) for spec in specs], n_samples, coeffs.size, lambda rows: np.abs(rows @ coeffs), workers
+    )
+    reports = []
+    for spec, fold in zip(specs, folds):
+        sums, sums_sq = fold.T
+        means = sums / n_samples
+        variances = np.maximum(sums_sq / n_samples - means**2, 0.0)
+        rel_se = np.sqrt(variances / n_samples) / np.where(means > 0, means, 1.0)
+        if rel_se[-1] > 0.10:
+            raise ValueError(
+                f"moment estimate unstable at q={q_grid[-1]}: relative standard error "
+                f"{rel_se[-1]:.3f} > 0.10; widen n_samples or shrink the grid"
+            )
+        norms = means ** (1.0 / q_grid)
 
-    if np.all(norms > 0) and np.ptp(np.log(norms)) > 1e-12:
-        slope, _ = np.polyfit(np.log(q_grid), np.log(norms), 1)
-    else:
-        slope = 0.0
-    m_gamma = concentration_exponent(spec.gamma, spec.satisfies_HE1)
-    bound = 1.0 / m_gamma + 0.15
-    return {
-        "family": spec.family,
-        "gamma": spec.gamma,
-        "hypothesis_branch": "HE1" if spec.satisfies_HE1 else "HE2",
-        "m_gamma": m_gamma,
-        "q_grid": q_grid.tolist(),
-        "lq_norms": norms.tolist(),
-        "rel_std_errors": rel_se.tolist(),
-        "fitted_exponent": float(slope),
-        "exponent_bound": bound,
-        "verdict": bool(slope <= bound),
-        "n_samples": n_samples,
-    }
+        if np.all(norms > 0) and np.ptp(np.log(norms)) > 1e-12:
+            slope, _ = np.polyfit(np.log(q_grid), np.log(norms), 1)
+        else:
+            slope = 0.0
+        m_gamma = concentration_exponent(spec.gamma, spec.satisfies_HE1)
+        bound = 1.0 / m_gamma + 0.15
+        reports.append({
+            "family": spec.family,
+            "gamma": spec.gamma,
+            "hypothesis_branch": "HE1" if spec.satisfies_HE1 else "HE2",
+            "m_gamma": m_gamma,
+            "q_grid": q_grid.tolist(),
+            "lq_norms": norms.tolist(),
+            "rel_std_errors": rel_se.tolist(),
+            "fitted_exponent": float(slope),
+            "exponent_bound": bound,
+            "verdict": bool(slope <= bound),
+            "n_samples": n_samples,
+        })
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +219,13 @@ def odd_moment_witness(spec: EnsembleSpec, indices, n_samples: int = 10**5) -> d
     if len(indices) not in (3, 4, 6):
         raise ValueError(f"tuple length must be 3, 4 or 6, got {len(indices)}")
 
-    def partial(rows):
-        prod = np.prod(rows[:, list(indices)], axis=1)
+    def partial(prod):
         return np.array([prod.sum(), (prod * prod).sum()])
 
-    total, total_sq = fold_block(spec, n_samples, max(indices) + 1, partial)
+    columns = list(indices)
+    total, total_sq = fold_block(
+        [(spec, partial)], n_samples, max(indices) + 1, lambda rows: np.prod(rows[:, columns], axis=1)
+    )[0]
     mean = total / n_samples
     var = max(total_sq / n_samples - mean**2, 0.0)
     se = float(np.sqrt(var / n_samples))
@@ -547,13 +555,14 @@ def eigenfunction_lp_decay(p_exp: float, n_max: int) -> dict:
 
 
 def chernoff_tail(
-    spec: EnsembleSpec,
+    families,
     coeffs,
-    rho_grid,
     n_samples: int = 10**6,
     workers: int = 1,
-) -> dict:
-    """Three-part check for mean-zero families with gamma in (1, 2]:
+) -> list:
+    """Three-part check for mean-zero families with gamma in (1, 2], one report
+    per (spec, rho_grid) pair of ``families``; the specs share one seed and one
+    draw of the bulk stream:
 
     (i) the empirical moment generating function at 21 points of [-1, 1]
     sits under exp(c_hat t^2) with a stable fitted c_hat;
@@ -562,61 +571,73 @@ def chernoff_tail(
     (iii) the L^q growth exponent of S over q = 2, 4, ..., 10 stays below
     1/gamma + 0.1.
     """
-    if not 1.0 < spec.gamma <= 2.0:
-        raise ValueError(f"chernoff_tail needs gamma in (1, 2], got {spec.gamma}")
+    for spec, _ in families:
+        if not 1.0 < spec.gamma <= 2.0:
+            raise ValueError(f"chernoff_tail needs gamma in (1, 2], got {spec.gamma}")
+    families = [(spec, np.asarray(rho_grid, dtype=float)) for spec, rho_grid in families]
     coeffs = np.asarray(coeffs, dtype=float)
     cnorm = float(np.linalg.norm(coeffs))
     t_grid = np.linspace(-1.0, 1.0, 21)
-    rho_grid = np.asarray(rho_grid, dtype=float)
     q_grid = np.array([2, 4, 6, 8, 10])
 
-    def partial(rows):
-        # one t at a time into one buffer: the rows of exp(outer(t_grid, g0)).sum(axis=1), bit for bit
-        s = np.abs(rows @ coeffs)
-        g0 = rows[:, 0].copy()
-        buf = np.empty_like(g0)
-        return np.concatenate([
-            [np.exp(np.multiply(t, g0, out=buf), out=buf).sum() for t in t_grid],
-            [np.count_nonzero(s >= r) for r in rho_grid],
-            [(s**q).sum() for q in q_grid],
-        ])
+    def row_stat(rows):
+        return np.stack([np.abs(rows @ coeffs), rows[:, 0]])
 
-    sums = fold_block(spec, n_samples, coeffs.size, partial, workers) / n_samples
-    mgf, survival, qsums = np.split(sums, [t_grid.size, t_grid.size + rho_grid.size])
-    lq_norms = qsums ** (1.0 / q_grid)
+    def partial_over(rho_grid):
+        def partial(stats):
+            # one t at a time into one buffer: the rows of exp(outer(t_grid, g0)).sum(axis=1), bit for bit
+            s, g0 = stats
+            buf = np.empty_like(g0)
+            return np.concatenate([
+                [np.exp(np.multiply(t, g0, out=buf), out=buf).sum() for t in t_grid],
+                [np.count_nonzero(s >= r) for r in rho_grid],
+                [(s**q).sum() for q in q_grid],
+            ])
 
-    # (i) quadratic MGF envelope
-    away = np.abs(t_grid) >= 0.25
-    c_hat_mgf = float(np.max(np.log(mgf[away]) / t_grid[away] ** 2))
-    mgf_ok = np.all(np.isfinite(mgf)) and c_hat_mgf < 10.0
+        return partial
 
-    # (ii) tail fit in the survival window, plus a free-exponent cross-check
-    slope, intercept, r2, _ = _survival_fit(
-        rho_grid, survival, cnorm, spec.gamma, "empty tail fit window; adjust rho_grid"
+    folds = fold_block(
+        [(spec, partial_over(rho_grid)) for spec, rho_grid in families], n_samples, coeffs.size, row_stat, workers
     )
-    tail_ok = r2 >= 0.9 and slope < 0
-    free_window = survival >= 20.0 / n_samples
-    free_fit = _fit_tail_exponent(
-        rho_grid[free_window] / cnorm, survival[free_window], n_samples
-    )
+    reports = []
+    for (spec, rho_grid), fold in zip(families, folds):
+        sums = fold / n_samples
+        mgf, survival, qsums = np.split(sums, [t_grid.size, t_grid.size + rho_grid.size])
+        lq_norms = qsums ** (1.0 / q_grid)
 
-    # (iii) moment growth
-    growth, _ = np.polyfit(np.log(q_grid), np.log(lq_norms), 1)
-    growth_ok = growth <= 1.0 / spec.gamma + 0.1
+        # (i) quadratic MGF envelope
+        away = np.abs(t_grid) >= 0.25
+        c_hat_mgf = float(np.max(np.log(mgf[away]) / t_grid[away] ** 2))
+        mgf_ok = np.all(np.isfinite(mgf)) and c_hat_mgf < 10.0
 
-    return {
-        "family": spec.family,
-        "gamma": spec.gamma,
-        "mgf_c_hat": c_hat_mgf,
-        "mgf_ok": bool(mgf_ok),
-        "tail_c_hat": float(-slope),
-        "tail_C_hat": float(np.exp(intercept)),
-        "tail_r2": float(r2),
-        "tail_gamma_hat": free_fit["gamma_hat"],
-        "tail_ok": bool(tail_ok),
-        "growth_exponent": float(growth),
-        "growth_bound": 1.0 / spec.gamma + 0.1,
-        "growth_ok": bool(growth_ok),
-        "verdict": bool(mgf_ok and tail_ok and growth_ok),
-        "n_samples": n_samples,
-    }
+        # (ii) tail fit in the survival window, plus a free-exponent cross-check
+        slope, intercept, r2, _ = _survival_fit(
+            rho_grid, survival, cnorm, spec.gamma, "empty tail fit window; adjust rho_grid"
+        )
+        tail_ok = r2 >= 0.9 and slope < 0
+        free_window = survival >= 20.0 / n_samples
+        free_fit = _fit_tail_exponent(
+            rho_grid[free_window] / cnorm, survival[free_window], n_samples
+        )
+
+        # (iii) moment growth
+        growth, _ = np.polyfit(np.log(q_grid), np.log(lq_norms), 1)
+        growth_ok = growth <= 1.0 / spec.gamma + 0.1
+
+        reports.append({
+            "family": spec.family,
+            "gamma": spec.gamma,
+            "mgf_c_hat": c_hat_mgf,
+            "mgf_ok": bool(mgf_ok),
+            "tail_c_hat": float(-slope),
+            "tail_C_hat": float(np.exp(intercept)),
+            "tail_r2": float(r2),
+            "tail_gamma_hat": free_fit["gamma_hat"],
+            "tail_ok": bool(tail_ok),
+            "growth_exponent": float(growth),
+            "growth_bound": 1.0 / spec.gamma + 0.1,
+            "growth_ok": bool(growth_ok),
+            "verdict": bool(mgf_ok and tail_ok and growth_ok),
+            "n_samples": n_samples,
+        })
+    return reports

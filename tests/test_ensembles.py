@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from oscilab import ensembles
+from oscilab import ensembles, proba
 from oscilab.ensembles import (
     FAMILIES,
     TWO_POINT_HIGH,
@@ -23,7 +23,7 @@ from oscilab.ensembles import (
     verify_tail,
 )
 from oscilab.mc import DEFAULT_CHUNK
-from oscilab.proba import chernoff_tail, khinchin_growth
+from oscilab.proba import chernoff_tail, khinchin_growth, odd_moment_witness
 
 SEED = 1
 
@@ -68,14 +68,14 @@ def test_two_point_constants_are_centered():
 
 def test_gaussian_marginals():
     g = make_ensemble("gaussian", seed=SEED)
-    x = sample_block(g, 0, 10**6)
+    x = sample_block(g, 0, 10**6, 1)
     assert abs(np.mean(x * x) - 1.0) <= 0.01
     assert abs(np.mean(x)) <= 0.005
 
 
 def test_two_point_values_and_moments():
     tp = make_ensemble("centered_two_point", seed=SEED)
-    x = sample_block(tp, 0, 10**6)
+    x = sample_block(tp, 0, 10**6, 1)
     assert set(np.unique(x)) == {-0.5, 2.0}
     assert abs(np.mean(x)) <= 0.005
     # (1/5) 8 + (4/5)(-1/8) = 1.5
@@ -84,20 +84,20 @@ def test_two_point_values_and_moments():
 
 def test_rademacher_support():
     r = make_ensemble("rademacher", seed=SEED)
-    x = sample_block(r, 0, 10**4)
+    x = sample_block(r, 0, 10**4, 1)
     assert set(np.unique(x)) == {-1.0, 1.0}
 
 
 def test_uniform_variance():
     u = make_ensemble("uniform_symmetric", seed=SEED)
-    x = sample_block(u, 0, 10**6)
+    x = sample_block(u, 0, 10**6, 1)
     assert np.abs(x).max() <= np.sqrt(3) + 1e-12
     assert abs(np.mean(x * x) - 1.0) <= 0.01
 
 
 def test_weibull_exact_tail_and_moment():
     w = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0)
-    x = sample_block(w, 0, 10**6)
+    x = sample_block(w, 0, 10**6, 1)
     # magnitude is standard exponential: E X^2 = 2
     assert abs(np.mean(x * x) - 2.0) <= 0.03
     emp = np.mean(np.abs(x) >= 2.0)
@@ -106,12 +106,12 @@ def test_weibull_exact_tail_and_moment():
 
 def test_moment_examples():
     g = make_ensemble("gaussian", seed=SEED)
-    x = sample_block(g, 0, 10**6)
+    x = sample_block(g, 0, 10**6, 1)
     m4, se4 = np.mean(x**4), np.std(x**4) / np.sqrt(x.size)
     assert abs(m4 - 3.0) <= 0.05
     assert np.mean(x**2) ** 2 <= m4 + 3 * se4
     r = make_ensemble("rademacher", seed=SEED)
-    assert np.mean(np.abs(sample_block(r, 0, 10**4)) ** 9) == 1.0
+    assert np.mean(np.abs(sample_block(r, 0, 10**4, 1)) ** 9) == 1.0
 
 
 def reference_uniforms(seed, omega, count):
@@ -147,7 +147,7 @@ def test_stream_determinism():
             assert sample(g, omega, k) == stream[k]
     # the bulk reader advances to a range's first block like a single draw
     for k in (0, 1, 3, 4, 5, 17, 400, 402):
-        assert sample_block(g, k, k + 1)[0, 0] == sample(g, 0, k)
+        assert sample_block(g, k, k + 1, 1)[0, 0] == sample(g, 0, k)
     # distinct omegas and seeds decorrelate
     assert not np.array_equal(long, sample_gains(g, 8, 16))
     g2 = make_ensemble("gaussian", seed=SEED + 1)
@@ -263,9 +263,6 @@ def test_block_is_counter_addressed(case):
     assert np.array_equal(rows, sample_block(spec, 0, stop, width)[start:])
     flat = _from_uniforms(spec, reference_uniforms(spec.seed, 0, stop * width))
     assert np.array_equal(rows, flat[start * width :].reshape(-1, width))
-    # drawn into the head of a longer buffer that holds stale values
-    buffer = np.full((stop - start) * width + 3, np.nan)
-    assert np.array_equal(sample_block(spec, start, stop, width, out=buffer), rows)
 
 
 def test_block_wider_than_a_chunk():
@@ -277,7 +274,7 @@ def test_block_wider_than_a_chunk():
     assert np.array_equal(sample_block(g, 1, 2, width), rows[1:])
     e0 = np.zeros(width)
     e0[0] = 1.0
-    rep = khinchin_growth(make_ensemble("rademacher", seed=SEED), e0, n_samples=3)
+    (rep,) = khinchin_growth([make_ensemble("rademacher", seed=SEED)], e0, n_samples=3)
     assert rep["lq_norms"] == [1.0] * 6
 
 
@@ -292,11 +289,23 @@ def test_fold_block_matches_sequential_reference():
         total += p.sum()
         total_sq += (p * p).sum()
 
-    def partial(rows):
-        p = np.abs(rows.ravel()) ** 3
+    def partial(p):
         return np.array([p.sum(), (p * p).sum()])
 
-    assert fold_block(w, n, 1, partial).tolist() == [total, total_sq]
+    (fold,) = fold_block([(w, partial)], n, 1, lambda rows: np.abs(rows[:, 0]) ** 3)
+    assert fold.tolist() == [total, total_sq]
+
+
+def fresh_fold(families, n, width, row_stat):
+    """Reference: per family, partial(row_stat(rows)) over whole chunks of fresh sample_block rows, in order."""
+    chunk = max(1, 2**20 // width)
+    folds = []
+    for spec, partial in families:
+        total = 0.0
+        for lo in range(0, n, chunk):
+            total = total + partial(row_stat(sample_block(spec, lo, min(lo + chunk, n), width)))
+        folds.append(total)
+    return folds
 
 
 @pytest.mark.parametrize(
@@ -306,21 +315,108 @@ def test_fold_block_matches_sequential_reference():
     ids=lambda s: s.family,
 )
 def test_fold_block_matches_a_fold_over_fresh_rows(spec):
-    # three chunks of 2^20 // 3 rows, the last one partial: every chunk reuses its worker's buffer
+    # three chunks of 2^20 // 3 rows, the last one partial, each drawn in 16 tiles
     width = 3
-    chunk = 2**20 // width
-    n = 2 * chunk + 12345
+    n = 2 * (2**20 // width) + 12345
     weights = np.array([1.0, -2.0, 0.5])
 
-    def partial(rows):
-        s = rows @ weights
-        return np.array([s.sum(), (s * s).sum(), np.abs(rows).max()])
+    def row_stat(rows):
+        return np.stack([rows @ weights, np.abs(rows).max(axis=1)])
 
-    want = 0.0
-    for lo in range(0, n, chunk):
-        want += partial(sample_block(spec, lo, min(lo + chunk, n), width))
+    def partial(stats):
+        s, top = stats
+        return np.array([s.sum(), (s * s).sum(), top.max()])
+
+    (want,) = fresh_fold([(spec, partial)], n, width, row_stat)
     for workers in (1, 2, 3):
-        assert fold_block(spec, n, width, partial, workers).tolist() == want.tolist()
+        assert fold_block([(spec, partial)], n, width, row_stat, workers)[0].tolist() == want.tolist()
+
+
+class _Captured(Exception):
+    pass
+
+
+def captured_fold(monkeypatch, module, call):
+    """The (families, width, row_stat) that call passes to module's fold_block, caught before any draw."""
+    got = {}
+
+    def recording(families, n_samples, width, row_stat, workers=1):
+        got.update(families=families, width=width, row_stat=row_stat)
+        raise _Captured
+
+    monkeypatch.setattr(module, "fold_block", recording)
+    with pytest.raises(_Captured):
+        call()
+    return got["families"], got["width"], got["row_stat"]
+
+
+def spread(width):
+    return np.ones(width) / np.sqrt(width)
+
+
+# each user of the bulk fold, called with coefficients or indices of the given width;
+# the families share one stream, and the last one consumes the uniforms (two-point: into a new array)
+u_sym, rad, two = (make_ensemble(f, seed=SEED) for f in ("uniform_symmetric", "rademacher", "centered_two_point"))
+w1 = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0)
+BULK_USERS = {
+    "chernoff_tail": (
+        proba,
+        lambda width: chernoff_tail([(u_sym, np.linspace(1, 4, 7)), (rad, np.linspace(0.5, 2, 4))], spread(width), 10),
+    ),
+    "khinchin_growth": (proba, lambda width: khinchin_growth([rad, two, u_sym], spread(width), (2, 4), 10)),
+    "odd_moment_witness": (
+        proba,
+        lambda width: odd_moment_witness(two, (0, width // 2, width - 1) if width > 1 else (0, 0, 0), 10),
+    ),
+    "verify_tail": (ensembles, lambda width: verify_tail(w1, 10**5, np.linspace(1, 8, 15))),
+}
+# rows of the fold and its workers: below one tile; one tile and a lone row, which
+# the last tile takes; smoke size; and 10^6 + 7 rows, 31 chunks at width 32
+BULK_SIZES = {
+    "tile": (lambda width: 1000, 1),
+    "lone": (lambda width: max(4, 2**16 // width // 4 * 4) + 1, 1),
+    "smoke": (lambda width: 10**5, 2),
+    "large": (lambda width: 10**6 + 7, 3),
+}
+
+
+@pytest.mark.parametrize("size", BULK_SIZES)
+@pytest.mark.parametrize(
+    "user, width", [(user, width) for user in BULK_USERS for width in (1, 3, 16, 32) if user != "verify_tail" or width == 1]
+)
+def test_bulk_users_match_a_fold_over_fresh_rows(monkeypatch, user, width, size):
+    module, call = BULK_USERS[user]
+    families, got_width, row_stat = captured_fold(monkeypatch, module, lambda: call(width))
+    assert got_width == width
+    monkeypatch.undo()
+    rows, workers = BULK_SIZES[size]
+    n = rows(width)
+    want = fresh_fold(families, n, width, row_stat)
+    got = fold_block(families, n, width, row_stat, workers)
+    assert [a.tolist() for a in got] == [b.tolist() for b in want]
+
+
+def test_shared_fold_equals_the_per_family_folds(monkeypatch):
+    # chernoff's families: the Gaussian transform runs on a copy of each tile, the Weibull one on the tile
+    g, w = make_ensemble("gaussian", seed=SEED), make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5)
+    families, width, row_stat = captured_fold(
+        monkeypatch, proba,
+        lambda: chernoff_tail([(g, np.linspace(1, 4.5, 15)), (w, np.linspace(1, 6, 21))], np.ones(16) / 4.0),
+    )
+    monkeypatch.undo()
+    n = 2 * 2**16 + 5  # two full chunks of 16-wide rows and five rows
+    shared = fold_block(families, n, width, row_stat)
+    alone = [fold_block([family], n, width, row_stat)[0] for family in families]
+    assert [a.tolist() for a in shared] == [b.tolist() for b in alone]
+
+
+def test_shared_folds_refuse_mixed_seeds():
+    c = np.ones(16) / 4.0
+    g1, g2 = make_ensemble("gaussian", seed=1), make_ensemble("gaussian", seed=2)
+    with pytest.raises(ValueError, match="share its seed"):
+        chernoff_tail([(g1, np.linspace(1, 4.5, 15)), (g2, np.linspace(1, 4.5, 15))], c, 10**4)
+    with pytest.raises(ValueError, match="share its seed"):
+        khinchin_growth([g1, g2], c, n_samples=10**4)
 
 
 def test_khinchin_matches_sequential_reference():
@@ -339,7 +435,7 @@ def test_khinchin_matches_sequential_reference():
             sums[i] += p.sum()
             sums_sq[i] += (p * p).sum()
     means = sums / n
-    rep = khinchin_growth(w, coeffs, tuple(q_grid), n)
+    (rep,) = khinchin_growth([w], coeffs, tuple(q_grid), n)
     assert rep["lq_norms"] == (means ** (1.0 / q_grid)).tolist()
     rel_se = np.sqrt(np.maximum(sums_sq / n - means**2, 0.0) / n) / means
     assert rep["rel_std_errors"] == rel_se.tolist()
@@ -352,8 +448,10 @@ def bulk_estimators(workers):
     n_long = 2 * 2**20 + 12345  # width 1: two full chunks and a partial one
     return {
         "verify_tail": verify_tail(g, n_long, np.linspace(1, 4, 13), workers),
-        "khinchin_growth": khinchin_growth(w, np.ones(32) / np.sqrt(32), (2, 4, 6, 8), 10**5, workers),
-        "chernoff_tail": chernoff_tail(g, np.ones(16) / 4.0, np.linspace(1.0, 4.5, 15), 2 * 10**5, workers=workers),
+        "khinchin_growth": khinchin_growth([g, w], np.ones(32) / np.sqrt(32), (2, 4, 6, 8), 10**5, workers),
+        "chernoff_tail": chernoff_tail(
+            [(g, np.linspace(1.0, 4.5, 15)), (w, np.linspace(1.0, 6.0, 21))], np.ones(16) / 4.0, 2 * 10**5, workers
+        ),
     }
 
 
@@ -413,17 +511,18 @@ def test_tail_fit_consistent_on_exact_law():
 def test_verify_tail_counts_match_the_bool_matrix_form(monkeypatch):
     captured = []
 
-    def recording(spec, n_samples, width, partial, workers=1):
-        captured.append(partial)
-        return fold_block(spec, n_samples, width, partial, workers)
+    def recording(families, n_samples, width, row_stat, workers=1):
+        captured.append((families[0][1], row_stat))
+        return fold_block(families, n_samples, width, row_stat, workers)
 
     monkeypatch.setattr(ensembles, "fold_block", recording)
     w = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0)
     rho_grid = np.linspace(0.5, 12.0, 24)
     verify_tail(w, 10**5, rho_grid)
-    rows = sample_block(w, 0, 2**17)
+    rows = sample_block(w, 0, 2**17, 1)
     want = (np.abs(rows.ravel())[None, :] >= rho_grid[:, None]).sum(axis=1)
-    assert np.array_equal(captured[0](rows), want)
+    partial, row_stat = captured[0]
+    assert np.array_equal(partial(row_stat(rows)), want)
 
 
 def test_verify_tail_validation():

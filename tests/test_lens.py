@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscilab.fields import SpectralField, propagate_linear, unit_field
-from oscilab.hermite import AUDIT_MARGIN, audit_axis, cached_basis
+from oscilab.hermite import audit_axis, cached_basis
 from oscilab.lens import (
+    FREE_MARGIN,
     AliasingGuardError,
     frame_l2_norm,
     free_propagate,
@@ -72,7 +73,7 @@ def _t_max(basis, degree):
     dx = sqrt(1 + 4t^2) dy, dy the audit spacing, against the extent sqrt(2n + d) + margin."""
     audit = audit_axis(basis.max_degree, basis.dim)
     dy = audit[1] - audit[0]
-    extent = np.sqrt(2.0 * degree + basis.dim) + AUDIT_MARGIN
+    extent = np.sqrt(2.0 * degree + basis.dim) + FREE_MARGIN
     return 0.5 * np.sqrt((np.pi / (dy * extent)) ** 2 - 1.0)
 
 
@@ -102,12 +103,36 @@ def test_free_propagate_matches_the_lens_image_in_higher_dimensions(dim):
         assert _free_flow_error(u0, t) <= 1e-8, t
 
 
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_free_propagate_keeps_low_degree_data_near_the_guard(n):
+    # the ground state's Gaussian spectrum has the widest tail past its turning point:
+    # a margin of 4 let 1.4e-6 of it fold back at 0.99 t_max
+    basis = cached_basis(1, n, 2 * n + 2)
+    u0 = unit_field(basis, 0)
+    assert _free_flow_error(u0, 0.99 * _t_max(basis, 0)) <= 1e-10
+
+
+def test_lens_forward_works_in_place():
+    # one call holds the synthesis and one complex phase, where the product of
+    # separate factors held four frame-sized arrays
+    basis = cached_basis(2, 16, 34)
+    u = SpectralField(basis, np.ones(basis.size) / np.sqrt(basis.size))
+    frame_bytes = lens_forward(u, 2.0).values.nbytes  # and the audit table is cached
+    tracemalloc.start()
+    try:
+        lens_forward(u, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * frame_bytes
+
+
 def test_free_propagate_identity_and_isometry(basis64, rng):
     u0 = unit_field(basis64, 3)
     assert np.max(np.abs(free_propagate(u0, 0.0).values - lens_forward(u0, 0.0).values)) <= 1e-14
     c = rng.normal(size=basis64.size) + 1j * rng.normal(size=basis64.size)
     u = SpectralField(basis64, c / np.linalg.norm(c))
-    for t in (0.3, -1.0, 1.5):
+    for t in (0.3, -1.0, 0.99 * _t_max(basis64, 64)):
         assert abs(frame_l2_norm(free_propagate(u, t)) - 1.0) <= 1e-10
 
 

@@ -82,7 +82,7 @@ def test_concentration_exponent_table():
 
 def test_khinchin_gaussian():
     spread = np.ones(32) / np.sqrt(32.0)
-    rep = khinchin_growth(make_ensemble("gaussian", seed=SEED), spread, n_samples=10**6)
+    (rep,) = khinchin_growth([make_ensemble("gaussian", seed=SEED)], spread, n_samples=10**6)
     assert abs(rep["fitted_exponent"] - 0.5) <= 0.1
     # exact law is standard normal: || . ||_{L^4} = 3^{1/4}
     idx = rep["q_grid"].index(4)
@@ -91,16 +91,14 @@ def test_khinchin_gaussian():
 
 
 def test_khinchin_rademacher_single():
-    rep = khinchin_growth(make_ensemble("rademacher", seed=SEED), np.array([1.0]), n_samples=10**5)
+    (rep,) = khinchin_growth([make_ensemble("rademacher", seed=SEED)], np.array([1.0]), n_samples=10**5)
     assert abs(rep["fitted_exponent"]) <= 1e-12
     assert all(abs(v - 1.0) < 1e-12 for v in rep["lq_norms"])
 
 
 def test_khinchin_weibull_branches():
     spread = np.ones(32) / np.sqrt(32.0)
-    rep = khinchin_growth(
-        make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0), spread, n_samples=10**6
-    )
+    (rep,) = khinchin_growth([make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0)], spread, n_samples=10**6)
     assert rep["hypothesis_branch"] == "HE1"
     assert rep["exponent_bound"] == pytest.approx(1.5 + 0.15)
     assert rep["verdict"]
@@ -111,12 +109,12 @@ def test_khinchin_weibull_branches():
 def test_khinchin_validation():
     g = make_ensemble("gaussian", seed=SEED)
     with pytest.raises(ValueError):
-        khinchin_growth(g, np.ones(4), n_samples=10**4)  # not normalized
+        khinchin_growth([g], np.ones(4), n_samples=10**4)  # not normalized
     with pytest.raises(ValueError):
-        khinchin_growth(g, np.ones(1), q_grid=(3, 5), n_samples=10**4)
+        khinchin_growth([g], np.ones(1), q_grid=(3, 5), n_samples=10**4)
     with pytest.raises(ValueError, match="unstable"):
         khinchin_growth(
-            make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0),
+            [make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0)],
             np.ones(32) / np.sqrt(32.0),
             q_grid=(2, 12, 20),
             n_samples=10**4,
@@ -493,9 +491,7 @@ def test_eigen_lp_validation():
 
 
 def test_chernoff_gaussian():
-    rep = chernoff_tail(
-        make_ensemble("gaussian", seed=SEED), np.ones(16) / 4.0, np.linspace(1.0, 4.5, 15), 10**6
-    )
+    (rep,) = chernoff_tail([(make_ensemble("gaussian", seed=SEED), np.linspace(1.0, 4.5, 15))], np.ones(16) / 4.0, 10**6)
     assert abs(rep["mgf_c_hat"] - 0.5) <= 0.05   # exact normal MGF exponent
     assert rep["tail_r2"] >= 0.9
     # the sum of gaussians is gaussian: free tail exponent near 2
@@ -505,26 +501,25 @@ def test_chernoff_gaussian():
 
 
 def test_chernoff_weibull():
-    rep = chernoff_tail(
-        make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5),
-        np.ones(16) / 4.0,
-        np.linspace(1.0, 6.0, 21),
-        10**6,
+    (rep,) = chernoff_tail(
+        [(make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5), np.linspace(1.0, 6.0, 21))], np.ones(16) / 4.0, 10**6
     )
     assert rep["verdict"]
 
 
 def chernoff_partial(monkeypatch, spec, coeffs, rho_grid):
-    """The chunk partial that chernoff_tail folds, captured from its fold_block call."""
+    """The chunk partial of chernoff_tail's fold, as a function of the chunk's rows,
+    captured from its fold_block call."""
     captured = []
 
-    def recording(spec, n_samples, width, partial, workers=1):
-        captured.append(partial)
-        return ensembles.fold_block(spec, n_samples, width, partial, workers)
+    def recording(families, n_samples, width, row_stat, workers=1):
+        captured.append((families[0][1], row_stat))
+        return ensembles.fold_block(families, n_samples, width, row_stat, workers)
 
     monkeypatch.setattr(proba, "fold_block", recording)
-    chernoff_tail(spec, coeffs, rho_grid, 10**5)
-    return captured[0]
+    chernoff_tail([(spec, rho_grid)], coeffs, 10**5)
+    partial, row_stat = captured[0]
+    return lambda rows: partial(row_stat(rows))
 
 
 @settings(max_examples=20, deadline=None)
@@ -548,24 +543,23 @@ def test_chernoff_partial_matches_outer_and_bool_matrix_forms(spec, start, count
 
 
 def test_chernoff_memory_budget():
-    # two full chunks of 2^16 rows x 16: the chunk's 8 MiB of gains and a few row-length vectors,
-    # where (21 x rows) MGF temporaries and a second chunk held took 37 MiB
-    spec = make_ensemble("gaussian", seed=SEED)
+    # the command's two families over 10^6 rows x 16, 16 chunks of 2^16 rows: two 512 KiB
+    # tiles and each family's two row statistics of a chunk (1 MiB), where the chunk of
+    # gains alone took 8 MiB, and (21 x rows) MGF temporaries and a second chunk 37 MiB
+    families = [
+        (make_ensemble("gaussian", seed=SEED), np.linspace(1.0, 4.5, 15)),
+        (make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5), np.linspace(1.0, 6.0, 21)),
+    ]
     tracemalloc.start()
     try:
-        rep = chernoff_tail(spec, np.ones(16) / 4.0, np.linspace(1.0, 4.5, 15), 2**17)
+        reports = chernoff_tail(families, np.ones(16) / 4.0, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep["n_samples"] == 2**17
-    assert peak <= 1.5 * 8 * 2**20
+    assert [rep["n_samples"] for rep in reports] == [10**6] * 2
+    assert peak < 4 * 2**20
 
 
 def test_chernoff_gamma_range():
     with pytest.raises(ValueError):
-        chernoff_tail(
-            make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0),
-            np.ones(4) / 2.0,
-            np.linspace(1, 4, 7),
-            10**4,
-        )
+        chernoff_tail([(make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0), np.linspace(1, 4, 7))], np.ones(4) / 2.0, 10**4)
