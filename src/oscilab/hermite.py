@@ -215,7 +215,9 @@ class BasisGrid:
     rows on such a grid by contracting the coefficient box with the per-axis
     table one axis at a time, at most N+1 multiply-adds per grid value and
     axis instead of one per basis function; ``grid_coeffs`` is the quadrature
-    analysis back, and ``audit_tiles`` yields |u| tile by tile for L^r norms.
+    analysis back, ``project_pointwise`` is the analysis of an elementwise
+    function of the synthesized values, formed in place in one grid-sized
+    array, and ``audit_tiles`` yields |u| tile by tile for L^r norms.
     ``audit_sup`` gives the max over those tiles bit for bit, but contracts
     only the slabs and pencils of the grid whose rigorous bound can beat the
     running max.  Each method has one path for every dim, d = 1 included.
@@ -319,9 +321,26 @@ class BasisGrid:
         values = np.asarray(values)
         rows = values.reshape(-1, weights.size)
         weighted = np.multiply(rows.T, weights[:, None], order="C")  # (points, m), contiguous for _contract
+        return self._analyze(weighted, table).reshape(values.shape[:-1] + (-1,))
+
+    def project_pointwise(self, coeffs: np.ndarray, table: np.ndarray, weights: np.ndarray, pointwise) -> np.ndarray:
+        """``grid_coeffs(f(grid_values(coeffs, table)), table, weights)`` bit for bit, for an elementwise f.
+
+        ``coeffs`` has shape (m, size).  The rows are synthesized into the
+        contraction's own contiguous (points, m) array, ``pointwise(values)``
+        overwrites it with f(values), and it is weighted in place and
+        contracted back: no other grid-sized array is made here.
+        """
+        coeffs = np.asarray(coeffs)
+        values = self._contract(self._box(coeffs), table, range(self.dim)).reshape(-1, coeffs.shape[0])
+        pointwise(values)
+        values *= weights[:, None]
+        return self._analyze(values, table)
+
+    def _analyze(self, weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """The (m, size) coefficients of C-contiguous (points, m) grid values already multiplied by the weights."""
         box = self._contract(weighted.reshape((table.shape[1],) * self.dim + (-1,)), table.T, range(self.dim))
-        out = box.reshape(-1, rows.shape[0])[self._box_positions].T
-        return out.reshape(values.shape[:-1] + (-1,))
+        return box.reshape(-1, weighted.shape[1])[self._box_positions].T
 
     def audit_tiles(self, coeffs: np.ndarray):
         """|u| on the audit grid for each row of ``coeffs`` (shape (m, size)), as (points, m) tiles.

@@ -177,11 +177,20 @@ class _Workspace:
         self.filter_s = basis.lambda2 ** (cfg.s / 2.0)
 
     def nonlinearity(self, u_mat: np.ndarray) -> np.ndarray:
-        """K cos(2t)^e |u|^{p-1} u projected back onto the span, per time node."""
-        vals = self.basis.grid_values(u_mat, self.table)
+        """K cos(2t)^e |u|^{p-1} u projected back onto the span, per time node.
+
+        One ``BasisGrid.project_pointwise`` pass: |u|^{p-1} u is formed in place
+        on the complex (grid points x time nodes) values, so a call holds that
+        array and one real one of its shape, about 1.5 complex ones, at its peak.
+        """
         p = self.cfg.nonlinearity_p
-        nl = (np.abs(vals) ** (p - 1)) * vals
-        out = self.basis.grid_coeffs(nl, self.table, self.weights)
+
+        def power_times(values: np.ndarray) -> None:
+            mod = np.abs(values)
+            np.power(mod, p - 1, out=mod)
+            values *= mod
+
+        out = self.basis.project_pointwise(u_mat, self.table, self.weights, power_times)
         return self.cfg.K * self.cos_weight[:, None] * out
 
     def surrogate_norm(self, v_mat: np.ndarray) -> float:

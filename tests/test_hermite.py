@@ -310,6 +310,28 @@ def test_eval_at_on_nodes_is_the_eval_table(dim):
     assert np.max(np.abs(back - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
 
 
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 5), (3, 3)])
+@pytest.mark.parametrize("m", [1, 65])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_project_pointwise_is_grid_coeffs_of_f_of_grid_values_bitwise(dim, n, m, kind):
+    basis = build_basis(dim, n, 2 * (n + 1))
+    _, weights, table = product_quadrature(basis, 6 * n)  # a grid finer than the basis's own
+    rng = np.random.default_rng(10 * dim + m)
+    coeffs = rng.normal(size=(m, basis.size))
+    if kind == "complex":
+        coeffs = coeffs + 1j * rng.normal(size=(m, basis.size))
+
+    def f(values):
+        values *= np.abs(values)
+
+    values = basis.grid_values(coeffs, table)
+    f(values)
+    want = basis.grid_coeffs(values, table, weights)
+    got = basis.project_pointwise(coeffs, table, weights, f)
+    assert got.shape == (m, basis.size) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def tile_sup(basis, coeffs):
     """The max over ``audit_tiles``, the audit sup before it pruned: the bitwise reference."""
     sup = np.zeros(coeffs.shape[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscilab.fields import SpectralField, harmonic_sobolev_norm, product_quadrature, propagate_linear, unit_field
-from oscilab.hermite import cached_basis, gauss_hermite_nodes
+from oscilab.hermite import BasisGrid, cached_basis, gauss_hermite_nodes
 from oscilab.picard import (
     TOL,
     DivergenceError,
@@ -175,6 +175,51 @@ def test_factored_nonlinearity_matches_dense_reference(dim, n):
     want = cfg.K * np.cos(2.0 * ws.times)[:, None] ** cfg.cos_exponent * ((nl * weights) @ dense.T)
     got = ws.nonlinearity(u_mat)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def unfused_nonlinearity(ws, u_mat):
+    """``_Workspace.nonlinearity`` as separate array expressions: synthesis, |u|^{p-1} u, then analysis."""
+    vals = ws.basis.grid_values(u_mat, ws.table)
+    p = ws.cfg.nonlinearity_p
+    nl = (np.abs(vals) ** (p - 1)) * vals
+    out = ws.basis.grid_coeffs(nl, ws.table, ws.weights)
+    return ws.cfg.K * ws.cos_weight[:, None] * out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("dim,n", [(1, 31), (2, 6), (3, 3)])
+def test_nonlinearity_is_one_pointwise_projection_bitwise(monkeypatch, p, dim, n):
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    cfg = SolverConfig(dim=dim, N=n, nonlinearity_p=p, time_nodes=33)
+    ws = _Workspace(cfg, basis)
+    rng = np.random.default_rng(p + dim)
+    u_mat = 0.7 * (rng.normal(size=(33, basis.size)) + 1j * rng.normal(size=(33, basis.size)))
+    want = unfused_nonlinearity(ws, u_mat)
+    calls = []
+    project = BasisGrid.project_pointwise
+    monkeypatch.setattr(BasisGrid, "project_pointwise", lambda self, *a: calls.append(a[0].shape) or project(self, *a))
+    got = ws.nonlinearity(u_mat)
+    assert calls == [u_mat.shape]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 6)])
+def test_nonlinearity_holds_one_complex_grid_array(dim, n):
+    # unfused_nonlinearity holds about 3.4 complex (time nodes x grid) arrays at once
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    cfg = SolverConfig(dim=dim, N=n, time_nodes=65)
+    ws = _Workspace(cfg, basis)
+    rng = np.random.default_rng(dim)
+    u_mat = 0.3 * (rng.normal(size=(65, basis.size)) + 1j * rng.normal(size=(65, basis.size)))
+    ws.nonlinearity(u_mat)  # the basis's cached index maps are built once, outside the trace
+    tracemalloc.start()
+    try:
+        ws.nonlinearity(u_mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid_bytes = 65 * ws.weights.size * 16
+    assert peak <= 1.75 * grid_bytes
 
 
 # ------------------------------------------------------------- uniqueness
@@ -357,5 +402,5 @@ def test_d2_solve_and_frames_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 10 * 2**20
     assert all(abs(frame_l2_norm(f) - u0.l2_norm) <= 1e-8 for f in frames)
