@@ -234,8 +234,8 @@ def fold_block(families, n_samples: int, width: int, row_stat, workers: int = 1)
     tile of about 2**16 at a time, and every family maps its own copy of the
     tile to its law.  row_stat(rows) gives a statistic per row of the tile
     (its last axis runs over the rows), and stats is that statistic over the
-    whole chunk, so partial sums over the chunk's rows keep the bits of a
-    fold over whole chunks of rows.  The partials are added left to right in
+    whole chunk, in the statistic's dtype, so partial sums over the chunk's
+    rows keep the bits of a fold over whole chunks of rows.  The partials are added left to right in
     chunk order, so the result is bitwise independent of workers.
     """
     seeds = sorted({spec.seed for spec, _ in families})
@@ -264,7 +264,7 @@ def fold_block(families, n_samples: int, width: int, row_stat, workers: int = 1)
                     x[...] = u[:size]
                 stat = row_stat(_from_uniforms(spec, x).reshape(hi - lo, width))
                 if stats[f] is None:
-                    stats[f] = np.empty(stat.shape[:-1] + (b - a,))
+                    stats[f] = np.empty(stat.shape[:-1] + (b - a,), stat.dtype)
                 stats[f][..., lo:hi] = stat
         return stats
 
@@ -343,10 +343,17 @@ def verify_tail(spec: EnsembleSpec, n_samples: int, rho_grid, workers: int = 1) 
     if rho_grid.size < 2 or np.any(np.diff(rho_grid) <= 0):
         raise ValueError("rho_grid must be strictly increasing with >= 2 points")
 
-    def partial(a):
-        return np.array([np.count_nonzero(a >= r) for r in rho_grid])
+    # per sample, the count of thresholds at or below |x|, in the narrowest type that holds it:
+    # |x| >= rho_grid[k] exactly when that count exceeds k, so the survival counts are the float fold's
+    count_type = np.min_scalar_type(rho_grid.size)
 
-    survival = fold_block([(spec, partial)], n_samples, 1, lambda rows: np.abs(rows[:, 0]), workers)[0] / n_samples
+    def row_stat(rows):
+        return np.searchsorted(rho_grid, np.abs(rows[:, 0]), side="right").astype(count_type)
+
+    def partial(bins):
+        return np.array([np.count_nonzero(bins > k) for k in range(rho_grid.size)])
+
+    survival = fold_block([(spec, partial)], n_samples, 1, row_stat, workers)[0] / n_samples
 
     # keep points with at least 20 hits so the log survival is trustworthy
     usable = (survival >= 20.0 / n_samples) & (survival < 1)

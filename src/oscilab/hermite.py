@@ -330,6 +330,13 @@ class BasisGrid:
         contraction's own contiguous (points, m) array, ``pointwise(values)``
         overwrites it with f(values), and it is weighted in place and
         contracted back: no other grid-sized array is made here.
+
+        Rows are independent, and a call on rows lo:hi gives the bits of the
+        whole call's rows when lo is a multiple of 4 (hi may end anywhere):
+        a column's bits depend on its place in OpenBLAS's column blocking, and
+        tiles from other offsets change some.  ``picard._Workspace`` tiles by
+        this rule; ``test_tiles_of_four_rows_keep_the_bits_of_the_whole``
+        pins it here, for ``audit_sup`` too.
         """
         coeffs = np.asarray(coeffs)
         values = self._contract(self._box(coeffs), table, range(self.dim)).reshape(-1, coeffs.shape[0])

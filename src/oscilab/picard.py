@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import SpectralField, _trapezoid_weights, classical_sobolev_norm, product_quadrature
-from .hermite import BasisGrid, cached_basis
+from .hermite import BasisGrid, audit_axis, cached_basis
 from .lens import PhysicalFrame, lens_forward, lens_time_map
 
 __all__ = [
@@ -46,6 +46,10 @@ TOL = 1e-12  # the iteration stops once an update's surrogate norm is at most TO
 MAX_ITER = 25
 
 BLOWUP_FACTOR = 1e6
+
+# bytes of grid values that one tile of a Picard pass holds in its largest array; the tile width
+# in time nodes is this over one node's share of that array, in whole groups of four nodes
+PICARD_TILE_BYTES = 2**20
 
 # external times at which scattering_extract reports the decay of the profile residual
 SCATTERING_TIMES = (1.0, 5.0, 20.0)
@@ -163,7 +167,14 @@ class ScatteringPair:
 
 
 class _Workspace:
-    """Per-solve tables: de-aliased quadrature, time phases and the H^{s/2} filter."""
+    """Per-solve tables: de-aliased quadrature, time phases, the H^{s/2} filter and the tile width.
+
+    ``nonlinearity`` and the audit sup of ``surrogate_norm`` walk the time nodes in tiles of
+    ``tile`` nodes, so their grid arrays are a tile's, not (time nodes x grid).  A node costs
+    16 bytes a point of the larger of the quadrature grid and the audit sup's first-axis
+    partial (audit axis x (N+1)^(d-1)): 12 nodes at d = 2, N = 16, 4 at d = 3 from N = 5 on,
+    and over 65, one tile, at the d = 1 presets.
+    """
 
     def __init__(self, cfg: SolverConfig, basis: BasisGrid):
         self.cfg = cfg
@@ -175,13 +186,27 @@ class _Workspace:
         self.phases = np.exp(-1j * np.outer(self.times, basis.lambda2))
         self.cos_weight = np.cos(2.0 * self.times) ** cfg.cos_exponent
         self.filter_s = basis.lambda2 ** (cfg.s / 2.0)
+        partial_points = audit_axis(basis.max_degree, basis.dim).size * (basis.max_degree + 1) ** (basis.dim - 1)
+        node_bytes = 16 * max(self.weights.size, partial_points)
+        self.tile = max(4, PICARD_TILE_BYTES // node_bytes // 4 * 4)
+
+    def _by_tile(self, rows: np.ndarray, out: np.ndarray, pass_) -> np.ndarray:
+        """``out[lo:hi] = pass_(rows[lo:hi])`` over the tiles of ``tile`` rows; returns ``out``."""
+        for lo in range(0, len(rows), self.tile):
+            out[lo : lo + self.tile] = pass_(rows[lo : lo + self.tile])
+        return out
 
     def nonlinearity(self, u_mat: np.ndarray) -> np.ndarray:
         """K cos(2t)^e |u|^{p-1} u projected back onto the span, per time node.
 
-        One ``BasisGrid.project_pointwise`` pass: |u|^{p-1} u is formed in place
-        on the complex (grid points x time nodes) values, so a call holds that
-        array and one real one of its shape, about 1.5 complex ones, at its peak.
+        One ``BasisGrid.project_pointwise`` pass per tile of time nodes, into
+        one (time nodes, modes) result: |u|^{p-1} u is formed in place on the
+        complex (grid points x tile) values, so a call holds that array, one
+        real one of its shape and the result at its peak.  Tile rule: every
+        tile starts at a multiple of 4 nodes, where the pass gives each node
+        the bits of one whole call (see ``BasisGrid.project_pointwise``);
+        ``test_nonlinearity_is_one_pointwise_projection_bitwise`` and
+        ``test_tiled_passes_are_the_whole_passes_bitwise`` pin it.
         """
         p = self.cfg.nonlinearity_p
 
@@ -190,18 +215,22 @@ class _Workspace:
             np.power(mod, p - 1, out=mod)
             values *= mod
 
-        out = self.basis.project_pointwise(u_mat, self.table, self.weights, power_times)
-        return self.cfg.K * self.cos_weight[:, None] * out
+        def project(rows: np.ndarray) -> np.ndarray:
+            return self.basis.project_pointwise(rows, self.table, self.weights, power_times)
+
+        out = self._by_tile(u_mat, np.empty(u_mat.shape, complex), project)
+        return np.multiply(self.cfg.K * self.cos_weight[:, None], out, out=out)
 
     def surrogate_norm(self, v_mat: np.ndarray) -> float:
         """Stopping norm: max of sup_t (harmonic H^s) and L^2_t (audit sup of H^{s/2} u).
 
         A computable surrogate for the intersection-space norm; dominates the
-        admissible pairs used at desk scale.
+        admissible pairs used at desk scale.  The audit sup runs per tile of
+        time nodes, by the tile rule of ``nonlinearity``.
         """
         hs = np.sqrt(np.sum(self.basis.lambda2[None, :] ** self.cfg.s * np.abs(v_mat) ** 2, axis=1))
         sup_part = float(hs.max())
-        sups = self.basis.audit_sup(v_mat * self.filter_s[None, :])
+        sups = self._by_tile(v_mat * self.filter_s[None, :], np.empty(len(v_mat)), self.basis.audit_sup)
         w = _trapezoid_weights(len(self.times), self.h)
         l2t_part = float(np.sqrt(np.sum(w * sups**2)))
         return max(sup_part, l2t_part)

@@ -525,6 +525,22 @@ def test_verify_tail_counts_match_the_bool_matrix_form(monkeypatch):
     assert np.array_equal(partial(row_stat(rows)), want)
 
 
+@pytest.mark.parametrize("points, count_type", [(13, np.uint8), (300, np.uint16)])
+def test_verify_tail_counts_are_the_float_folds(monkeypatch, points, count_type):
+    # per sample, the count of thresholds at or below |x|, in the narrowest type that holds it,
+    # folds to the survival counts of the float |x| statistic exactly
+    g = make_ensemble("gaussian", seed=SEED)
+    rho_grid = np.linspace(0.5, 4.5, points)
+    n = 10**5 + 3
+    _, _, row_stat = captured_fold(monkeypatch, ensembles, lambda: verify_tail(g, n, rho_grid))
+    monkeypatch.undo()
+    assert row_stat(sample_block(g, 0, 8, 1)).dtype == count_type
+    (counts,) = fold_block(
+        [(g, lambda a: np.array([np.count_nonzero(a >= r) for r in rho_grid]))], n, 1, lambda rows: np.abs(rows[:, 0])
+    )
+    assert verify_tail(g, n, rho_grid)["survival"] == (counts / n).tolist()
+
+
 def test_verify_tail_validation():
     g = make_ensemble("gaussian", seed=SEED)
     with pytest.raises(ValueError):

@@ -332,6 +332,38 @@ def test_project_pointwise_is_grid_coeffs_of_f_of_grid_values_bitwise(dim, n, m,
     assert got.tobytes() == want.tobytes()
 
 
+def by_tiles(fn, rows, width):
+    """fn over tiles of ``width`` rows, every one starting at a multiple of width, stacked in order."""
+    return np.concatenate([fn(rows[lo : lo + width]) for lo in range(0, len(rows), width)])
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 5), (3, 3)])
+def test_tiles_of_four_rows_keep_the_bits_of_the_whole(dim, n):
+    # the tile rule of picard._Workspace: rows (time nodes) tiled from multiples of 4 give each
+    # row the bits of one whole call, through the pointwise projection and the audit sup alike
+    basis = build_basis(dim, n, 2 * (n + 1))
+    _, weights, table = product_quadrature(basis, 6 * n)
+    rng = np.random.default_rng(dim)
+
+    def project(rows):
+        def f(values):
+            mod = np.abs(values)
+            np.power(mod, 4, out=mod)
+            values *= mod
+
+        return basis.project_pointwise(rows, table, weights, f)
+
+    for m in [*range(1, 10), 65]:
+        # rows like a solve's, the ground state and a part decaying with the degree, so that the
+        # audit sup prunes as it would there (on plain random rows this test takes 4x longer)
+        coeffs = 0.1 * (rng.normal(size=(m, basis.size)) + 1j * rng.normal(size=(m, basis.size))) * 0.5**basis.degrees
+        coeffs[:, 0] += 1.0
+        whole = project(coeffs), basis.audit_sup(coeffs)
+        for width in (4, 8, 16):
+            assert by_tiles(project, coeffs, width).tobytes() == whole[0].tobytes(), (m, width)
+            assert by_tiles(basis.audit_sup, coeffs, width).tobytes() == whole[1].tobytes(), (m, width)
+
+
 def tile_sup(basis, coeffs):
     """The max over ``audit_tiles``, the audit sup before it pruned: the bitwise reference."""
     sup = np.zeros(coeffs.shape[0])

@@ -3,7 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oscilab.fields import SpectralField, harmonic_sobolev_norm, product_quadrature, propagate_linear, unit_field
+from oscilab.fields import (
+    SpectralField,
+    _trapezoid_weights,
+    harmonic_sobolev_norm,
+    product_quadrature,
+    propagate_linear,
+    unit_field,
+)
 from oscilab.hermite import BasisGrid, cached_basis, gauss_hermite_nodes
 from oscilab.picard import (
     TOL,
@@ -199,8 +206,45 @@ def test_nonlinearity_is_one_pointwise_projection_bitwise(monkeypatch, p, dim, n
     project = BasisGrid.project_pointwise
     monkeypatch.setattr(BasisGrid, "project_pointwise", lambda self, *a: calls.append(a[0].shape) or project(self, *a))
     got = ws.nonlinearity(u_mat)
-    assert calls == [u_mat.shape]
+    assert calls == [u_mat[lo : lo + ws.tile].shape for lo in range(0, 33, ws.tile)]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim,n,tile", [(2, 16, 12), (3, 3, 16)])
+def test_tiled_passes_are_the_whole_passes_bitwise(dim, n, tile):
+    # the Picard pass in tiles of time nodes against one whole-array call of each step
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    cfg = SolverConfig(dim=dim, N=n, K=-1, time_nodes=65)
+    ws = _Workspace(cfg, basis)
+    assert ws.tile == tile
+    rng = np.random.default_rng(n)
+    u_mat = 0.1 * (rng.normal(size=(65, basis.size)) + 1j * rng.normal(size=(65, basis.size))) * 0.5**basis.degrees
+    u_mat[:, 0] += 1.0
+    assert ws.nonlinearity(u_mat).tobytes() == unfused_nonlinearity(ws, u_mat).tobytes()
+    hs = np.sqrt(np.sum(basis.lambda2[None, :] ** cfg.s * np.abs(u_mat) ** 2, axis=1))
+    sups = basis.audit_sup(u_mat * ws.filter_s[None, :])
+    l2t = np.sqrt(np.sum(_trapezoid_weights(65, ws.h) * sups**2))
+    assert ws.surrogate_norm(u_mat) == max(float(hs.max()), float(l2t))
+
+
+def test_nonlinearity_holds_one_tile_of_grid_arrays():
+    # the whole 65-node pass held 38 MB here: 65 complex and 65 real grid slices of 29^3 points
+    basis = cached_basis(3, 8, 18)
+    cfg = SolverConfig(dim=3, N=8, time_nodes=65)
+    ws = _Workspace(cfg, basis)
+    rng = np.random.default_rng(8)
+    u_mat = 0.3 * (rng.normal(size=(65, basis.size)) + 1j * rng.normal(size=(65, basis.size)))
+    ws.nonlinearity(u_mat)  # the basis's cached index maps are built once, outside the trace
+    tracemalloc.start()
+    try:
+        ws.nonlinearity(u_mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile_bytes = 4 * ws.weights.size * (16 + 8)  # a 4-node tile's complex values and their real modulus
+    # numpy's casting buffer for a complex *= real (8192 complex values) is the small rest
+    assert peak <= tile_bytes + u_mat.nbytes + 2**18
+    assert ws.tile == 4
 
 
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 6)])
@@ -402,5 +446,5 @@ def test_d2_solve_and_frames_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert peak < 6 * 2**20
     assert all(abs(frame_l2_norm(f) - u0.l2_norm) <= 1e-8 for f in frames)
