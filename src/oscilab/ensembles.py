@@ -10,9 +10,8 @@ or worker count.  Each omega gets its own Philox4x64-10 stream keyed by
 One uniform is consumed per variate (inverse-CDF transforms throughout),
 which is what makes the position addressing exact.  The transforms consume
 their uniforms: every step runs in place on the input array, which then holds
-the gains (the Weibull transform also uses one scratch tile of 8192 doubles,
-the two-point one allocates its output), bit-identical to the plain
-elementwise formulas.
+the gains (the Weibull transform also uses one scratch tile of 8192 doubles),
+bit-identical to the plain elementwise formulas.
 
 Variate k is word k % 4 of the block at counter (k // 4 + 1, 0, 0, 0) (numpy
 increments the counter before its first block), read as the uniform
@@ -29,8 +28,11 @@ Both streams have one chunking primitive on ``mc.run_chunked``: ``fold_block``
 sums a bulk experiment's partials over chunks of the bulk matrix for every
 family that shares the stream, drawing each chunk's uniforms once, a tile at a
 time, and keeping per family only a per-row statistic of chunk length; and
-``map_gains`` maps a per-omega kernel over chunks of ``sample_gain_matrix``
-rows and concatenates its values in omega order.
+``map_gains`` draws each chunk's ``sample_gain_matrix`` rows in one call, maps
+a per-omega kernel over tiles of 256 of those rows and concatenates its values
+in omega order.  In both, tiles start at multiples of 4 rows and leave no lone
+row at a chunk's end (``_tile_bounds``), so every row keeps the bits that one
+call on the whole chunk gives it.
 """
 
 from __future__ import annotations
@@ -121,9 +123,8 @@ _WEIBULL_TILE = 8192
 def _from_uniforms(spec: EnsembleSpec, u: np.ndarray) -> np.ndarray:
     """Map uniforms on [0, 1) to the family's law, one variate per uniform.
 
-    A contiguous float array ``u`` is consumed: the result is written into it
-    (except for the two-point family), so a caller that reads ``u`` again
-    passes a copy.
+    A contiguous float array ``u`` is consumed: the result is written into it,
+    so a caller that reads ``u`` again passes a copy.
     """
     u = np.ascontiguousarray(u, dtype=float)
     if spec.family == "gaussian":
@@ -155,7 +156,7 @@ def _from_uniforms(spec: EnsembleSpec, u: np.ndarray) -> np.ndarray:
             np.subtract(1.0, x, out=w)
             np.minimum(x, w, out=w)
             w *= 2.0
-            np.clip(w, 2.0**-53, 1.0, out=w)
+            np.maximum(w, 2.0**-53, out=w)  # 2 min(u, 1 - u) <= 1 already
             np.log(w, out=w)
             np.negative(w, out=w)
             np.power(w, 1.0 / spec.gamma, out=w)
@@ -164,7 +165,11 @@ def _from_uniforms(spec: EnsembleSpec, u: np.ndarray) -> np.ndarray:
             x *= w
         return u
     if spec.family == "centered_two_point":
-        return np.where(u < TWO_POINT_P_HIGH, TWO_POINT_HIGH, TWO_POINT_LOW)
+        # 1.0 where u < p, else 0.0, mapped exactly onto HIGH and LOW
+        np.less(u, TWO_POINT_P_HIGH, out=u)
+        u *= TWO_POINT_HIGH - TWO_POINT_LOW
+        u += TWO_POINT_LOW
+        return u
     raise ValueError(f"unknown family {spec.family!r}")
 
 
@@ -208,6 +213,20 @@ def sample_gain_matrix(spec: EnsembleSpec, omega_ids, count: int) -> np.ndarray:
 _BULK_CHUNK = 2**20
 # variates per tile of a chunk's draw (512 KiB of doubles)
 _BULK_TILE = 2**16
+# gain rows per call of a map_gains kernel, a multiple of 4 (see _tile_bounds)
+_GAIN_TILE = 256
+
+
+def _tile_bounds(rows: int, tile: int) -> list:
+    """Bounds of the tiles of a chunk of ``rows`` rows: every tile starts at a
+    multiple of ``tile`` (itself a multiple of 4), and a lone row left at the
+    end joins the tile before it.
+
+    OpenBLAS takes a row's product through a kernel chosen by the row's place
+    in groups of four rows, and a one-row product through another one, so a
+    call on each tile gives every row the bits of one call on the whole chunk.
+    """
+    return [*range(0, max(rows - 1, 1), tile), rows]
 
 
 def _bulk_stream(seed: int, first: int) -> np.random.Generator:
@@ -242,15 +261,11 @@ def fold_block(families, n_samples: int, width: int, row_stat, workers: int = 1)
     if len(seeds) != 1:
         raise ValueError(f"families folded over one bulk stream must share its seed, got seeds {seeds}")
     chunk = max(1, _BULK_CHUNK // width)
-    # Tiles hold whole groups of four rows and leave no lone row at the end of a
-    # chunk: OpenBLAS's gemv takes a row's dot product through a kernel chosen by
-    # the row's place in those groups, so every row keeps the bits that a product
-    # over the whole chunk gives it.
     tile = max(4, _BULK_TILE // width // 4 * 4)
 
     def chunk_stats(a, b):
         gen = _bulk_stream(seeds[0], a * width)
-        bounds = [*range(0, max(b - a - 1, 1), tile), b - a]
+        bounds = _tile_bounds(b - a, tile)
         u = np.empty(min(tile + 1, b - a) * width)
         copy = np.empty_like(u) if len(families) > 1 else None
         stats = [None] * len(families)
@@ -282,17 +297,23 @@ def map_gains(spec: EnsembleSpec, n_samples: int, width: int, kernel, workers: i
     """kernel's per-omega values over omegas 0 .. n_samples - 1, in omega order.
 
     Each run_chunked chunk [a, b) draws the gain rows
-    sample_gain_matrix(spec, arange(a, b), width) once and calls
-    kernel(gains) -> (values, arrays), values having one entry per row along
-    their last axis.  The values are concatenated along that axis in chunk
-    order, so the result is bitwise independent of workers; the chunk's gains
-    and arrays stay held as in ``mc.holding``.
+    sample_gain_matrix(spec, arange(a, b), width) in one call, which has a
+    fixed cost that a call per tile would pay four times.  kernel(gains) ->
+    (values, arrays) then runs on tiles of those rows by ``_tile_bounds``, so
+    its arrays are a tile's, not a chunk's; values have one entry per row
+    along their last axis.  The values are concatenated along that axis in
+    tile and chunk order, so the result is bitwise independent of workers; the
+    chunk's gains and its last tile's arrays stay held as in ``mc.holding``.
     """
 
     def chunk(a, b):
         gains = sample_gain_matrix(spec, np.arange(a, b), width)
-        values, arrays = kernel(gains)
-        return values, (gains, arrays)
+        bounds = _tile_bounds(b - a, _GAIN_TILE)
+        parts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            values, arrays = kernel(gains[lo:hi])
+            parts.append(values)
+        return np.concatenate(parts, axis=-1), (gains, arrays)
 
     return np.concatenate(run_chunked(n_samples, holding(chunk), workers), axis=-1)
 

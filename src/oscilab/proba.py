@@ -9,7 +9,7 @@ The others use fixed margins: ``khinchin_growth`` slope <= 1/m(gamma) + 0.15,
 ``norm_tail``), ``ensembles.verify_tail`` gamma_hat >= gamma - 0.15; ROADMAP
 item 4 calibrates them.
 The per-omega estimators (``norm_tail``, ``good_set_probability``,
-``paley_zygmund_check``) are kernels on one chunk of gain rows, which
+``paley_zygmund_check``) are kernels on one tile of gain rows, which
 ``ensembles.map_gains`` draws once per omega.
 All measured norms are degree-1 homogeneous in the base field sample-wise:
 scaling the base by a power of two scales each sample exactly.

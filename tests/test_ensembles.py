@@ -178,12 +178,12 @@ TRANSFORM_CASES = [(family, None) for family in FAMILIES if family != "symmetric
 
 
 def check_transform(spec, u):
-    # the transform consumes u: its result is written into u, except for the two-point family
+    # the transform consumes u: its result is written into u
     want = elementwise_transform(spec, u.copy())
     got = _from_uniforms(spec, u)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 at u = 1/2 included
-    assert (got is u) == (spec.family != "centered_two_point")
+    assert got is u
 
 
 @pytest.mark.parametrize("family,gamma", TRANSFORM_CASES)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oscilab import ensembles, proba
 from oscilab.ensembles import FAMILIES, make_ensemble, sample_block, sample_gain_matrix
-from oscilab.fields import SpectralField, _trapezoid_weights, unit_field
+from oscilab.fields import SpectralField, _trapezoid_weights, product_quadrature, unit_field
 from oscilab.hermite import audit_axis, build_basis, cached_basis
 from oscilab.mc import DEFAULT_CHUNK, run_chunked
 from oscilab.proba import (
@@ -326,8 +326,9 @@ def test_paley_zygmund_worker_invariance(s):
     assert paley_zygmund_check(base, ens, cutoff, N_OVER_THREE_CHUNKS, workers=3) == serial
 
 
-def map_gains_values(run, chunk_size, monkeypatch):
-    """The per-omega values of every map_gains call that run() makes, with chunks of chunk_size rows."""
+def map_gains_values(run, chunk_size, tile, monkeypatch):
+    """The per-omega values of every map_gains call that run() makes, with chunks of chunk_size rows
+    and kernel tiles of tile rows."""
     values = []
 
     def chunked(total, kernel, workers=1):
@@ -336,6 +337,7 @@ def map_gains_values(run, chunk_size, monkeypatch):
         return parts
 
     monkeypatch.setattr(ensembles, "run_chunked", chunked)
+    monkeypatch.setattr(ensembles, "_GAIN_TILE", tile)
     run()
     return values
 
@@ -355,17 +357,40 @@ def _paley_zygmund_s05_reference(seed):
 @pytest.mark.parametrize("seed", [1, 11])
 @pytest.mark.parametrize("run", [_omega_reference, _paley_zygmund_s05_reference])
 def test_reference_values_do_not_depend_on_the_chunk_size(monkeypatch, run, seed):
-    # the per-omega kernels work row by row, except the one zgemm per chunk behind the d = 1 audit
-    # and hat values: its rows must come out the same whether a chunk holds 4096 rows or 1024
-    wide, narrow = (map_gains_values(lambda: run(seed), size, monkeypatch) for size in (4096, 1024))
-    assert len(wide) == len(narrow) > 0
-    for a, b in zip(wide, narrow):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the per-omega kernels work row by row, except the one zgemm per kernel call behind the d = 1 audit
+    # and hat values: its rows must come out the same whether a call holds a whole chunk of 4096 or 1024
+    # rows or a tile of 256, 8 or 4 rows of a 1024-row chunk (tiles start at multiples of 4 rows)
+    whole = map_gains_values(lambda: run(seed), 1024, 1024, monkeypatch)
+    assert len(whole) > 0
+    for chunk_size, tile in ((4096, 4096), (1024, 256), (1024, 8), (1024, 4)):
+        got = map_gains_values(lambda: run(seed), chunk_size, tile, monkeypatch)
+        assert len(got) == len(whole)
+        for a, b in zip(got, whole):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (chunk_size, tile)
+
+
+def test_kernel_tiles_leave_no_lone_row():
+    # a 769-row chunk is tiled 256 + 256 + 257 rows: a one-row tile's audit zgemm gives its sups other
+    # bits (at seeds 1 and 2 here) than the row gets in a call on the whole chunk
+    base = _flat_base()
+    size = base.basis.size
+    for seed in (1, 2):
+        spec = make_ensemble("gaussian", seed=seed)
+        got = ensembles.map_gains(spec, 769, size, lambda gains: (flow_sup_norm_samples(base, gains, 10.0), None))
+        want = flow_sup_norm_samples(base, sample_gain_matrix(spec, np.arange(769), size), 10.0)
+        assert got.tobytes() == want.tobytes()
+
+
+def one_tile_and_the_chunk(points, size):
+    """A map_gains run's tracemalloc bound: two complex (tile rows x points) arrays of one kernel tile,
+    and the chunk's Philox draw, which peaks at about five arrays the size of the chunk's gains, with
+    two chunks of gains held."""
+    return 2 * ensembles._GAIN_TILE * points * 16 + 7 * DEFAULT_CHUNK * size * 8
 
 
 def test_good_set_memory_is_bounded_by_one_chunk():
-    # omega's reference shape: a chunk's largest array is its (rows x 308 audit points) complex
-    # values, one zgemm's output.  Two of them at 1024 rows bound the run; 4096-row chunks took 24.7 MiB
+    # omega's reference shape: a tile's largest array is its (rows x 308 audit points) complex values,
+    # one zgemm's output.  Whole 1024-row chunks took 7.8 MiB, 4096-row chunks 24.7 MiB
     base = _flat_base()
     points = base.basis.audit_table().shape[1]
     tracemalloc.start()
@@ -375,7 +400,21 @@ def test_good_set_memory_is_bounded_by_one_chunk():
     finally:
         tracemalloc.stop()
     assert rep["n_samples"] == 10**4
-    assert peak <= 2 * 1024 * points * 16
+    assert peak <= one_tile_and_the_chunk(points, base.basis.size)
+
+
+def test_paley_zygmund_memory_is_bounded_by_one_tile():
+    # the s = 0.5 reference case: a tile's largest arrays are its (rows x 84 quadrature points) complex
+    # hat values; whole 1024-row chunks took 6.0 MiB
+    basis = cached_basis(1, 40, 84)
+    points = product_quadrature(basis, 2 * basis.max_degree)[0].size
+    tracemalloc.start()
+    try:
+        _paley_zygmund_s05_reference(SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= one_tile_and_the_chunk(points, basis.size)
 
 
 def test_wilson_interval():
