@@ -413,6 +413,28 @@ class BasisGrid:
         self._sup_walk(partial, table, self._audit_peak, sup)
         return sup
 
+    def audit_sup_bound(self, coeffs: np.ndarray) -> np.ndarray:
+        """An upper bound on ``audit_sup`` for each row of ``coeffs`` (shape (m, size)), from its walk's first level.
+
+        At d >= 2 it is max_i U[i, r] over the slab bounds U of ``audit_sup``
+        (``_cell_bounds`` of the same first-axis partial, with the same
+        margin), and NaN wherever one slab bound of the row is NaN, that is,
+        not rigorous.  Every computed |u| of row r is at most U[i, r] of its
+        slab, the fact the walk's skip rule relies on, so the result is at
+        least the computed ``audit_sup`` of the row.  At d = 1 the partial is
+        the values, and the result is ``audit_sup`` itself.
+
+        So for weights w >= 0, sqrt(sum_r w[r] sup[r]^2) as computed is at
+        most sqrt(sum_r w[r] bound[r]^2) as computed: squaring, weighting,
+        numpy's fixed-order pairwise sum and sqrt are each monotone in
+        floating point.  ``picard._Workspace.surrogate_norm`` decides its max
+        on that without walking the grid.
+        """
+        if self.dim == 1:
+            return self.audit_sup(coeffs)
+        partial = self._contract(self._box(np.asarray(coeffs)), self.audit_table(), range(1))
+        return _cell_bounds(partial, self._audit_peak).max(axis=0)
+
     def _sup_walk(self, cells: np.ndarray, table: np.ndarray, peak: np.ndarray, sup: np.ndarray) -> None:
         """Raise ``sup`` (shape (m,)) to max |u| over the grid points of ``cells``, by branch and bound.
 

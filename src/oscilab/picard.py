@@ -167,13 +167,14 @@ class ScatteringPair:
 
 
 class _Workspace:
-    """Per-solve tables: de-aliased quadrature, time phases, the H^{s/2} filter and the tile width.
+    """Per-solve tables: de-aliased quadrature, time phases, the H^s weights, the H^{s/2} filter,
+    the trapezoid weights in time and the tile width.
 
-    ``nonlinearity`` and the audit sup of ``surrogate_norm`` walk the time nodes in tiles of
-    ``tile`` nodes, so their grid arrays are a tile's, not (time nodes x grid).  A node costs
-    16 bytes a point of the larger of the quadrature grid and the audit sup's first-axis
-    partial (audit axis x (N+1)^(d-1)): 12 nodes at d = 2, N = 16, 4 at d = 3 from N = 5 on,
-    and over 65, one tile, at the d = 1 presets.
+    ``nonlinearity`` and the audit sup bounds and sups of ``surrogate_norm`` walk the time nodes
+    in tiles of ``tile`` nodes, so their grid arrays are a tile's, not (time nodes x grid).  A
+    node costs 16 bytes a point of the larger of the quadrature grid and the audit sup's
+    first-axis partial (audit axis x (N+1)^(d-1)): 12 nodes at d = 2, N = 16, 4 at d = 3 from
+    N = 5 on, and over 65, one tile, at the d = 1 presets.
     """
 
     def __init__(self, cfg: SolverConfig, basis: BasisGrid):
@@ -186,6 +187,8 @@ class _Workspace:
         self.phases = np.exp(-1j * np.outer(self.times, basis.lambda2))
         self.cos_weight = np.cos(2.0 * self.times) ** cfg.cos_exponent
         self.filter_s = basis.lambda2 ** (cfg.s / 2.0)
+        self.hs_weight = basis.lambda2**cfg.s
+        self.time_weights = _trapezoid_weights(len(self.times), self.h)
         partial_points = audit_axis(basis.max_degree, basis.dim).size * (basis.max_degree + 1) ** (basis.dim - 1)
         node_bytes = 16 * max(self.weights.size, partial_points)
         self.tile = max(4, PICARD_TILE_BYTES // node_bytes // 4 * 4)
@@ -225,15 +228,33 @@ class _Workspace:
         """Stopping norm: max of sup_t (harmonic H^s) and L^2_t (audit sup of H^{s/2} u).
 
         A computable surrogate for the intersection-space norm; dominates the
-        admissible pairs used at desk scale.  The audit sup runs per tile of
-        time nodes, by the tile rule of ``nonlinearity``.
+        admissible pairs used at desk scale.  The L^2_t part is the costly
+        half, so it is first bounded: ``BasisGrid.audit_sup_bound`` runs per
+        tile of time nodes, by the tile rule of ``nonlinearity``, and when the
+        L^2_t of those bounds is at most the sup_t part, that part is the max
+        and the audit grid is never walked.  The bits are those of the walk:
+        per node the bound is at least the computed audit sup, and squaring,
+        weighting by the trapezoid weights (>= 0), numpy's fixed-order
+        pairwise sum and sqrt are monotone in floating point, so the computed
+        L^2_t of the sups is at most that of the bounds, hence at most the
+        sup_t part, which ``max`` returns.  A NaN bound, or an L^2_t that
+        overflows to inf, fails the test unless the sup_t part is inf too.
+        Otherwise the audit sup is walked once, per tile as well; at d = 1 the
+        bounds already are the audit sups and no walk follows.
         """
-        hs = np.sqrt(np.sum(self.basis.lambda2[None, :] ** self.cfg.s * np.abs(v_mat) ** 2, axis=1))
+        hs = np.sqrt(np.sum(self.hs_weight[None, :] * np.abs(v_mat) ** 2, axis=1))
         sup_part = float(hs.max())
-        sups = self._by_tile(v_mat * self.filter_s[None, :], np.empty(len(v_mat)), self.basis.audit_sup)
-        w = _trapezoid_weights(len(self.times), self.h)
-        l2t_part = float(np.sqrt(np.sum(w * sups**2)))
-        return max(sup_part, l2t_part)
+        filtered = v_mat * self.filter_s[None, :]
+        bounds = self._by_tile(filtered, np.empty(len(v_mat)), self.basis.audit_sup_bound)
+        with np.errstate(over="ignore"):
+            if self._l2t(bounds) <= sup_part:
+                return sup_part
+        sups = bounds if self.basis.dim == 1 else self._by_tile(filtered, bounds, self.basis.audit_sup)
+        return max(sup_part, self._l2t(sups))
+
+    def _l2t(self, per_node: np.ndarray) -> float:
+        """Trapezoid L^2_t norm of one nonnegative value per time node."""
+        return float(np.sqrt(np.sum(self.time_weights * per_node**2)))
 
 
 def _cumulative_from_zero(values: np.ndarray, h: float, mid: int) -> np.ndarray:

@@ -408,6 +408,8 @@ def audit_rows(draw, dim, kinds):
             rows[r, rng.integers(basis.size)] = np.exp(2j * np.pi * rng.random())
         elif kind in ("large", "small", "subnormal"):
             rows[r] *= 2.0 ** {"large": 400, "small": -400, "subnormal": -1060}[kind]
+        elif kind == "scaled":  # any magnitude from below 2^-900 up to 1e300
+            rows[r] *= 2.0 ** rng.uniform(-1000.0, np.log2(1e300))
         elif kind == "phase":  # a time node of the flow of row 0
             rows[r] = rows[0] * np.exp(-1j * np.pi * rng.random() * basis.lambda2)
         elif kind == "nan":
@@ -457,6 +459,41 @@ def test_audit_sup_is_the_tile_max_bit_for_bit_d2(case):
 @given(audit_rows(3, FINITE_ROW_KINDS))
 def test_audit_sup_is_the_tile_max_bit_for_bit_d3(case):
     check_audit_sup_against_tile_max(*case)
+
+
+def unbounded_slabs(basis, rows):
+    """Per row, whether a slab's sum |partial| prod M is not a rigorous bound (see ``BasisGrid.audit_sup``):
+    not finite, or below 2^-900 with a nonzero entry.  The sums run first degree axis first, the
+    other way round from ``_cell_bounds``."""
+    partial = basis._contract(basis._box(rows), basis.audit_table(), range(1))
+    peak = np.abs(basis.audit_table()).max(axis=1)
+    nonzero = (partial != 0).any(axis=tuple(range(1, basis.dim)))
+    sums = np.abs(partial)
+    with np.errstate(over="ignore"):
+        for _ in range(1, basis.dim):
+            sums = np.moveaxis(sums, 1, -1) @ peak
+    return (~np.isfinite(sums) | ((sums < 2.0**-900) & nonzero)).any(axis=0)
+
+
+BOUND_ROW_KINDS = ("random", "zero", "single", "phase", "scaled", "scaled", "subnormal", "nan", "inf")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_audit_sup_bound_is_at_least_the_audit_sup(dim, data):
+    # the first level of the walk bounds each row's sup, or is NaN where a slab bound is not rigorous
+    basis, rows = data.draw(audit_rows(dim, BOUND_ROW_KINDS))
+    bound, raised = runtime_warnings(basis.audit_sup_bound, rows)
+    assert bound.shape == (len(rows),) and not raised
+    if dim == 1:  # the first contraction is the values: the bound is the sup
+        assert np.array_equal(bound, basis.audit_sup(rows), equal_nan=True)
+        return
+    assert np.array_equal(np.isnan(bound), unbounded_slabs(basis, rows))
+    # the sup of the rows whose slabs are all bounded; the others would walk the whole grid
+    kept = rows[~np.isnan(bound)]
+    if len(kept):
+        assert np.all(basis.audit_sup_bound(kept) >= basis.audit_sup(kept))
 
 
 def test_audit_sup_contracts_few_slabs_of_the_ground_state(monkeypatch):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from oscilab.fields import (
     propagate_linear,
     unit_field,
 )
-from oscilab.hermite import BasisGrid, cached_basis, gauss_hermite_nodes
+from oscilab.hermite import BasisGrid, audit_axis, cached_basis, gauss_hermite_nodes
 from oscilab.picard import (
     TOL,
     DivergenceError,
@@ -221,10 +222,103 @@ def test_tiled_passes_are_the_whole_passes_bitwise(dim, n, tile):
     u_mat = 0.1 * (rng.normal(size=(65, basis.size)) + 1j * rng.normal(size=(65, basis.size))) * 0.5**basis.degrees
     u_mat[:, 0] += 1.0
     assert ws.nonlinearity(u_mat).tobytes() == unfused_nonlinearity(ws, u_mat).tobytes()
-    hs = np.sqrt(np.sum(basis.lambda2[None, :] ** cfg.s * np.abs(u_mat) ** 2, axis=1))
-    sups = basis.audit_sup(u_mat * ws.filter_s[None, :])
-    l2t = np.sqrt(np.sum(_trapezoid_weights(65, ws.h) * sups**2))
-    assert ws.surrogate_norm(u_mat) == max(float(hs.max()), float(l2t))
+    assert ws.surrogate_norm(u_mat) == surrogate_reference(ws, u_mat)
+
+
+def surrogate_reference(ws, v_mat):
+    """max(sup_t H^s, L^2_t of the walked audit sup), the stopping norm with no bound pass before the walk."""
+    hs = np.sqrt(np.sum(ws.basis.lambda2[None, :] ** ws.cfg.s * np.abs(v_mat) ** 2, axis=1))
+    sups = ws.basis.audit_sup(v_mat * ws.filter_s[None, :])
+    l2t = np.sqrt(np.sum(_trapezoid_weights(len(v_mat), ws.h) * sups**2))
+    return max(float(hs.max()), float(l2t))
+
+
+def walked_rows(monkeypatch):
+    """The list of rows that ``BasisGrid.audit_sup`` walks in each later ``surrogate_norm`` call."""
+    per_call = []
+    walk, norm = BasisGrid.audit_sup, _Workspace.surrogate_norm
+
+    def counting_walk(self, coeffs):
+        per_call[-1] += len(coeffs)
+        return walk(self, coeffs)
+
+    def counting_norm(self, v_mat):
+        per_call.append(0)
+        return norm(self, v_mat)
+
+    monkeypatch.setattr(BasisGrid, "audit_sup", counting_walk)
+    monkeypatch.setattr(_Workspace, "surrogate_norm", counting_norm)
+    return per_call
+
+
+def norm_case(dim, n, case):
+    """A workspace of 65 time nodes and an update v_mat for it: the first Picard update of the
+    0.1 h_0 data (its bound decides the max), or that update with a NaN, or a row in phase at an
+    audit point near 0 at every node (its L^2_t part wins), or that row at the middle node alone,
+    scaled so that the square of its bound overflows while those of its sup and H^s norm do not."""
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    ws = _Workspace(SolverConfig(dim=dim, N=n, time_nodes=65), basis)
+    if case in ("in phase", "large"):
+        at_zero = basis.audit_table()[:, np.argmin(np.abs(audit_axis(n, dim)))]
+        row = np.prod([at_zero[basis._index_array[:, a]] for a in range(dim)], axis=0) / ws.filter_s
+        if case == "in phase":
+            return ws, np.tile(1e-3 * row.astype(complex), (65, 1))
+        v_mat = np.zeros((65, basis.size), complex)
+        v_mat[32] = 1.5e154 / basis.audit_sup_bound(row[None, :] * ws.filter_s)[0] * row
+        return ws, v_mat
+    v_mat = _apply_duhamel(ws, 0.1 * unit_field(basis, (0,) * dim).coeffs, np.zeros((65, basis.size), complex))
+    if case == "nan":  # an inf would warn already in the H^{s/2} filter, at inf * 0
+        v_mat[7, 0] = np.nan
+    return ws, v_mat
+
+
+@pytest.mark.parametrize(
+    "dim,n,case,walked",
+    [
+        (2, 16, "bound", 0), (2, 16, "in phase", 65), (2, 16, "nan", 65), (2, 16, "large", 65),
+        (1, 32, "bound", 65), (1, 32, "in phase", 65),
+    ],
+)
+def test_surrogate_norm_is_the_walked_norm_bitwise(monkeypatch, dim, n, case, walked):
+    # both branches, and a non-finite update, give the bits of the max over the walked sups; a d = 1
+    # bound pass is the walk itself
+    ws, v_mat = norm_case(dim, n, case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = surrogate_reference(ws, v_mat)
+        per_call = walked_rows(monkeypatch)
+        got = ws.surrogate_norm(v_mat)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert per_call == [walked]
+    hs = np.sqrt(np.sum(ws.hs_weight * np.abs(v_mat) ** 2, axis=1)).max()
+    assert (got > hs) == (case == "in phase")  # which half is the max
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("K", [1, -1])
+def test_d2_preset_solves_walk_no_audit_grid(monkeypatch, n, K):
+    # the d = 2 solves of the picard benchmark: 0.1 h_00, p = 5, 65 time nodes
+    basis = cached_basis(2, n, 2 * (n + 1))
+    u0 = SpectralField(basis, 0.1 * unit_field(basis, (0, 0)).coeffs)
+    per_call = walked_rows(monkeypatch)
+    traj = picard_solve(u0, SolverConfig(dim=2, N=n, K=K, time_nodes=65))
+    assert per_call == [0] * traj.iterations
+
+
+def test_d3_fallback_walks_once_per_evaluation(monkeypatch):
+    # at d = 3, N = 8 the bound of 0.1 h_000's updates exceeds their sup_t part
+    basis = cached_basis(3, 8, 18)
+    u0 = SpectralField(basis, 0.1 * unit_field(basis, (0, 0, 0)).coeffs)
+    per_call = walked_rows(monkeypatch)
+    traj = picard_solve(u0, SolverConfig(dim=3, N=8, time_nodes=33))
+    assert per_call == [33] * traj.iterations and traj.iterations >= 2
+
+
+def test_d1_solve_walks_once_per_evaluation(monkeypatch):
+    basis, u0, cfg = reference_data()
+    per_call = walked_rows(monkeypatch)
+    traj = picard_solve(u0, cfg)
+    assert per_call == [cfg.time_nodes] * traj.iterations
 
 
 def test_nonlinearity_holds_one_tile_of_grid_arrays():
