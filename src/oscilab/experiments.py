@@ -511,8 +511,8 @@ def paley_zygmund(params, ctx):
 def eigen_lp(params, ctx):
     reports = {}
     curves = {}
-    for p in (4.0, float("inf")):
-        rep = eigenfunction_lp_decay(p, params["n_max"])
+    for rep in eigenfunction_lp_decay((4.0, float("inf")), params["n_max"]):
+        p = rep["p"]
         key = "inf" if np.isinf(p) else str(p)
         reports[key] = {k: v for k, v in rep.items() if k != "ratios"}
         curves[f"eigen_lp_p{key}"] = {"n": np.arange(params["n_max"] + 1), "normalized_norm": rep["ratios"]}

@@ -4,8 +4,10 @@ Provides orthonormal Hermite functions on R^d with total-degree truncation,
 Gauss-Hermite quadrature adapted to function space (the Gaussian factor is
 folded into the weights analytically, so nothing overflows at large node
 counts), and analysis/synthesis between coefficient and physical space.  The
-nodes come from numpy's dense ``eigvalsh`` with the bits of scipy's
-tridiagonal solver (see ``gauss_hermite_nodes``), so no scipy is needed.
+nodes come from LAPACK's O(q^2) tridiagonal ``dsterf`` in the OpenBLAS that
+numpy already loads, with the bits of scipy's tridiagonal solver and of
+numpy's dense ``eigvalsh``, its fallback (see ``gauss_hermite_nodes``), so no
+scipy is needed.  A basis builds its quadrature on first read only.
 
 A tensor grid (quadrature nodes, the audit grid, lens grids) is kept as its
 1-D axis, its points in C order; its weights and |y|^2 (``grid_radius2``)
@@ -24,17 +26,20 @@ Every 1-D value comes from one recurrence kernel, ``_recurrence``, which
 keeps only the rows its caller reads: ``hermite_function_values`` keeps all
 of them, each Newton step of ``gauss_hermite_nodes`` keeps h_{q-1} and h_q,
 and its last pass keeps h_{q-1} for the weights together with rows 0..N,
-``build_basis``'s ``eval_table``.  The kernel tests for overflow only every
+``BasisGrid.eval_table``.  The kernel tests for overflow only every
 few steps, at no cost to the bits (see ``_recurrence``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
+
+from .blas import numpy_openblas
 
 __all__ = [
     "BasisGrid",
@@ -138,18 +143,53 @@ def hermite_function_values(n_max: int, x: np.ndarray) -> np.ndarray:
     return _recurrence(n_max, x, range(n_max + 1))
 
 
+@cache
+def _dsterf():
+    """LAPACK's ILP64 ``dsterf`` from numpy's OpenBLAS, or None where that library has no such symbol."""
+    fn = getattr(numpy_openblas(), "scipy_dsterf_64_", None)
+    if fn is not None:
+        fn.restype = None
+        fn.argtypes = (ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64))
+    return fn
+
+
+def _jacobi_eigenvalues(q: int) -> np.ndarray:
+    """Ascending eigenvalues of the q x q Jacobi matrix of exp(-x^2): diagonal 0, off-diagonal sqrt(k/2).
+
+    ``dsterf`` (implicit QL/QR without vectors) on the two diagonals, in
+    O(q^2) time and O(q) memory.  Where numpy's LAPACK has no ``dsterf``
+    symbol the dense ``eigvalsh`` of the full matrix gives the same bits:
+    its ``dsytrd`` leaves a tridiagonal matrix as it is and passes it to
+    that same ``dsterf``.
+    """
+    off = np.sqrt(np.arange(1, q) / 2.0)
+    dsterf = _dsterf()
+    if dsterf is None:
+        # eigvalsh reads the lower triangle: the sub-diagonal
+        return np.linalg.eigvalsh(np.diag(off, -1))
+    diag = np.zeros(q)  # overwritten with the eigenvalues; off is destroyed
+    info = ctypes.c_int64(0)
+    dsterf(ctypes.byref(ctypes.c_int64(q)), diag.ctypes.data, off.ctypes.data, ctypes.byref(info))
+    if info.value:
+        raise BasisError(f"dsterf failed on the size-{q} Jacobi matrix (info = {info.value})")
+    return diag
+
+
 def gauss_hermite_nodes(q: int, table_degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and function-space weights of size q, with the
     table h_0..h_table_degree on the nodes.
 
     The nodes are the zeros of the degree-q Hermite polynomial: the
-    Golub-Welsch eigenvalues of the Jacobi matrix from numpy's dense
-    ``eigvalsh``, polished with two Newton steps.  LAPACK's ``dsytrd`` leaves
-    that matrix tridiagonal and passes it to ``dsterf``, the routine behind
-    scipy's ``eigh_tridiagonal``, so the bits are the same without scipy.
-    The dense route is O(q^3); on one core of a 2-core Xeon VM it takes 16 ms
-    at q = 514 and 0.88 s (a 33.6 MB matrix) at q = 2050, where the
-    tridiagonal solver took 5.6 ms and 82 ms.  The weights are the classical
+    Golub-Welsch eigenvalues of the Jacobi matrix, polished with two Newton
+    steps.  ``_jacobi_eigenvalues`` calls LAPACK's tridiagonal ``dsterf``,
+    the routine behind scipy's ``eigh_tridiagonal``, on the matrix's two
+    diagonals, so the bits are scipy's without scipy.  Numpy's dense
+    ``eigvalsh`` is the fallback where numpy's LAPACK has no ``dsterf``: it
+    ends in the same routine, with the same bits, but is O(q^3) and holds
+    q x q matrices.  With one BLAS thread on a 2-core Xeon VM this whole
+    call (table degree 0) took 10.3 ms at q = 514 (dense: 22.7 ms), 0.11 s
+    at q = 2050 (0.91 s) and 0.41 s with +0.8 MB of RSS at q = 4098 (7.5 s
+    with +259 MB).  The weights are the classical
     Gauss-Hermite weights with the Gaussian already divided out,
     via the identity ``w_j e^{x_j^2} = 1 / (q h_{q-1}(x_j)^2)``, so that
 
@@ -161,16 +201,12 @@ def gauss_hermite_nodes(q: int, table_degree: int) -> tuple[np.ndarray, np.ndarr
 
     Each Newton step keeps only the rows h_{q-1} and h_q of its recurrence
     pass, and one last pass on the polished nodes keeps h_{q-1} for the
-    weights and rows 0..table_degree for the table (``build_basis``'s
+    weights and rows 0..table_degree for the table (``BasisGrid``'s
     ``eval_table``), so no (q+1) x q table is built.
     """
     if q < 1:
         raise BasisError(f"quadrature size must be >= 1, got {q}")
-    if q == 1:
-        nodes = np.zeros(1)
-    else:
-        # eigvalsh reads the lower triangle: the Jacobi matrix's sub-diagonal
-        nodes = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1, q) / 2.0), -1))
+    nodes = _jacobi_eigenvalues(q)
     for _ in range(2):
         h_below, h_q = _recurrence(q, nodes, (q - 1, q))
         # d/dx h_q = sqrt(2q) h_{q-1} - x h_q
@@ -206,7 +242,10 @@ class BasisGrid:
 
     Frozen, with read-only arrays, so worker threads share it safely; each
     derived table is a cached property, built on first use (threads racing
-    on it build equal copies).  On the tensor grid y of ``axis_nodes``,
+    on it build equal copies).  The quadrature is one of them: ``axis_nodes``,
+    ``axis_weights`` and ``eval_table`` come from one ``gauss_hermite_nodes``
+    call on first read, so a basis read only for its enumeration or its
+    audit grid builds no nodes.  On the tensor grid y of ``axis_nodes``,
     ``sum_j weights[j] f(y_j)`` approximates the integral of f over R^dim
     for smooth decaying f, and is exact when f is a polynomial of per-axis
     degree <= 2*quad_per_axis - 1 times the squared Gaussian.  ``eval_table``
@@ -227,14 +266,33 @@ class BasisGrid:
     max_degree: int
     quad_per_axis: int
     indices: tuple[tuple[int, ...], ...]
-    weights: np.ndarray      # (quad_per_axis^dim,)
-    eval_table: np.ndarray   # (max_degree + 1, quad_per_axis)
-    axis_nodes: np.ndarray   # (quad_per_axis,)
-    axis_weights: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.indices)
+
+    @cached_property
+    def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # axis nodes, axis weights, eval_table
+        return tuple(map(_read_only, gauss_hermite_nodes(self.quad_per_axis, self.max_degree)))
+
+    @cached_property
+    def axis_nodes(self) -> np.ndarray:  # (quad_per_axis,)
+        return self._quadrature[0]
+
+    @cached_property
+    def axis_weights(self) -> np.ndarray:  # (quad_per_axis,)
+        return self._quadrature[1]
+
+    @cached_property
+    def eval_table(self) -> np.ndarray:  # (max_degree + 1, quad_per_axis)
+        return self._quadrature[2]
+
+    @cached_property
+    def weights(self) -> np.ndarray:  # (quad_per_axis^dim,), outer products of the axis weights
+        weights = self.axis_weights
+        for _ in range(1, self.dim):
+            weights = np.multiply.outer(weights, self.axis_weights).ravel()
+        return _read_only(weights)
 
     @cached_property
     def degrees(self) -> np.ndarray:  # |n| per enumerated index
@@ -444,8 +502,10 @@ class BasisGrid:
         time.  Otherwise cells go in decreasing order of their best normalized
         bound; each batch first drops the cells that ``sup`` rules out, then
         contracts the next degree axis of the rest, and the batch's new cells,
-        P for each kept one, are walked in turn.
+        P for each kept one, are walked in turn.  With no rows there is nothing to raise.
         """
+        if not sup.size:
+            return
         if cells.ndim == 2:
             step = max(1, AUDIT_TILE_BYTES // 4 // max(8 * cells.shape[1], 1))
             for lo in range(0, len(cells), step):
@@ -548,12 +608,13 @@ def audit_axis(max_degree: int, dim: int) -> np.ndarray:
 
 
 def build_basis(dim: int, max_degree: int, quad_per_axis: int) -> BasisGrid:
-    """Construct the truncated Hermite basis with its quadrature.
+    """Construct the truncated Hermite basis; its quadrature is built on first read.
 
     Requires ``quad_per_axis >= 2 (max_degree + 1)`` so that the Gram matrix
     of the enumerated functions is the identity up to rounding, and rejects
     enumerations larger than ``DEFAULT_COEFF_BUDGET`` and tensor grids whose
-    nodes and weights need more than ``GRID_BYTES_BUDGET``.
+    nodes and weights need more than ``GRID_BYTES_BUDGET``, here and not
+    when the quadrature is first read.
     """
     if dim < 1:
         raise BasisError(f"dim must be >= 1, got {dim}")
@@ -579,20 +640,7 @@ def build_basis(dim: int, max_degree: int, quad_per_axis: int) -> BasisGrid:
             f"tensor grid of {quad_per_axis}^{dim} nodes and weights needs "
             f"{grid_bytes} B, over the budget of {GRID_BYTES_BUDGET} B"
         )
-    axis_nodes, axis_weights, eval_table = map(_read_only, gauss_hermite_nodes(quad_per_axis, max_degree))
-    weights = axis_weights
-    for _ in range(1, dim):
-        weights = np.multiply.outer(weights, axis_weights).ravel()
-    return BasisGrid(
-        dim=dim,
-        max_degree=max_degree,
-        quad_per_axis=quad_per_axis,
-        indices=indices,
-        weights=_read_only(weights),
-        eval_table=eval_table,
-        axis_nodes=axis_nodes,
-        axis_weights=axis_weights,
-    )
+    return BasisGrid(dim=dim, max_degree=max_degree, quad_per_axis=quad_per_axis, indices=indices)
 
 
 _BASIS_CACHE: dict[tuple[int, int, int], BasisGrid] = {}

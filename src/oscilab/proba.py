@@ -510,35 +510,41 @@ def paley_zygmund_check(
 # eigenfunction L^p decay
 
 
-def eigenfunction_lp_decay(p_exp: float, n_max: int) -> dict:
-    """Audit-grid L^p norms of the 1-D eigenfunctions against the expected decay.
+def eigenfunction_lp_decay(p_exps, n_max: int) -> list[dict]:
+    """Audit-grid L^p norms of the 1-D eigenfunctions against the expected decay, one report per exponent.
 
-    The normalized sequence ||h_n||_p lambda_n^{1/6} must stay within twice
-    its value at n = 10 and show no increasing trend.
+    For each p in ``p_exps`` (in that order) the normalized sequence
+    ||h_n||_p lambda_n^{1/6} must stay within twice its value at n = 10 and
+    show no increasing trend.  Every exponent is read off one |h_n| table:
+    the p = inf max first, then the finite powers, the last of them raised
+    in the table itself.
     """
-    if p_exp < 4:
-        raise ValueError(f"p exponent must be >= 4, got {p_exp}")
+    p_exps = [float(p) for p in p_exps]
+    if not p_exps or min(p_exps) < 4:
+        raise ValueError(f"p exponents must be >= 4, got {p_exps}")
     if not 11 <= n_max <= 400:  # the window n = 10..n_max needs two points for a rank correlation
         raise ValueError(f"n_max must lie in [11, 400], got {n_max}")
     axis = audit_axis(n_max, 1)
     table = hermite_function_values(n_max, axis)
     cell = float(axis[1] - axis[0])
-    np.abs(table, out=table)  # the table is this call's own: |h_n| and its powers overwrite it
-    if np.isinf(p_exp):
-        norms = table.max(axis=1)
-    else:
-        table **= p_exp
-        norms = (cell * np.sum(table, axis=1)) ** (1.0 / p_exp)
+    np.abs(table, out=table)  # the table is this call's own: |h_n| and its last power overwrite it
+    norms = {p: table.max(axis=1) for p in p_exps if np.isinf(p)}
+    finite = [p for p in p_exps if not np.isinf(p)]
+    for i, p in enumerate(finite):
+        power = np.power(table, p, out=table if i == len(finite) - 1 else None)
+        norms[p] = (cell * np.sum(power, axis=1)) ** (1.0 / p)
     lam = np.sqrt(2.0 * np.arange(n_max + 1) + 1.0)
-    ratio = norms * lam ** (1.0 / 6.0)
+    return [_lp_decay_report(p, n_max, norms[p] * lam ** (1.0 / 6.0)) for p in p_exps]
 
+
+def _lp_decay_report(p_exp: float, n_max: int, ratio: np.ndarray) -> dict:
     lo = 10
     window = ratio[lo : n_max + 1]
     # Spearman's rho: the ranks of n are 0, 1, ...; the window has no ties
     rho = float(np.corrcoef(np.arange(window.size), np.argsort(np.argsort(window)))[0, 1])
     return {
         "dim": 1,
-        "p": float(p_exp),
+        "p": p_exp,
         "n_max": n_max,
         "ratio_at_10": float(ratio[lo]),
         "ratio_max": float(window.max()),

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import csv
 import json
+import platform
 import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .blas import blas_runtime
 
 __all__ = ["REPORT_SCHEMA", "EIGENVALUE_NORMALIZATION", "write_report", "write_manifest", "write_csv"]
 
@@ -82,7 +84,14 @@ def write_csv(name: str, columns: dict, out_dir) -> Path:
 
 
 def write_manifest(out_dir, command: str, config: dict) -> Path:
-    """Echo the fully resolved configuration plus code version and timestamp."""
+    """Echo the fully resolved configuration plus code version, runtime and timestamp.
+
+    The runtime is the python, numpy and scipy versions, numpy's BLAS and
+    LAPACK, and the BLAS threads in force: what the report bits depend on
+    beyond the configuration.
+    """
+    import scipy  # already loaded with scipy.special by the commands that write manifests
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     body = {
@@ -90,6 +99,12 @@ def write_manifest(out_dir, command: str, config: dict) -> Path:
         "config": _jsonable(config),
         "oscilab_version": __version__,
         "eigenvalue_normalization": EIGENVALUE_NORMALIZATION,
+        "runtime": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            **blas_runtime(),
+        },
         "timestamp_unix": time.time(),
     }
     path = out_dir / "manifest.json"

@@ -684,10 +684,71 @@ def test_gauss_hermite_nodes_match_the_reference_bitwise(q, degree):
 
 
 def test_gauss_hermite_nodes_match_the_reference_bitwise_for_every_q_up_to_300():
-    # one looped case: numpy's dense eigvalsh must start the Newton polish on scipy's exact eigenvalues
+    # one looped case: the dsterf on the Jacobi diagonals must start the Newton polish on scipy's exact eigenvalues
     for q in range(1, 301):
         degree = max(q // 2 - 1, 0)
         nodes, weights, table = gauss_hermite_nodes(q, degree)
         want_nodes, want_weights = reference_gauss_hermite_nodes(q)
         assert same_bits(nodes, want_nodes) and same_bits(weights, want_weights), q
         assert same_bits(table, reference_hermite_function_values(degree, want_nodes)), q
+
+
+def test_nodes_come_from_dsterf_without_a_dense_matrix(monkeypatch):
+    assert hermite._dsterf() is not None  # numpy's OpenBLAS has the ILP64 symbol
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # the dense route is not taken
+    q, degree = 2050, 1024
+    tracemalloc.start()
+    try:
+        gauss_hermite_nodes(q, degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the last pass's table (rows 0..degree and q - 1) is the output; the dense route's q x q matrix is 33.6 MB
+    assert peak - (degree + 2) * q * 8 < 2**20
+
+
+def test_dense_fallback_gives_the_bits_of_dsterf(monkeypatch):
+    # the eigenvalues start the Newton polish, so equal eigenvalues give equal nodes, weights and tables
+    sizes = sorted({*range(1, 301), *(q for q, _ in PRESET_QUADRATURES)})
+    fast = [hermite._jacobi_eigenvalues(q) for q in sizes]
+    monkeypatch.setattr(hermite, "_dsterf", lambda: None)
+    for q, want in zip(sizes, fast):
+        assert same_bits(hermite._jacobi_eigenvalues(q), want), q
+
+
+def test_dsterf_failure_is_a_basis_error(monkeypatch):
+    def failing(n, diag, off, info):
+        info._obj.value = 1
+
+    monkeypatch.setattr(hermite, "_dsterf", lambda: failing)
+    with pytest.raises(BasisError, match="dsterf"):
+        gauss_hermite_nodes(8, 3)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 4), (3, 2)])
+def test_audit_sup_of_no_rows_is_empty(dim, n):
+    basis = build_basis(dim, n, 2 * (n + 1))
+    for dtype in (float, complex):
+        rows = np.zeros((0, basis.size), dtype=dtype)
+        assert basis.audit_sup(rows).shape == (0,)
+        assert basis.audit_sup_bound(rows).shape == (0,)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 40), (2, 12), (3, 6)])
+def test_basis_builds_its_quadrature_on_first_read(monkeypatch, dim, n):
+    builds = []
+    nodes = hermite.gauss_hermite_nodes
+    monkeypatch.setattr(hermite, "gauss_hermite_nodes", lambda q, degree: builds.append((q, degree)) or nodes(q, degree))
+    basis = build_basis(dim, n, 2 * (n + 1))
+    basis.audit_sup(np.eye(basis.size)[:3])
+    assert basis.size and basis.degrees.size and builds == []
+    assert basis.weights is basis.weights and basis.eval_table is basis.eval_table
+    assert basis.axis_nodes is basis.axis_nodes and basis.axis_weights is basis.axis_weights
+    assert builds == [(2 * (n + 1), n)]
+    want = nodes(2 * (n + 1), n)
+    assert same_bits(basis.axis_nodes, want[0]) and same_bits(basis.axis_weights, want[1])
+    assert same_bits(basis.eval_table, want[2])
+    # the budget checks stay eager
+    with pytest.raises(BasisError, match="budget"):
+        build_basis(3, 10, 2**10)
+    assert builds == [(2 * (n + 1), n)]

@@ -494,36 +494,44 @@ def test_paley_zygmund_validation(basis16):
 
 
 def test_eigen_sup_decay():
-    rep = eigenfunction_lp_decay(np.inf, 400)
+    (rep,) = eigenfunction_lp_decay([np.inf], 400)
     assert rep["ratio_max"] <= 2.0 * rep["ratio_at_10"]
     assert rep["spearman_rho"] <= 0.0
     assert rep["verdict"]
 
 
 def test_eigen_l4_ground_state_value():
-    rep = eigenfunction_lp_decay(4.0, 20)
+    (rep,) = eigenfunction_lp_decay([4.0], 20)
     # || h_0 ||_{L^4} = (2 pi)^{-1/8}
     assert abs(rep["ratios"][0] - (2 * np.pi) ** -0.125) < 1e-6
 
 
 def test_eigen_lp_works_in_its_table():
-    # |h_n|^p overwrites the table; a fresh |table| and its power took 9.5 MiB at n_max = 400
+    # |h_n|^p overwrites the table after its max is taken; a fresh |table| and its power took 9.5 MiB at n_max = 400
     table_bytes = 401 * audit_axis(400, 1).size * 8
     tracemalloc.start()
     try:
-        rep = eigenfunction_lp_decay(4.0, 400)
+        reps = eigenfunction_lp_decay([4.0, np.inf], 400)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep["verdict"]
+    assert [rep["p"] for rep in reps] == [4.0, np.inf] and all(rep["verdict"] for rep in reps)
     assert peak <= table_bytes + 2**20
 
 
 def test_eigen_lp_validation():
     with pytest.raises(ValueError):
-        eigenfunction_lp_decay(2.0, 100)
+        eigenfunction_lp_decay([2.0], 100)
     with pytest.raises(ValueError):
-        eigenfunction_lp_decay(4.0, 500)
+        eigenfunction_lp_decay([4.0, np.inf, 2.0], 100)
+    with pytest.raises(ValueError):
+        eigenfunction_lp_decay([4.0], 500)
+
+
+def test_eigen_lp_reports_each_exponent_as_alone():
+    # one table for every exponent: the bits of one call per exponent, in the order given
+    together = eigenfunction_lp_decay([6.0, np.inf, 4.0], 100)
+    assert together == [eigenfunction_lp_decay([p], 100)[0] for p in (6.0, np.inf, 4.0)]
 
 
 # ------------------------------------------------------------ chernoff

@@ -1,11 +1,14 @@
 import argparse
 import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+from oscilab import fields, hermite
 from oscilab.cli import _resolve_params, main
 from oscilab.reports import EIGENVALUE_NORMALIZATION, write_csv, write_manifest, write_report
 
@@ -42,6 +45,47 @@ def test_manifest_contains_config(tmp_path):
     assert body["command"] == "demo"
     assert body["config"]["seed"] == 7
     assert "timestamp_unix" in body
+    runtime = body["runtime"]
+    assert runtime["python"] == platform.python_version() and runtime["numpy"] == np.__version__
+    assert runtime["scipy"] == scipy.__version__
+    for kind in ("blas", "lapack"):
+        assert set(runtime[kind]) == {"name", "version"}
+    # read from the OpenBLAS that numpy loads, through the handle that gives hermite its dsterf
+    assert runtime["blas_threads_in_force"] >= 1
+
+
+# (q, degree) of each Gauss-Hermite node build at reference tier: a basis read only for its
+# enumeration (basis-check's derivative target, solve-nlsh's own N = 32 basis, whose Picard pass runs
+# on the product quadrature) or its audit grid (lens-check, omega) builds no nodes
+REFERENCE_NODE_BUILDS = {
+    "basis-check": [(256, 64)],
+    "lens-check": [],
+    "omega": [],
+    "solve-nlsh": [(113, 32)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REFERENCE_NODE_BUILDS))
+def test_reference_commands_build_only_the_quadratures_they_read(tmp_path, monkeypatch, command):
+    builds = []
+    nodes = hermite.gauss_hermite_nodes
+    monkeypatch.setattr(hermite, "gauss_hermite_nodes", lambda q, degree: builds.append((q, degree)) or nodes(q, degree))
+    monkeypatch.setattr(hermite, "_BASIS_CACHE", {})
+    monkeypatch.setattr(fields, "_PRODUCT_QUAD_CACHE", {})
+    assert main([command, "--tier", "reference", "--out", str(tmp_path)]) == 0
+    assert builds == REFERENCE_NODE_BUILDS[command]
+
+
+def test_eigen_lp_runs_one_recurrence(tmp_path, monkeypatch):
+    # p = 4 and p = inf are read off one |h_n| table
+    calls = []
+    recurrence = hermite._recurrence
+    monkeypatch.setattr(hermite, "_recurrence", lambda n, x, rows: calls.append(n) or recurrence(n, x, rows))
+    assert main(["eigen-lp", "--tier", "reference", "--out", str(tmp_path)]) == 0
+    assert calls == [400]
+    assert sorted(p.name for p in (tmp_path / "eigen_lp").iterdir() if p.suffix == ".csv") == [
+        "eigen_lp_p4.0.csv", "eigen_lp_pinf.csv"
+    ]
 
 
 def run_cli(args):
