@@ -33,14 +33,25 @@ a per-omega kernel over tiles of 256 of those rows and concatenates its values
 in omega order.  In both, tiles start at multiples of 4 rows and leave no lone
 row at a chunk's end (``_tile_bounds``), so every row keeps the bits that one
 call on the whole chunk gives it.
+
+The Gaussian transform is scipy's ``ndtri`` ufunc.  ``_load_ndtri`` imports
+it from the compiled ``scipy.special._ufuncs`` without running
+``scipy.special``'s package init, which would load about 250 more modules
+(scipy's array-API layer, ``numpy.ma``, ``numpy.testing``, ``numpy.f2py``)
+into every process; a later ``import scipy.special`` binds the same ufunc
+object.  Where that private module cannot be imported, the loader falls back
+to the public ``scipy.special.ndtri``.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+import numpy.random  # numpy 2 loads it on first attribute access: load it here, not in a command's work
 
 from .mc import holding, run_chunked
 
@@ -52,6 +63,41 @@ __all__ = [
     "map_gains",
     "verify_tail",
 ]
+
+
+def _load_ndtri():
+    """scipy's ``ndtri`` ufunc and the module it was read from.
+
+    An already loaded ``scipy.special`` gives it.  Otherwise the compiled
+    ``scipy.special._ufuncs`` is imported under a stand-in ``scipy.special``,
+    a bare module whose ``__path__`` is scipy's ``special`` directory, held in
+    ``sys.modules`` for that import only; the extension modules it loads stay
+    there, so a later ``import scipy.special`` reuses them.  If that private
+    route fails, the public package gives it.
+    """
+    loaded = sys.modules.get("scipy.special")
+    if loaded is not None:
+        return loaded.ndtri, "scipy.special"
+    try:
+        import scipy
+
+        stand_in = types.ModuleType("scipy.special")
+        stand_in.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+        sys.modules["scipy.special"] = stand_in
+        try:
+            from scipy.special._ufuncs import ndtri
+        finally:
+            if sys.modules.get("scipy.special") is stand_in:
+                del sys.modules["scipy.special"]
+        return ndtri, "scipy.special._ufuncs"
+    except (ImportError, AttributeError):
+        from scipy.special import ndtri
+
+        return ndtri, "scipy.special"
+
+
+# NDTRI_MODULE is recorded in the run manifest
+ndtri, NDTRI_MODULE = _load_ndtri()
 
 FAMILIES = (
     "gaussian",

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it on first attribute access: load it here, not in a command's work
 
 from .fields import SpectralField
 from .hermite import audit_axis, grid_radius2, hermite_function_values

@@ -335,13 +335,20 @@ def _iterate(u0: SpectralField, cfg: SolverConfig, v_mat: np.ndarray) -> Traject
     )
 
 
+def _median(xs) -> float:
+    """np.median of a short list of floats, bit for bit, without the numpy.ma import it makes."""
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return float(xs[mid]) if len(xs) % 2 else float((xs[mid - 1] + xs[mid]) / 2.0)
+
+
 def contraction_factor(traj: Trajectory) -> float:
     """Median of successive update-norm ratios; < 1 inside the contraction ball."""
     h = traj.contraction_history
     if len(h) < 2:
         return 0.0
     ratios = [h[k + 1] / h[k] for k in range(len(h) - 1) if h[k] > 0]
-    return float(np.median(ratios)) if ratios else 0.0
+    return _median(ratios) if ratios else 0.0
 
 
 def geometric_fit_r2(traj: Trajectory) -> float:

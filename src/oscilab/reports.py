@@ -13,9 +13,11 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .blas import blas_runtime
+from .ensembles import NDTRI_MODULE
 
 __all__ = ["REPORT_SCHEMA", "EIGENVALUE_NORMALIZATION", "write_report", "write_manifest", "write_csv"]
 
@@ -86,12 +88,10 @@ def write_csv(name: str, columns: dict, out_dir) -> Path:
 def write_manifest(out_dir, command: str, config: dict) -> Path:
     """Echo the fully resolved configuration plus code version, runtime and timestamp.
 
-    The runtime is the python, numpy and scipy versions, numpy's BLAS and
-    LAPACK, and the BLAS threads in force: what the report bits depend on
-    beyond the configuration.
+    The runtime is the python, numpy and scipy versions, the scipy module
+    that ``ndtri`` was loaded from, numpy's BLAS and LAPACK, and the BLAS
+    threads in force: what the report bits depend on beyond the configuration.
     """
-    import scipy  # already loaded with scipy.special by the commands that write manifests
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     body = {
@@ -103,6 +103,7 @@ def write_manifest(out_dir, command: str, config: dict) -> Path:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "ndtri_module": NDTRI_MODULE,
             **blas_runtime(),
         },
         "timestamp_unix": time.time(),

@@ -120,17 +120,54 @@ def test_cli_refuses_an_unknown_tier(tmp_path, capsys):
     assert not (tmp_path / "norms").exists()
 
 
+def run_fresh(code: str) -> list:
+    """The stdout lines of code run in a fresh interpreter that imports oscilab from this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+# what scipy.special's package init would load into every process: ensembles loads ndtri without it
+FULL_INIT_MODULES = (
+    "scipy.special",
+    "scipy.special._support_alternative_backends",
+    "scipy._lib._array_api",
+    "numpy.ma",
+    "numpy.testing",
+    "numpy.f2py",
+)
+
+
 def test_cli_import_loads_only_the_scipy_subpackages_it_needs():
-    # every command's process pays this import; scipy.stats alone once cost 0.65 s of it, scipy.linalg 0.09 s.
-    # The numerical core loads no scipy at all: ensembles' ndtri is the one scipy dependency left.
-    probe = (
+    # every command's process pays this import; scipy.stats alone once cost 0.65 s of it, scipy.linalg 0.09 s,
+    # scipy.special's package init 0.12 s.  The numerical core loads no scipy at all; ensembles' ndtri comes
+    # from the compiled scipy.special._ufuncs, without that init.
+    core, cli, full_init = run_fresh(
         "import sys, oscilab.hermite, oscilab.fields, oscilab.lens, oscilab.picard; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
-        "import oscilab.cli; print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}))"
+        "import oscilab.cli; print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})); "
+        f"print(sorted(m for m in {FULL_INIT_MODULES!r} if m in sys.modules))"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
-    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    core, cli = loaded.stdout.splitlines()
     assert core == "[]"
     public = {name for name in cli.split() if not name.startswith("_")}
     assert "special" in public and public <= {"special", "version"}
+    assert full_init == "[]"
+
+
+# runs every command but acceptance at smoke in one interpreter; prints each one's name and the modules it added
+COMMANDS_PROBE = """
+import contextlib, io, sys, oscilab.cli
+from oscilab.experiments import EXPERIMENTS
+for e in EXPERIMENTS:
+    if e.name != "acceptance":
+        before = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            oscilab.cli.main([e.name, "--tier", "smoke", "--seed", "1", "--workers", "1", "--out", {out!r}])
+        print(e.name, *sorted(set(sys.modules) - before))
+"""
+
+
+def test_no_command_imports_a_module_during_its_work(tmp_path):
+    # a module first loaded inside a command (numpy 2 loads numpy.random and numpy.fft on first attribute
+    # access, np.median imports numpy.ma) lands in its timed work: the import of oscilab.cli loads them all
+    added = run_fresh(COMMANDS_PROBE.format(out=str(tmp_path)))
+    assert added == [e.name for e in EXPERIMENTS if e.name != "acceptance"]

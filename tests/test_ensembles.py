@@ -24,6 +24,7 @@ from oscilab.ensembles import (
 )
 from oscilab.mc import DEFAULT_CHUNK
 from oscilab.proba import chernoff_tail, khinchin_growth, odd_moment_witness
+from test_api import run_fresh
 
 SEED = 1
 
@@ -64,6 +65,49 @@ def test_flag_consistency_enforced():
 
 def test_two_point_constants_are_centered():
     assert TWO_POINT_P_HIGH * TWO_POINT_HIGH + (1 - TWO_POINT_P_HIGH) * TWO_POINT_LOW == 0
+
+
+def test_ndtri_loads_without_scipy_special_init():
+    # the stand-in package is gone once ensembles is imported, and the full init later binds the same ufunc
+    route, listed, bound, same = run_fresh(
+        "import sys, oscilab.ensembles as e; print(e.NDTRI_MODULE); print('scipy.special' in sys.modules); "
+        "print('special' in vars(sys.modules['scipy'])); import scipy.special; print(e.ndtri is scipy.special.ndtri)"
+    )
+    assert (route, listed, bound, same) == ("scipy.special._ufuncs", "False", "False", "True")
+
+
+def test_ndtri_loader_reads_a_loaded_scipy_special():
+    # this module imported scipy.special's ndtri
+    loaded, route = ensembles._load_ndtri()
+    assert loaded is ndtri and route == "scipy.special"
+
+
+# prints the ndtri route and the bytes of the Gaussian gains of one fold_block and one map_gains draw
+GAINS_PROBE = """
+from oscilab.ensembles import NDTRI_MODULE, fold_block, make_ensemble, map_gains
+g = make_ensemble("gaussian", seed=5)
+(folded,) = fold_block([(g, lambda stats: stats)], 1000, 7, lambda rows: rows.T.copy())
+mapped = map_gains(g, 600, 7, lambda gains: (gains.T.copy(), ()))
+print(NDTRI_MODULE)
+print(folded.tobytes().hex() + mapped.tobytes().hex())
+"""
+
+# fails the import of scipy.special._ufuncs under the loader's stand-in package, which has no __file__
+REFUSE_PRIVATE_ROUTE = """
+import sys
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not hasattr(sys.modules.get("scipy.special"), "__file__"):
+            raise ImportError(name)
+sys.meta_path.insert(0, Refuse())
+"""
+
+
+def test_ndtri_fallback_draws_the_same_gains():
+    private_route, private_gains = run_fresh(GAINS_PROBE)
+    public_route, public_gains = run_fresh(REFUSE_PRIVATE_ROUTE + GAINS_PROBE)
+    assert (private_route, public_route) == ("scipy.special._ufuncs", "scipy.special")
+    assert private_gains == public_gains
 
 
 def test_gaussian_marginals():

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oscilab.fields import (
     SpectralField,
@@ -20,6 +22,7 @@ from oscilab.picard import (
     Trajectory,
     _apply_duhamel,
     _iterate,
+    _median,
     _Workspace,
     contraction_factor,
     geometric_fit_r2,
@@ -113,6 +116,20 @@ def test_reference_solve_contracts():
         assert contraction_factor(traj) < 0.5, k
         assert traj.contraction_history[-1] <= 1e-10, k
         assert geometric_fit_r2(traj) >= 0.95, k
+
+
+# positive floats from 1e-30 to 1e30: a mantissa in [1, 10) times a power of ten
+DECADE_FLOATS = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True), st.integers(-30, 30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(DECADE_FLOATS, min_size=1, max_size=12))
+@example([0.3])
+@example([0.1, 0.7])
+@example([2.0**-1074, 2.0**-1074, 1e300, 1e300])
+def test_median_has_the_bits_of_np_median(xs):
+    # contraction_factor's median sorts its list: np.median would import numpy.ma during the solve
+    assert _median(xs).hex() == float(np.median(xs)).hex()
 
 
 def test_reference_residual_and_mass():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from oscilab import fields, hermite
+from oscilab import ensembles, fields, hermite
 from oscilab.cli import _resolve_params, main
 from oscilab.reports import EIGENVALUE_NORMALIZATION, write_csv, write_manifest, write_report
 
@@ -48,6 +48,8 @@ def test_manifest_contains_config(tmp_path):
     runtime = body["runtime"]
     assert runtime["python"] == platform.python_version() and runtime["numpy"] == np.__version__
     assert runtime["scipy"] == scipy.__version__
+    # the module ensembles' ndtri was read from: scipy.special where the package was loaded before oscilab
+    assert runtime["ndtri_module"] == ensembles.NDTRI_MODULE in ("scipy.special._ufuncs", "scipy.special")
     for kind in ("blas", "lapack"):
         assert set(runtime[kind]) == {"name", "version"}
     # read from the OpenBLAS that numpy loads, through the handle that gives hermite its dsterf
