@@ -2,9 +2,11 @@
 artifact output over the experiment registry.
 
 Every run first deletes the reports an earlier run left in its directory,
-then writes a manifest echoing the fully resolved configuration; for a
-fixed manifest and BLAS thread count the report and CSV bytes are identical
-across runs (and across --workers settings).  Tiers scale Monte Carlo effort
+then writes a manifest echoing the fully resolved configuration.  Each
+command runs with numpy's OpenBLAS on one thread (``blas.one_blas_thread``),
+so the report, CSV and plot-script bytes depend on the manifest alone: they
+are identical across runs, across --workers settings and whatever the BLAS
+thread variables of the environment say.  Tiers scale Monte Carlo effort
 only; every tolerance is pinned in code.
 """
 
@@ -15,6 +17,7 @@ import json
 import sys
 from pathlib import Path
 
+from .blas import one_blas_thread
 from .experiments import DEFAULT_SEED, EXPERIMENTS, TIERS, ConfigError, Context, Result
 from .lens import AliasingGuardError
 from .picard import DivergenceError
@@ -117,7 +120,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--resume", action="store_true", help="reload the trajectory checkpoint if present")
     args = parser.parse_args(argv)
+    with one_blas_thread():
+        return _run(args)
 
+
+def _run(args) -> int:
+    """Resolve the parsed command's parameters, run it and write its artifacts; returns the exit code."""
     name = args.command.replace("-", "_")
     out_dir = args.out / name
     try:

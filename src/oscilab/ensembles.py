@@ -268,9 +268,13 @@ def _tile_bounds(rows: int, tile: int) -> list:
     multiple of ``tile`` (itself a multiple of 4), and a lone row left at the
     end joins the tile before it.
 
-    OpenBLAS takes a row's product through a kernel chosen by the row's place
-    in groups of four rows, and a one-row product through another one, so a
-    call on each tile gives every row the bits of one call on the whole chunk.
+    Row-tile rule of the Monte Carlo kernels, whose rows are the rows of a
+    (rows x width) product: OpenBLAS takes a row's product through a kernel
+    chosen by the row's place in groups of four rows, and a one-row product
+    through another one, so a call on each tile gives every row the bits of
+    one call on the whole chunk.  ``test_kernel_tiles_leave_no_lone_row``
+    pins it.  The Picard pass, whose rows are columns of its contractions,
+    keeps a lone last row by the other rule (``BasisGrid.project_pointwise``).
     """
     return [*range(0, max(rows - 1, 1), tile), rows]
 
@@ -303,6 +307,8 @@ def fold_block(families, n_samples: int, width: int, row_stat, workers: int = 1)
     rows keep the bits of a fold over whole chunks of rows.  The partials are added left to right in
     chunk order, so the result is bitwise independent of workers.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     seeds = sorted({spec.seed for spec, _ in families})
     if len(seeds) != 1:
         raise ValueError(f"families folded over one bulk stream must share its seed, got seeds {seeds}")
@@ -351,6 +357,8 @@ def map_gains(spec: EnsembleSpec, n_samples: int, width: int, kernel, workers: i
     tile and chunk order, so the result is bitwise independent of workers; the
     chunk's gains and its last tile's arrays stay held as in ``mc.holding``.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
 
     def chunk(a, b):
         gains = sample_gain_matrix(spec, np.arange(a, b), width)

@@ -140,7 +140,14 @@ def basis_check(params, ctx):
     )
 
 
+def _nonempty(params, key: str) -> None:
+    """Refuse an empty list ``params[key]``: a verdict over none of its entries would check nothing."""
+    if not params[key]:
+        raise ValueError(f"{key} must hold at least one entry, got []")
+
+
 def norms(params, ctx):
+    _nonempty(params, "modes")
     basis = build_basis(1, params["N"], 2 * (params["N"] + 1))
     rows = {"norm_kind": [], "s": [], "r": [], "q": [], "T": [], "N": [], "value": []}
     specs = [
@@ -189,6 +196,7 @@ def smoothing(params, ctx):
 
 
 def lens_check(params, ctx):
+    _nonempty(params, "times")
     n = params["N"]
     basis = cached_basis(1, n, 2 * (n + 1))
     u0 = SpectralField(basis, 0.1 * unit_field(basis, 0).coeffs)
@@ -293,6 +301,7 @@ def solve_nlsh(params, ctx):
 
 
 def solve_nls(params, ctx):
+    _nonempty(params, "times")
     u0, cfg, traj, _ = _trajectory(params, ctx)
     masses = []
     frames = {}
@@ -311,9 +320,13 @@ def solve_nls(params, ctx):
 
 
 def scattering(params, ctx):
+    amplitudes = params["amplitudes"]
+    # the slope is fitted through one point per distinct amplitude
+    if min(amplitudes, default=0.0) <= 0.0 or len(set(amplitudes)) < 2:
+        raise ValueError(f"amplitudes must hold at least two distinct positive values, got {amplitudes}")
     norms = []
     curve_out = None
-    for amp in params["amplitudes"]:
+    for amp in amplitudes:
         run = dict(params)
         run["amplitude"] = amp
         u0, cfg = _solve_from_params(run)
@@ -321,7 +334,7 @@ def scattering(params, ctx):
         pair = scattering_extract(traj, u0)
         norms.append(harmonic_sobolev_norm(pair.L_plus, cfg.s))
         curve_out = pair.residual_curve
-    la = np.log(params["amplitudes"])
+    la = np.log(amplitudes)
     slope = float(np.polyfit(la, np.log(norms), 1)[0])
     curve_vals = [r for _, r in curve_out]
     decreasing = all(curve_vals[i + 1] < curve_vals[i] for i in range(len(curve_vals) - 1))
@@ -330,7 +343,7 @@ def scattering(params, ctx):
         decreasing and curve_vals[-1] <= 1e-3 and abs(slope - params.get("p", 5)) <= 0.3,
         [f"profile-amplitude slope {slope:.3f} (target p +- 0.3)"],
         curves={"scattering_residual": {"t": [t for t, _ in curve_out], "residual": curve_vals}},
-        meta={"amplitudes": params["amplitudes"], "seed": ctx.seed},
+        meta={"amplitudes": amplitudes, "seed": ctx.seed},
     )
 
 

@@ -173,8 +173,16 @@ class _Workspace:
     ``nonlinearity`` and the audit sup bounds and sups of ``surrogate_norm`` walk the time nodes
     in tiles of ``tile`` nodes, so their grid arrays are a tile's, not (time nodes x grid).  A
     node costs 16 bytes a point of the larger of the quadrature grid and the audit sup's
-    first-axis partial (audit axis x (N+1)^(d-1)): 12 nodes at d = 2, N = 16, 4 at d = 3 from
-    N = 5 on, and over 65, one tile, at the d = 1 presets.
+    first-axis partial (audit axis x (N+1)^(d-1)): 16 nodes at d = 2, N = 12, 12 at N = 16,
+    4 at d = 3 from N = 5 on, and over 65, one tile, at the d = 1 presets.
+
+    The tiles follow the row-tile rule of ``BasisGrid.project_pointwise``: each starts at a
+    multiple of ``tile`` (itself a multiple of 4), and the last may hold one node, as the
+    65-node passes at d = 2, N = 12 and at d = 3 do ([64:65]).  Joining that node to the tile
+    before, as ``ensembles._tile_bounds`` does, keeps the bits but makes that tile's arrays one
+    node larger than a tile's: at d = 3, N = 8 the pass then peaked at 3.23 MB under
+    tracemalloc, above the 2.77 MB bound of ``test_nonlinearity_holds_one_tile_of_grid_arrays``.
+    ``test_tiled_passes_are_the_whole_passes_bitwise`` pins the bits.
     """
 
     def __init__(self, cfg: SolverConfig, basis: BasisGrid):

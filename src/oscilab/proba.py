@@ -93,8 +93,8 @@ def khinchin_growth(
     if abs(np.linalg.norm(coeffs) - 1.0) > 1e-8:
         raise ValueError("coefficients must be l2-normalized")
     q_grid = np.asarray(sorted(q_grid), dtype=int)
-    if q_grid[0] < 2 or q_grid[-1] > 24 or np.any(q_grid % 2):
-        raise ValueError("q_grid must be even integers inside [2, 24]")
+    if q_grid.size == 0 or q_grid[0] < 2 or q_grid[-1] > 24 or np.any(q_grid % 2):
+        raise ValueError(f"q_grid must be a non-empty set of even integers inside [2, 24], got {q_grid.tolist()}")
 
     def partial(s):
         part = np.zeros((q_grid.size, 2))

@@ -85,12 +85,22 @@ def write_csv(name: str, columns: dict, out_dir) -> Path:
     return path
 
 
+def _cpu_model() -> str | None:
+    """The CPU's model name as /proc/cpuinfo gives it, or None where there is none."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), None)
+    except OSError:
+        return None
+
+
 def write_manifest(out_dir, command: str, config: dict) -> Path:
     """Echo the fully resolved configuration plus code version, runtime and timestamp.
 
-    The runtime is the python, numpy and scipy versions, the scipy module
-    that ``ndtri`` was loaded from, numpy's BLAS and LAPACK, and the BLAS
-    threads in force: what the report bits depend on beyond the configuration.
+    The runtime is what the report bits depend on beyond the configuration:
+    the python, numpy and scipy versions, the scipy module that ``ndtri`` was
+    loaded from, numpy's BLAS and LAPACK, the BLAS threads in force (one
+    under the CLI) and the CPU model.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -105,6 +115,7 @@ def write_manifest(out_dir, command: str, config: dict) -> Path:
             "scipy": scipy.__version__,
             "ndtri_module": NDTRI_MODULE,
             **blas_runtime(),
+            "cpu": _cpu_model(),
         },
         "timestamp_unix": time.time(),
     }

@@ -56,6 +56,10 @@ def test_enumeration_count_and_order():
     degrees = [sum(n) for n in idx]
     assert degrees == sorted(degrees)
     assert len(set(idx)) == len(idx)
+    for dim in (1, 2, 3):
+        for max_degree in (0, 1, 3, 4, 9):
+            idx = enumerate_multi_indices(dim, max_degree)
+            assert list(idx) == sorted(idx, key=lambda n: (sum(n), n))  # graded lexicographic
 
 
 def test_eigenvalues():

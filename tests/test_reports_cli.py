@@ -1,14 +1,18 @@
 import argparse
+import ctypes
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from oscilab import ensembles, fields, hermite
+from oscilab import blas, ensembles, fields, hermite
 from oscilab.cli import _resolve_params, main
 from oscilab.reports import EIGENVALUE_NORMALIZATION, write_csv, write_manifest, write_report
 
@@ -54,6 +58,56 @@ def test_manifest_contains_config(tmp_path):
         assert set(runtime[kind]) == {"name", "version"}
     # read from the OpenBLAS that numpy loads, through the handle that gives hermite its dsterf
     assert runtime["blas_threads_in_force"] >= 1
+    assert runtime["cpu"] is None or runtime["cpu"]
+
+
+def blas_threads():
+    return blas.openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)()
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """numpy's OpenBLAS on two threads for the test, then on the count it had."""
+    set_threads = blas.openblas_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    found = blas_threads()
+    set_threads(2)
+    yield
+    set_threads(found)
+
+
+def test_cli_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # unpinned, reference smoothing's fractional_grad_eps0.25.fine read 3.4076821522103344 on one
+    # OpenBLAS thread and 3.407682152210335 on two
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "oscilab.cli", "smoothing", "--tier", "reference", "--out", str(tmp_path / threads)],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.DEVNULL, stdin=subprocess.DEVNULL,
+        )
+        for threads in ("1", "2")
+    ]
+    assert [proc.wait(timeout=120) for proc in runs] == [0, 0]
+    one, two = (tmp_path / threads / "smoothing" for threads in ("1", "2"))
+    assert (one / "smoothing.json").read_bytes() == (two / "smoothing.json").read_bytes()
+    assert json.loads((two / "manifest.json").read_text())["runtime"]["blas_threads_in_force"] == 1
+
+
+def test_cli_runs_on_one_blas_thread_and_restores_the_count(tmp_path, two_blas_threads):
+    assert run_cli(["b2p", "--tier", "smoke", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "b2p" / "manifest.json").read_text())["runtime"]["blas_threads_in_force"] == 1
+    assert blas_threads() == 2
+
+
+def test_cli_runs_where_openblas_has_no_thread_setter(tmp_path, monkeypatch, two_blas_threads):
+    lookup = blas.openblas_function
+
+    def no_setter(symbol, *signature):
+        return None if symbol == "scipy_openblas_set_num_threads64_" else lookup(symbol, *signature)
+
+    monkeypatch.setattr(blas, "openblas_function", no_setter)
+    assert run_cli(["b2p", "--tier", "smoke", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "b2p" / "manifest.json").read_text())["runtime"]["blas_threads_in_force"] == 2
 
 
 # (q, degree) of each Gauss-Hermite node build at reference tier: a basis read only for its
@@ -253,9 +307,16 @@ def test_cli_refuses_a_bad_checkpoint(tmp_path, capsys, damage):
     assert sorted(p.name for p in checkpoint.parent.iterdir()) == ["error.json", "manifest.json", "trajectory.npz"]
 
 
-@pytest.mark.parametrize("command,setting", [("eigen-lp", "n_max=5"), ("eigen-lp", "n_max=10"), ("b2p", "p=0")])
+@pytest.mark.parametrize("command,setting", [
+    ("eigen-lp", "n_max=5"), ("eigen-lp", "n_max=10"), ("b2p", "p=0"),
+    ("khinchin", "q_max=1"), ("khinchin", "n_samples=0"), ("chernoff", "n_samples=0"), ("paley-zygmund", "n_samples=0"),
+    ("scattering", "amplitudes=[0.1]"), ("scattering", "amplitudes=[0.1,0.1]"),
+    ("lens-check", "times=[]"), ("solve-nls", "times=[]"), ("norms", "modes=[]"),
+])
 def test_cli_refuses_out_of_range_parameters(tmp_path, capsys, command, setting):
-    # eigen-lp's trend window n = 10..n_max needs two points; b2p counts for p = 1..p
+    # eigen-lp's trend window n = 10..n_max needs two points; b2p counts for p = 1..p; khinchin's moments
+    # need an even q and every Monte Carlo draw a sample; scattering fits its slope through two distinct
+    # amplitudes; a verdict over an empty list of times or modes would check nothing
     assert run_cli([command, "--tier", "smoke", "--out", str(tmp_path), "--set", setting]) == 3
     assert "must" in capsys.readouterr().err
     name = command.replace("-", "_")
