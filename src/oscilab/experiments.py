@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import make_ensemble, verify_tail
+from .ensembles import make_ensemble
 from .fields import (
     NormSpec,
     SpectralField,
@@ -58,6 +58,7 @@ from .proba import (
     norm_tail,
     odd_moment_witness,
     paley_zygmund_check,
+    verify_tail,
 )
 
 __all__ = ["TIERS", "DEFAULT_SEED", "ConfigError", "Context", "Result", "Experiment", "EXPERIMENTS"]
@@ -105,6 +106,7 @@ class Experiment:
 
 
 def basis_check(params, ctx):
+    _at_least(params, "recurrence_N", 0)
     basis = build_basis(1, params["N"], params["quad"])
     gram = gram_deviation(basis)
     # worst Rayleigh-quotient error over h_0 .. h_min(N, 40)
@@ -144,6 +146,12 @@ def _nonempty(params, key: str) -> None:
     """Refuse an empty list ``params[key]``: a verdict over none of its entries would check nothing."""
     if not params[key]:
         raise ValueError(f"{key} must hold at least one entry, got []")
+
+
+def _at_least(params, key: str, low: int) -> None:
+    """Refuse ``params[key]`` below low, naming the field before any work fails on it."""
+    if params[key] < low:
+        raise ValueError(f"{key} must be >= {low}, got {params[key]}")
 
 
 def norms(params, ctx):
@@ -352,6 +360,9 @@ def scattering(params, ctx):
 
 
 def khinchin(params, ctx):
+    _at_least(params, "n_modes", 1)
+    if not 2 <= params["q_max"] <= 24:  # the even moments q = 2, 4, ..., q_max that khinchin_growth takes
+        raise ValueError(f"q_max must lie in [2, 24], got {params['q_max']}")
     seed = ctx.seed
     spread = np.ones(params["n_modes"]) / np.sqrt(params["n_modes"])
     n = params["n_samples"]
@@ -387,9 +398,8 @@ def khinchin(params, ctx):
 
 
 def b2p(params, ctx):
+    _at_least(params, "p", 1)
     p = params["p"]
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     # counts of 2/3-cycle permutations of 2p symbols in closed form and,
     # for 2p <= 10 (else -1), by brute force
     rows = {"two_p": [], "closed_form": [], "brute_force": []}
@@ -473,6 +483,8 @@ def omega(params, ctx):
     also the row at 2t for the base of norm 1.0: the t = 0.75 row answers
     for t = 1.5 at norm 1.0 without a second set of draws.
     """
+    _at_least(params, "n_modes", 1)
+    _nonempty(params, "thresholds")
     n = params["n_modes"]
     basis = cached_basis(1, n - 1, 2 * n + 2)
     base = SpectralField(basis, (np.ones(n) / np.sqrt(n) * 0.5).astype(complex))

@@ -31,6 +31,7 @@ __all__ = [
     "evaluate_norm",
     "spacetime_norm",
     "smoothing_constant",
+    "trapezoid_weights",
 ]
 
 NORM_KINDS = (
@@ -268,7 +269,8 @@ def evaluate_norm(u: SpectralField, spec: NormSpec) -> float:
     raise ValueError(f"unhandled norm kind {spec.kind!r}")
 
 
-def _trapezoid_weights(n: int, step: float) -> np.ndarray:
+def trapezoid_weights(n: int, step: float) -> np.ndarray:
+    """Composite trapezoid weights of n equally spaced nodes step apart."""
     w = np.full(n, step)
     w[0] = w[-1] = step / 2.0
     return w
@@ -300,7 +302,7 @@ def spacetime_norm(
     vmax = vals.max()
     if vmax == 0:
         return 0.0
-    w = _trapezoid_weights(time_nodes, times[1] - times[0])
+    w = trapezoid_weights(time_nodes, times[1] - times[0])
     return float(vmax * np.sum(w * (vals / vmax) ** q) ** (1.0 / q))
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import SpectralField, _trapezoid_weights, classical_sobolev_norm, product_quadrature
+from .fields import SpectralField, classical_sobolev_norm, product_quadrature, trapezoid_weights
 from .hermite import BasisGrid, audit_axis, cached_basis
 from .lens import PhysicalFrame, lens_forward, lens_time_map
 
@@ -196,7 +196,7 @@ class _Workspace:
         self.cos_weight = np.cos(2.0 * self.times) ** cfg.cos_exponent
         self.filter_s = basis.lambda2 ** (cfg.s / 2.0)
         self.hs_weight = basis.lambda2**cfg.s
-        self.time_weights = _trapezoid_weights(len(self.times), self.h)
+        self.time_weights = trapezoid_weights(len(self.times), self.h)
         partial_points = audit_axis(basis.max_degree, basis.dim).size * (basis.max_degree + 1) ** (basis.dim - 1)
         node_bytes = 16 * max(self.weights.size, partial_points)
         self.tile = max(4, PICARD_TILE_BYTES // node_bytes // 4 * 4)

@@ -1,16 +1,18 @@
-"""Monte Carlo and exact-combinatorial experiments on randomized fields:
-moment growth of random series, norm tails, good-data probabilities,
-second-moment lower bounds, and eigenfunction L^p decay.
+"""Monte Carlo estimators and exact-combinatorial experiments on randomized
+fields: tail exponents of the gain families, moment growth of random series,
+norm tails, good-data probabilities, second-moment lower bounds, and
+eigenfunction L^p decay.
 
 Verdicts with a standard error and a 3 sigma margin: ``odd_moment_witness``,
 ``paley_zygmund_check`` and the Wilson intervals of ``good_set_probability``.
-The others use fixed margins: ``khinchin_growth`` slope <= 1/m(gamma) + 0.15,
-``chernoff_tail`` growth <= 1/gamma + 0.1 (and fit R^2 >= 0.9, as in
-``norm_tail``), ``ensembles.verify_tail`` gamma_hat >= gamma - 0.15; ROADMAP
-item 4 calibrates them.
-The per-omega estimators (``norm_tail``, ``good_set_probability``,
-``paley_zygmund_check``) are kernels on one tile of gain rows, which
-``ensembles.map_gains`` draws once per omega.
+The others use fixed margins: ``verify_tail`` gamma_hat >= gamma - 0.15,
+``khinchin_growth`` slope <= 1/m(gamma) + 0.15, ``chernoff_tail`` growth
+<= 1/gamma + 0.1 (and fit R^2 >= 0.9, as in ``norm_tail``); ROADMAP item 4
+calibrates them.  ``_fit_tail_exponent`` and ``_lq_growth`` are the one
+tail-exponent and the one L^q growth fit.  The per-omega estimators
+(``norm_tail``, ``good_set_probability``, ``paley_zygmund_check``) are
+kernels on one tile of gain rows, which ``ensembles.map_gains`` draws once per
+omega; the others fold the bulk stream with ``ensembles.fold_block``.
 All measured norms are degree-1 homogeneous in the base field sample-wise:
 scaling the base by a power of two scales each sample exactly.
 """
@@ -22,11 +24,12 @@ from math import factorial
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, _fit_tail_exponent, fold_block, map_gains
-from .fields import SpectralField, _trapezoid_weights, product_quadrature
+from .ensembles import EnsembleSpec, fold_block, map_gains
+from .fields import SpectralField, product_quadrature, trapezoid_weights
 from .hermite import audit_axis, hermite_function_values
 
 __all__ = [
+    "verify_tail",
     "CutoffSpec",
     "concentration_exponent",
     "khinchin_growth",
@@ -71,7 +74,96 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# tail exponents of the gain families
+
+
+def _fit_tail_exponent(rho: np.ndarray, survival: np.ndarray, n_samples: int) -> dict:
+    """Weighted fit of log S = log C - k log rho - c rho^gamma over a gamma grid.
+
+    The polynomial prefactor rho^{-k} is part of the model: without it the
+    Gaussian-type tails read systematically low on any observable window.
+    Points are weighted by the inverse variance of the log survival,
+    approximately n S / (1 - S).
+    """
+    y = np.log(survival)
+    w = n_samples * survival / (1.0 - np.clip(survival, 0.0, 1.0 - 1e-12))
+    sw = np.sqrt(w)
+    best = None
+    for gamma in np.arange(0.2, 4.0001, 0.01):
+        design = np.vstack([np.ones_like(rho), -np.log(rho), -(rho**gamma)]).T
+        coef, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
+        resid = (y - design @ coef) * sw
+        sse = float(resid @ resid)
+        if best is None or sse < best[0]:
+            best = (sse, gamma, coef)
+    _, gamma_hat, coef = best
+    return {
+        "gamma_hat": float(gamma_hat),
+        "C_hat": float(np.exp(coef[0])),
+        "k_hat": float(coef[1]),
+        "c_hat": float(coef[2]),
+    }
+
+
+def verify_tail(spec: EnsembleSpec, n_samples: int, rho_grid, workers: int = 1) -> dict:
+    """Fit the empirical tail against C rho^{-k} exp(-c rho^gamma), report gamma_hat.
+
+    The verdict is one-sided (gamma_hat >= certified gamma - 0.15): the
+    certificate is an upper tail bound, so heavier estimates fail, lighter
+    ones do not.  Bounded families whose survival hits zero on the grid pass
+    for every exponent.
+    """
+    rho_grid = np.asarray(rho_grid, dtype=float)
+    if n_samples < 10**5:
+        raise ValueError(f"verify_tail needs n_samples >= 1e5, got {n_samples}")
+    if rho_grid.size < 2 or np.any(np.diff(rho_grid) <= 0):
+        raise ValueError("rho_grid must be strictly increasing with >= 2 points")
+
+    # per sample, the count of thresholds at or below |x|, in the narrowest type that holds it:
+    # |x| >= rho_grid[k] exactly when that count exceeds k, so the survival counts are the float fold's
+    count_type = np.min_scalar_type(rho_grid.size)
+
+    def row_stat(rows):
+        return np.searchsorted(rho_grid, np.abs(rows[:, 0]), side="right").astype(count_type)
+
+    def partial(bins):
+        return np.array([np.count_nonzero(bins > k) for k in range(rho_grid.size)])
+
+    survival = fold_block([(spec, partial)], n_samples, 1, row_stat, workers)[0] / n_samples
+
+    # keep points with at least 20 hits so the log survival is trustworthy
+    usable = (survival >= 20.0 / n_samples) & (survival < 1)
+    bounded_support = bool(survival[-1] == 0)
+    if np.count_nonzero(usable) >= 4:
+        fit = _fit_tail_exponent(rho_grid[usable], survival[usable], n_samples)
+    elif bounded_support:
+        fit = {"gamma_hat": float("inf")}
+    else:
+        raise ValueError("tail grid leaves fewer than 4 usable survival points")
+    return {
+        "family": spec.family,
+        "gamma": spec.gamma,
+        "bounded_support": bounded_support,
+        "verdict": bool(bounded_support or fit["gamma_hat"] >= spec.gamma - 0.15),
+        "survival": survival.tolist(),
+        "rho_grid": rho_grid.tolist(),
+        **fit,
+    }
+
+
+# ---------------------------------------------------------------------------
 # moment growth of random series
+
+
+def _lq_growth(q_grid: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, float]:
+    """The L^q norms means^(1/q) over q_grid and the slope of log norm against
+    log q; the slope is 0 where the norms are flat or not all positive."""
+    norms = means ** (1.0 / q_grid)
+    if np.all(norms > 0) and np.ptp(np.log(norms)) > 1e-12:
+        slope, _ = np.polyfit(np.log(q_grid), np.log(norms), 1)
+    else:
+        slope = 0.0
+    return norms, float(slope)
 
 
 def khinchin_growth(
@@ -117,12 +209,7 @@ def khinchin_growth(
                 f"moment estimate unstable at q={q_grid[-1]}: relative standard error "
                 f"{rel_se[-1]:.3f} > 0.10; widen n_samples or shrink the grid"
             )
-        norms = means ** (1.0 / q_grid)
-
-        if np.all(norms > 0) and np.ptp(np.log(norms)) > 1e-12:
-            slope, _ = np.polyfit(np.log(q_grid), np.log(norms), 1)
-        else:
-            slope = 0.0
+        norms, slope = _lq_growth(q_grid, means)
         m_gamma = concentration_exponent(spec.gamma, spec.satisfies_HE1)
         bound = 1.0 / m_gamma + 0.15
         reports.append({
@@ -133,7 +220,7 @@ def khinchin_growth(
             "q_grid": q_grid.tolist(),
             "lq_norms": norms.tolist(),
             "rel_std_errors": rel_se.tolist(),
-            "fitted_exponent": float(slope),
+            "fitted_exponent": slope,
             "exponent_bound": bound,
             "verdict": bool(slope <= bound),
             "n_samples": n_samples,
@@ -350,7 +437,7 @@ def flow_sup_norm_samples(base: SpectralField, gains: np.ndarray, q_time: float)
     basis = base.basis
     filt = basis.lambda2 ** (FLOW_SUP_REGULARITY / 2.0)
     times = np.linspace(-2 * np.pi, 2 * np.pi, FLOW_TIME_NODES)
-    tw = _trapezoid_weights(FLOW_TIME_NODES, float(times[1] - times[0]))
+    tw = trapezoid_weights(FLOW_TIME_NODES, float(times[1] - times[0]))
     period = (FLOW_TIME_NODES - 1) // 4  # nodes per time pi
     phases = np.exp(-1j * np.outer(times[:period], basis.lambda2))
 
@@ -609,7 +696,6 @@ def chernoff_tail(
     for (spec, rho_grid), fold in zip(families, folds):
         sums = fold / n_samples
         mgf, survival, qsums = np.split(sums, [t_grid.size, t_grid.size + rho_grid.size])
-        lq_norms = qsums ** (1.0 / q_grid)
 
         # (i) quadratic MGF envelope
         away = np.abs(t_grid) >= 0.25
@@ -627,7 +713,7 @@ def chernoff_tail(
         )
 
         # (iii) moment growth
-        growth, _ = np.polyfit(np.log(q_grid), np.log(lq_norms), 1)
+        _, growth = _lq_growth(q_grid, qsums)
         growth_ok = growth <= 1.0 / spec.gamma + 0.1
 
         reports.append({
@@ -640,7 +726,7 @@ def chernoff_tail(
             "tail_r2": float(r2),
             "tail_gamma_hat": free_fit["gamma_hat"],
             "tail_ok": bool(tail_ok),
-            "growth_exponent": float(growth),
+            "growth_exponent": growth,
             "growth_bound": 1.0 / spec.gamma + 0.1,
             "growth_ok": bool(growth_ok),
             "verdict": bool(mgf_ok and tail_ok and growth_ok),

@@ -1,5 +1,6 @@
 """Guards on the package surface: no exported name that nothing uses, no
-option that no caller sets, and one set of tiers shared by every command."""
+private name that another module reads, no option that no caller sets, and
+one set of tiers shared by every command."""
 
 import ast
 import os
@@ -41,6 +42,39 @@ def _exports():
 def test_every_export_is_used_by_the_program_or_the_benchmark():
     used = _references(SRC.glob("*.py")) | _references((ROOT / "bench").rglob("*.py"))
     assert [f"{module}.{name}" for module, name in _exports() if name not in used] == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_uses(source: str) -> list:
+    """``module._name`` for every private name of another oscilab module that source
+    imports, or reads off an oscilab module it imported; dunder names are exempt."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("oscilab")):
+            for alias in node.names:
+                if node.module in (None, "oscilab"):  # from . import module
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name.startswith("oscilab.") and a.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) and getattr(node.value, "id", None) in modules:
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name has one owner: a second module that reads it splits that owner's decision in two
+    probe = "from .a import _x, __version__\nfrom . import b\nimport oscilab.c as c\nb._y, c._z, b.__doc__"
+    assert _private_uses(probe) == ["a._x", "b._y", "c._z"]
+    assert {path.stem: _private_uses(path.read_text()) for path in sorted(SRC.glob("*.py"))} == {
+        path.stem: [] for path in sorted(SRC.glob("*.py"))
+    }
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,17 +14,14 @@ from oscilab.ensembles import (
     TWO_POINT_HIGH,
     TWO_POINT_LOW,
     TWO_POINT_P_HIGH,
-    _fit_tail_exponent,
     _from_uniforms,
     fold_block,
     make_ensemble,
     map_gains,
     sample_block,
     sample_gain_matrix,
-    verify_tail,
 )
-from oscilab.mc import DEFAULT_CHUNK
-from oscilab.proba import chernoff_tail, khinchin_growth, odd_moment_witness
+from oscilab.proba import _fit_tail_exponent, chernoff_tail, khinchin_growth, odd_moment_witness, verify_tail
 from test_api import run_fresh
 
 SEED = 1
@@ -412,7 +410,7 @@ BULK_USERS = {
         proba,
         lambda width: odd_moment_witness(two, (0, width // 2, width - 1) if width > 1 else (0, 0, 0), 10),
     ),
-    "verify_tail": (ensembles, lambda width: verify_tail(w1, 10**5, np.linspace(1, 8, 15))),
+    "verify_tail": (proba, lambda width: verify_tail(w1, 10**5, np.linspace(1, 8, 15))),
 }
 # rows of the fold and its workers: below one tile; one tile and a lone row, which
 # the last tile takes; smoke size; and 10^6 + 7 rows, 31 chunks at width 32
@@ -508,7 +506,7 @@ def test_bulk_estimators_independent_of_workers():
 @pytest.mark.parametrize("workers", [1, 3])
 def test_map_gains_concatenates_in_omega_order(workers):
     spec = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5)
-    n, width = 2 * DEFAULT_CHUNK + 7, 5  # two full chunks and a partial one
+    n, width = 2 * ensembles._GAIN_CHUNK + 7, 5  # two full chunks and a partial one
     gains = sample_gain_matrix(spec, np.arange(n), width)
 
     def kernel(rows):
@@ -516,6 +514,21 @@ def test_map_gains_concatenates_in_omega_order(workers):
 
     got = map_gains(spec, n, width, kernel, workers)
     assert np.array_equal(got, np.stack([gains.sum(axis=1), gains[:, 0]]))
+
+
+def test_map_gains_holds_one_chunk_of_gains_until_the_next_exists():
+    # while chunk k's first tile runs, chunk k - 1's gains are still referenced and chunk k - 2's are freed
+    chunks, alive = [], []
+
+    def kernel(rows):
+        if not chunks or chunks[-1]() is not rows.base:
+            alive.append([chunk() is not None for chunk in chunks])
+            chunks.append(weakref.ref(rows.base))
+        return rows.sum(axis=1), None
+
+    spec = make_ensemble("gaussian", seed=SEED)
+    map_gains(spec, 3 * ensembles._GAIN_CHUNK + 5, 3, kernel, workers=1)
+    assert alive == [[], [True], [False, True], [False, False, True]]
 
 
 def test_independence_surrogate():
@@ -559,7 +572,7 @@ def test_verify_tail_counts_match_the_bool_matrix_form(monkeypatch):
         captured.append((families[0][1], row_stat))
         return fold_block(families, n_samples, width, row_stat, workers)
 
-    monkeypatch.setattr(ensembles, "fold_block", recording)
+    monkeypatch.setattr(proba, "fold_block", recording)
     w = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0)
     rho_grid = np.linspace(0.5, 12.0, 24)
     verify_tail(w, 10**5, rho_grid)
@@ -576,7 +589,7 @@ def test_verify_tail_counts_are_the_float_folds(monkeypatch, points, count_type)
     g = make_ensemble("gaussian", seed=SEED)
     rho_grid = np.linspace(0.5, 4.5, points)
     n = 10**5 + 3
-    _, _, row_stat = captured_fold(monkeypatch, ensembles, lambda: verify_tail(g, n, rho_grid))
+    _, _, row_stat = captured_fold(monkeypatch, proba, lambda: verify_tail(g, n, rho_grid))
     monkeypatch.undo()
     assert row_stat(sample_block(g, 0, 8, 1)).dtype == count_type
     (counts,) = fold_block(

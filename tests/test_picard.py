@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from oscilab.fields import (
     SpectralField,
-    _trapezoid_weights,
     harmonic_sobolev_norm,
     product_quadrature,
     propagate_linear,
+    trapezoid_weights,
     unit_field,
 )
 from oscilab.hermite import BasisGrid, audit_axis, cached_basis, gauss_hermite_nodes
@@ -246,7 +246,7 @@ def surrogate_reference(ws, v_mat):
     """max(sup_t H^s, L^2_t of the walked audit sup), the stopping norm with no bound pass before the walk."""
     hs = np.sqrt(np.sum(ws.basis.lambda2[None, :] ** ws.cfg.s * np.abs(v_mat) ** 2, axis=1))
     sups = ws.basis.audit_sup(v_mat * ws.filter_s[None, :])
-    l2t = np.sqrt(np.sum(_trapezoid_weights(len(v_mat), ws.h) * sups**2))
+    l2t = np.sqrt(np.sum(trapezoid_weights(len(v_mat), ws.h) * sups**2))
     return max(float(hs.max()), float(l2t))
 
 

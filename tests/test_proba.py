@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from oscilab import ensembles, proba
 from oscilab.ensembles import FAMILIES, make_ensemble, sample_block, sample_gain_matrix
-from oscilab.fields import SpectralField, _trapezoid_weights, product_quadrature, unit_field
+from oscilab.fields import SpectralField, product_quadrature, trapezoid_weights, unit_field
 from oscilab.hermite import audit_axis, build_basis, cached_basis
-from oscilab.mc import DEFAULT_CHUNK, run_chunked
+from oscilab.mc import run_chunked
 from oscilab.proba import (
     FLOW_SUP_REGULARITY,
     FLOW_TIME_NODES,
@@ -240,7 +240,7 @@ def test_good_set_draws_each_omega_once(monkeypatch):
         if getattr(module, "sample_gain_matrix", None) is sample_gain_matrix:
             monkeypatch.setattr(module, "sample_gain_matrix", counting)
     assert ensembles.sample_gain_matrix is counting
-    n = DEFAULT_CHUNK + 904  # two chunks
+    n = ensembles._GAIN_CHUNK + 904  # two chunks
     good_set_probability(_flat_base(), make_ensemble("gaussian", seed=SEED), (1.0,), n)
     assert sorted(drawn) == list(range(n))
 
@@ -275,7 +275,7 @@ def flow_sup_at_every_node(base, gains, q_time):
     basis = base.basis
     filt = basis.lambda2 ** (FLOW_SUP_REGULARITY / 2.0)
     times = np.linspace(-2 * np.pi, 2 * np.pi, FLOW_TIME_NODES)
-    tw = _trapezoid_weights(FLOW_TIME_NODES, float(times[1] - times[0]))
+    tw = trapezoid_weights(FLOW_TIME_NODES, float(times[1] - times[0]))
     draws = gains * base.coeffs * filt
     sups = np.array([basis.audit_sup(draws * np.exp(-1j * t * basis.lambda2)) for t in times])
     vmax = sups.max(axis=0)
@@ -295,7 +295,7 @@ def test_flow_sup_over_one_period_matches_every_node(dim, n, family):
 
 
 # three chunks or more, the last one partial; norm_tail needs 1e4
-N_OVER_THREE_CHUNKS = max(2 * DEFAULT_CHUNK, 10**4) + 192
+N_OVER_THREE_CHUNKS = max(2 * ensembles._GAIN_CHUNK, 10**4) + 192
 
 
 def _as_lists(report: dict) -> dict:
@@ -331,7 +331,7 @@ def map_gains_values(run, chunk_size, tile, monkeypatch):
     and kernel tiles of tile rows."""
     values = []
 
-    def chunked(total, kernel, workers=1):
+    def chunked(total, kernel, workers, _):
         parts = run_chunked(total, kernel, workers, chunk_size)
         values.append(np.concatenate(parts, axis=-1))
         return parts
@@ -385,7 +385,7 @@ def one_tile_and_the_chunk(points, size):
     """A map_gains run's tracemalloc bound: two complex (tile rows x points) arrays of one kernel tile,
     and the chunk's Philox draw, which peaks at about five arrays the size of the chunk's gains, with
     two chunks of gains held."""
-    return 2 * ensembles._GAIN_TILE * points * 16 + 7 * DEFAULT_CHUNK * size * 8
+    return 2 * ensembles._GAIN_TILE * points * 16 + 7 * ensembles._GAIN_CHUNK * size * 8
 
 
 def test_good_set_memory_is_bounded_by_one_chunk():

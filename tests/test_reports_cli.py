@@ -308,17 +308,21 @@ def test_cli_refuses_a_bad_checkpoint(tmp_path, capsys, damage):
 
 
 @pytest.mark.parametrize("command,setting", [
-    ("eigen-lp", "n_max=5"), ("eigen-lp", "n_max=10"), ("b2p", "p=0"),
-    ("khinchin", "q_max=1"), ("khinchin", "n_samples=0"), ("chernoff", "n_samples=0"), ("paley-zygmund", "n_samples=0"),
+    ("eigen-lp", "n_max=5"), ("eigen-lp", "n_max=10"), ("b2p", "p=0"), ("basis-check", "recurrence_N=-1"),
+    ("khinchin", "q_max=1"), ("khinchin", "q_max=26"), ("khinchin", "n_modes=-1"), ("khinchin", "n_modes=0"),
+    ("khinchin", "n_samples=0"), ("chernoff", "n_samples=0"), ("paley-zygmund", "n_samples=0"),
+    ("omega", "n_modes=0"), ("omega", "thresholds=[]"),
     ("scattering", "amplitudes=[0.1]"), ("scattering", "amplitudes=[0.1,0.1]"),
     ("lens-check", "times=[]"), ("solve-nls", "times=[]"), ("norms", "modes=[]"),
 ])
 def test_cli_refuses_out_of_range_parameters(tmp_path, capsys, command, setting):
     # eigen-lp's trend window n = 10..n_max needs two points; b2p counts for p = 1..p; khinchin's moments
-    # need an even q and every Monte Carlo draw a sample; scattering fits its slope through two distinct
-    # amplitudes; a verdict over an empty list of times or modes would check nothing
+    # need an even q in [2, 24] and every Monte Carlo draw a sample and a mode; scattering fits its slope
+    # through two distinct amplitudes; a verdict over an empty list of times, modes or thresholds would
+    # check nothing.  The message names the field that was set
     assert run_cli([command, "--tier", "smoke", "--out", str(tmp_path), "--set", setting]) == 3
-    assert "must" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must" in err and setting.partition("=")[0] in err
     name = command.replace("-", "_")
     assert json.loads((tmp_path / name / "error.json").read_text())["stats"]["error_type"] == "ValueError"
     assert not (tmp_path / name / f"{name}.json").exists()
