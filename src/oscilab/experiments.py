@@ -107,6 +107,9 @@ class Experiment:
 
 def basis_check(params, ctx):
     _at_least(params, "recurrence_N", 0)
+    _at_least(params, "N", 0)
+    if params["quad"] < 2 * (params["N"] + 1):
+        raise ValueError(f"quad must be at least 2(N + 1) = {2 * (params['N'] + 1)}, got {params['quad']}")
     basis = build_basis(1, params["N"], params["quad"])
     gram = gram_deviation(basis)
     # worst Rayleigh-quotient error over h_0 .. h_min(N, 40)
@@ -156,6 +159,7 @@ def _at_least(params, key: str, low: int) -> None:
 
 def norms(params, ctx):
     _nonempty(params, "modes")
+    _at_least(params, "N", 0)
     basis = build_basis(1, params["N"], 2 * (params["N"] + 1))
     rows = {"norm_kind": [], "s": [], "r": [], "q": [], "T": [], "N": [], "value": []}
     specs = [
@@ -186,6 +190,8 @@ def norms(params, ctx):
 
 
 def smoothing(params, ctx):
+    _at_least(params, "N_coarse", 0)
+    _at_least(params, "N_fine", 0)
     coarse, fine = (cached_basis(1, params[key], 2 * (params[key] + 1)) for key in ("N_coarse", "N_fine"))
     stats = {}
     for variant in ("sqrtH", "fractional_grad"):
@@ -205,6 +211,7 @@ def smoothing(params, ctx):
 
 def lens_check(params, ctx):
     _nonempty(params, "times")
+    _at_least(params, "N", 0)
     n = params["N"]
     basis = cached_basis(1, n, 2 * (n + 1))
     u0 = SpectralField(basis, 0.1 * unit_field(basis, 0).coeffs)
@@ -239,6 +246,7 @@ def _solve_from_params(params):
     The field is the amplitude times the basis function at position "mode"
     of the graded enumeration (at d = 1, h_mode).
     """
+    _at_least(params, "N", 0)
     n, dim, mode = params["N"], params.get("dim", 1), params.get("mode", 0)
     basis = cached_basis(dim, n, 2 * (n + 1))
     if not 0 <= mode < basis.size:
@@ -447,6 +455,7 @@ def b2p(params, ctx):
 
 
 def tails(params, ctx):
+    _at_least(params, "n_verify", 10**5)  # verify_tail's least sample
     seed = ctx.seed
     n_weibull = max(params["n_verify"] // 5, 10**5)
     cases = {  # name: (ensemble, samples, thresholds)

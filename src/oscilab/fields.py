@@ -331,7 +331,16 @@ def _smoothing_blocks(basis: BasisGrid, eps: float, variant: str):
     them at d = 1), cut where their grid values outgrow a tile: positions a..b-1 of the graded
     enumeration, and the run's blocks S_k, the real symmetric weighted Gram matrices of the
     spatial operator, stacked (eigenspaces, size, size).  For "sqrtH" they carry
-    H^{(1/2-2 eps)/2} on both sides, a factor (2k + d)^{1/2-2 eps}."""
+    H^{(1/2-2 eps)/2} on both sides, a factor (2k + d)^{1/2-2 eps}.
+
+    A run holds at most hermite.GRID_TILE_BYTES of grid values, rounded down to a multiple
+    of 4 eigenspaces (at least 4), so at d = 1 every run starts at a multiple of 4 rows, as
+    the rows of BasisGrid.project_pointwise do.  At d >= 2 the eigenspace sizes differ, so
+    every run is one eigenspace.  "sqrtH" blocks take each eigenspace on its own, so no run
+    changes their bits.  The "fractional_grad" analysis and synthesis are matmuls over a run's
+    rows, and OpenBLAS can round a run's last rows otherwise than one whole run's: on one BLAS
+    thread the smoothing command's bases (N = 32, 64, 128, 256) keep the whole run's bits, but
+    at 52 of the 292 split bases from N = 128 to 419 a constant moves by up to 8e-16."""
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     if variant not in ("sqrtH", "fractional_grad"):
@@ -344,7 +353,7 @@ def _smoothing_blocks(basis: BasisGrid, eps: float, variant: str):
         # the Fourier conjugation's phase i^{|m|-|n|} on the parity classes the even multiplier couples
         sign = 1.0 - 2.0 * (basis.degrees // 2 % 2)
     sizes = np.bincount(basis.degrees)  # eigenspace k: the sizes[k] consecutive positions of degree k
-    per_tile = max(1, hermite.AUDIT_TILE_BYTES // (weight_sq.nbytes * sizes.max()))
+    per_tile = max(4, hermite.GRID_TILE_BYTES // (weight_sq.nbytes * sizes.max()) // 4 * 4)
     for (_, size), run in itertools.groupby(range(len(sizes)), lambda k: (k // per_tile, sizes[k])):
         run = list(run)
         a, b = np.searchsorted(basis.degrees, (run[0], run[-1] + 1))

@@ -59,9 +59,13 @@ DEFAULT_COEFF_BUDGET = 200_000
 AUDIT_POINTS_PER_UNIT = 16
 AUDIT_MARGIN = 4.0
 
-# largest tile of grid values that BasisGrid.audit_tiles and fields._smoothing_blocks hold at
-# once; a batch of BasisGrid.audit_sup takes a quarter of it
+# largest tile of grid values that BasisGrid.audit_tiles holds at once; a batch of
+# BasisGrid.audit_sup takes a quarter of it
 AUDIT_TILE_BYTES = 8 * 2**20
+
+# largest tile of the grid-sized temporaries that build a value array: the complex phase of
+# lens.lens_forward and the grid values of a run of fields._smoothing_blocks
+GRID_TILE_BYTES = 2**18
 
 # relative slack of the audit sup's cell bounds over the rounding of the values they bound;
 # derived in BasisGrid.audit_sup

@@ -8,6 +8,9 @@ The transform sends a function u of internal time s = arctan(2t)/2 to
 an L^2 isometry for each t that intertwines the oscillator flow exp(-isH)
 with the free flow exp(it del^2).  A frame holds the axis of its tensor grid,
 the audit axis scaled by sqrt(1 + 4 t^2), and the values at its points.  The
+values are the one frame-sized array a transform makes: the phase multiplies
+them one tile of first-axis slices at a time, at most hermite.GRID_TILE_BYTES
+(256 KiB) of complex phase a tile, with the bits of a whole-grid phase.  The
 free propagator works on that same grid with an FFT, so it shares nothing with
 the transform but the synthesis of the data.
 """
@@ -19,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # numpy 2 loads it on first attribute access: load it here, not in a command's work
 
+from . import hermite
 from .fields import SpectralField
-from .hermite import audit_axis, grid_radius2, hermite_function_values
+from .hermite import audit_axis, hermite_function_values
 
 __all__ = [
     "PhysicalFrame",
@@ -87,18 +91,30 @@ def lens_forward(u_internal: SpectralField, t: float) -> PhysicalFrame:
     x / sqrt(1 + 4t^2) is the audit grid itself, so the resampling is the
     field's own audit-grid synthesis.
     """
-    basis = u_internal.basis
+    basis, dim = u_internal.basis, u_internal.basis.dim
     alpha = 1.0 + 4.0 * t * t
     axis = _scaled_axis(basis, t)
-    # in place: the synthesis and one complex phase are the only frame-sized arrays,
-    # the phase built in the order ((1j |x|^2) t) / alpha, which its bits depend on
+    # in place: the synthesis is the one frame-sized array.  The phase is built on tiles of
+    # first-axis slices, at most GRID_TILE_BYTES of it but at least one slice, in the order
+    # ((1j |x|^2) t) / alpha, which its bits depend on; a tile's |x|^2 adds its own
+    # first-axis squares to the others' first axis first, as grid_radius2 does.  numpy
+    # multiplies a one-point complex array in place through another loop, with other bits,
+    # so at d = 1 a tile holds two points at least and a lone last point joins the tile before
     values = basis.grid_values(u_internal.coeffs, basis.audit_table())
-    values *= alpha ** (-basis.dim / 4.0)
-    phase = 1j * grid_radius2(axis, basis.dim)
-    phase *= t
-    phase /= alpha
-    values *= np.exp(phase, out=phase)
-    return PhysicalFrame(axis=axis, dim=basis.dim, values=values, time=float(t))
+    values *= alpha ** (-dim / 4.0)
+    square = axis**2
+    slab = axis.size ** (dim - 1)  # points per first-axis slice
+    rows = max(hermite.GRID_TILE_BYTES // (16 * slab), 1 if dim > 1 else 2)
+    bounds = [*range(0, axis.size - (dim == 1), rows), axis.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        radius2 = square[lo:hi]
+        for _ in range(1, dim):
+            radius2 = np.add.outer(radius2, square).ravel()
+        phase = 1j * radius2
+        phase *= t
+        phase /= alpha
+        values[lo * slab : hi * slab] *= np.exp(phase, out=phase)
+    return PhysicalFrame(axis=axis, dim=dim, values=values, time=float(t))
 
 
 def frame_l2_norm(frame: PhysicalFrame) -> float:

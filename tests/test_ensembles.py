@@ -1,4 +1,3 @@
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -234,16 +233,11 @@ def test_in_place_transforms_match_elementwise_formulas_bitwise(family, gamma):
     check_transform(spec, np.concatenate([reference_uniforms(SEED, 0, 2**20), EDGE_UNIFORMS]))
 
 
-def test_weibull_transform_allocates_one_tile():
+def test_weibull_transform_allocates_one_tile(traced_peak):
     # the magnitudes are built one tile at a time; a second chunk-sized array took 8 MiB here
     spec = make_ensemble("symmetric_weibull", seed=SEED, gamma=1.0)
     u = reference_uniforms(SEED, 0, 2**20)
-    tracemalloc.start()
-    try:
-        got = _from_uniforms(spec, u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(_from_uniforms, spec, u)
     assert got is u
     assert peak <= 2**20
 

@@ -22,9 +22,11 @@ from oscilab.fields import (
     spacetime_norm,
     unit_field,
     weighted_x_L2_norm,
+    _smoothing_blocks,
     _unit_grid_values,
 )
 from oscilab import hermite
+from oscilab.blas import one_blas_thread
 from oscilab.hermite import build_basis, cached_basis, gauss_hermite_nodes
 from test_hermite import tensor_grid
 
@@ -455,14 +457,67 @@ def test_smoothing_independent_of_tile_size(monkeypatch):
     fields = [SpectralField(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)) for _ in range(3)]
     variants = ("sqrtH", "fractional_grad")
     whole = {v: ([smoothing_functional(u, 0.05, v) for u in fields], smoothing_constant(basis, 0.05, v)) for v in variants}
-    for tile_bytes in (1, 2**11, 2**14):  # 1, 9 and all 13 eigenspaces per tile
-        monkeypatch.setattr(hermite, "AUDIT_TILE_BYTES", tile_bytes)
+    for tile_bytes in (1, 2**11, 2**14):  # 4, 8 and all 13 eigenspaces per tile
+        monkeypatch.setattr(hermite, "GRID_TILE_BYTES", tile_bytes)
         for variant, (values, (constant, mode)) in whole.items():
             for u, want in zip(fields, values):
                 assert abs(smoothing_functional(u, 0.05, variant) - want) / want < 1e-14
             value, tiled_mode = smoothing_constant(basis, 0.05, variant)
             assert abs(value - constant) / constant < 1e-14
             assert np.array_equal(np.flatnonzero(tiled_mode.coeffs), np.flatnonzero(mode.coeffs))
+
+
+def _blocks(basis, variant, eps=0.25):
+    return [(a, b, blocks) for a, b, blocks in _smoothing_blocks(basis, eps, variant)]
+
+
+def test_smoothing_runs_start_at_multiples_of_four(monkeypatch):
+    # a run holds GRID_TILE_BYTES of grid values rounded down to a multiple of 4 eigenspaces (at least 4)
+    basis = cached_basis(1, 32, 66)
+    weight_bytes = product_quadrature(basis, 2 * basis.max_degree)[1].nbytes  # one eigenspace's grid values
+    monkeypatch.setattr(hermite, "GRID_TILE_BYTES", 2**40)
+    whole = {v: _blocks(basis, v) for v in ("sqrtH", "fractional_grad")}
+    assert [(a, b) for a, b, _ in whole["sqrtH"]] == [(0, basis.size)]
+    for tile_bytes, per_run in ((1, 4), (11 * weight_bytes, 8)):
+        monkeypatch.setattr(hermite, "GRID_TILE_BYTES", tile_bytes)
+        for variant, ((_, _, want),) in whole.items():
+            runs = _blocks(basis, variant)
+            assert [a for a, _, _ in runs] == list(range(0, basis.size, per_run))
+            assert [b for _, b, _ in runs] == [*range(per_run, basis.size, per_run), basis.size]
+            got = np.concatenate([blocks for _, _, blocks in runs])
+            if variant == "sqrtH":  # each eigenspace on its own: the runs keep every bit
+                assert got.tobytes() == want.tobytes()
+            else:
+                # the analysis and synthesis are matmuls over a run's rows, and at these widths OpenBLAS
+                # rounds some rows otherwise than in one 33-row call (28 of 33 blocks for runs of 4,
+                # the lone last one for runs of 8), by up to 1.1e-15
+                assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_smoothing_tiles_keep_the_reference_bases_bits(monkeypatch, n):
+    # smoothing's reference bases are the ones the default tile cuts: N = 128 into runs of 124 and 5
+    # eigenspaces, N = 256 into four of 60 and one of 17.  On one BLAS thread, as the CLI runs, they
+    # keep one whole run's bits
+    basis = cached_basis(1, n, 2 * (n + 1))
+    for variant in ("sqrtH", "fractional_grad"):
+        for eps in (0.05, 0.25, 0.45):
+            monkeypatch.undo()
+            with one_blas_thread():
+                runs = _blocks(basis, variant, eps)
+                monkeypatch.setattr(hermite, "GRID_TILE_BYTES", 2**40)
+                ((_, _, whole),) = _blocks(basis, variant, eps)
+            assert len(runs) == {128: 2, 256: 5}[n] and all(a % 4 == 0 for a, _, _ in runs)
+            assert np.concatenate([blocks for _, _, blocks in runs]).tobytes() == whole.tobytes(), (variant, eps)
+
+
+def test_smoothing_constant_holds_one_tile(traced_peak):
+    # smoothing's reference basis: 84-eigenspace runs of 385 quadrature points, where one run of all
+    # 257 held 3.0 MiB
+    basis = cached_basis(1, 256, 514)
+    smoothing_constant(basis, 0.25, "fractional_grad")  # the product quadrature is cached outside the trace
+    _, peak = traced_peak(smoothing_constant, basis, 0.25, "fractional_grad")
+    assert peak <= 1.5 * 2**20
 
 
 # ------------------------------------------- the sharp smoothing constant

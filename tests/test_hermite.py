@@ -1,6 +1,5 @@
 import dataclasses
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -234,15 +233,10 @@ def test_tensor_grid_too_large_is_refused_before_allocating():
     assert time.perf_counter() - start < 5.0
 
 
-def test_product_quadrature_holds_no_dense_table():
+def test_product_quadrature_holds_no_dense_table(traced_peak):
     # the quintic d = 3, N = 12 grid: 43^3 nodes, where a (modes x nodes) table took 287 MiB
     basis = build_basis(3, 12, 26)
-    tracemalloc.start()
-    try:
-        radius2, weights, table = product_quadrature(basis, 72)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (radius2, weights, table), peak = traced_peak(product_quadrature, basis, 72)
     assert radius2.shape == (43**3,) and weights.shape == (43**3,) and table.shape == (13, 43)
     assert peak < 16 * 2**20
 
@@ -516,18 +510,13 @@ def test_audit_sup_contracts_few_slabs_of_the_ground_state(monkeypatch):
     assert 0 < sum(contracted) < audit_axis(16, 2).size / 2
 
 
-def test_d1_audit_sup_memory():
+def test_d1_audit_sup_memory(traced_peak):
     # 4096 complex rows at N = 15 (308 points): the grid values and one quarter-tile block of their |u|
     basis = build_basis(1, 15, 32)
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(4096, basis.size)) + 1j * rng.normal(size=(4096, basis.size))
     table = basis.audit_table()
-    tracemalloc.start()
-    try:
-        sup = basis.audit_sup(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sup, peak = traced_peak(basis.audit_sup, rows)
     assert np.array_equal(sup, tile_sup(basis, rows))
     values_bytes = rows.shape[0] * table.shape[1] * 16
     # the (m,) sup and a block's (m,) max take the 2^16 B; a table-sized margin covers the small rest
@@ -535,19 +524,14 @@ def test_d1_audit_sup_memory():
     assert peak <= values_bytes + hermite.AUDIT_TILE_BYTES // 4 + margin_bytes + 2**16
 
 
-def test_d3_audit_sup_memory():
+def test_d3_audit_sup_memory(traced_peak):
     # 65 time-node rows at d = 3, N = 2: a first-axis tile of 214^2 points x 65 rows alone is 47.6 MB
     basis = build_basis(3, 2, 6)
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     rows = coeffs * np.exp(-1j * np.linspace(0.0, np.pi / 4, 65)[:, None] * basis.lambda2)
     basis.audit_table()
-    tracemalloc.start()
-    try:
-        sup = basis.audit_sup(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sup, peak = traced_peak(basis.audit_sup, rows)
     assert sup.shape == (65,) and np.all(sup > 0)
     assert peak <= 32 * 2**20
 
@@ -697,16 +681,11 @@ def test_gauss_hermite_nodes_match_the_reference_bitwise_for_every_q_up_to_300()
         assert same_bits(table, reference_hermite_function_values(degree, want_nodes)), q
 
 
-def test_nodes_come_from_dsterf_without_a_dense_matrix(monkeypatch):
+def test_nodes_come_from_dsterf_without_a_dense_matrix(monkeypatch, traced_peak):
     assert hermite._dsterf() is not None  # numpy's OpenBLAS has the ILP64 symbol
     monkeypatch.setattr(np.linalg, "eigvalsh", None)  # the dense route is not taken
     q, degree = 2050, 1024
-    tracemalloc.start()
-    try:
-        gauss_hermite_nodes(q, degree)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(gauss_hermite_nodes, q, degree)
     # the last pass's table (rows 0..degree and q - 1) is the output; the dense route's q x q matrix is 33.6 MB
     assert peak - (degree + 2) * q * 8 < 2**20
 

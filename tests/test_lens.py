@@ -1,12 +1,11 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscilab.fields import SpectralField, propagate_linear, unit_field
-from oscilab.hermite import audit_axis, cached_basis
+from oscilab import hermite
+from oscilab.hermite import audit_axis, cached_basis, grid_radius2
 from oscilab.lens import (
     FREE_MARGIN,
     AliasingGuardError,
@@ -112,19 +111,63 @@ def test_free_propagate_keeps_low_degree_data_near_the_guard(n):
     assert _free_flow_error(u0, 0.99 * _t_max(basis, 0)) <= 1e-10
 
 
-def test_lens_forward_works_in_place():
-    # one call holds the synthesis and one complex phase, where the product of
-    # separate factors held four frame-sized arrays
+def test_lens_forward_works_in_place(traced_peak):
+    # one call holds the synthesis and a 256 KiB tile of the phase with its |x|^2 (1.5 frames
+    # here), where a whole-grid phase held 2.6 frames and the product of separate factors four
     basis = cached_basis(2, 16, 34)
     u = SpectralField(basis, np.ones(basis.size) / np.sqrt(basis.size))
     frame_bytes = lens_forward(u, 2.0).values.nbytes  # and the audit table is cached
-    tracemalloc.start()
-    try:
-        lens_forward(u, 2.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.6 * frame_bytes
+    _, peak = traced_peak(lens_forward, u, 2.0)
+    assert peak <= 1.6 * frame_bytes
+
+
+def _whole_grid_lens(u, t, axis):
+    """The lens values with the phase built on the whole grid at once, the reference for its tiles."""
+    basis = u.basis
+    alpha = 1.0 + 4.0 * t * t
+    values = basis.grid_values(u.coeffs, basis.audit_table())
+    values *= alpha ** (-basis.dim / 4.0)
+    phase = 1j * grid_radius2(axis, basis.dim)
+    phase *= t
+    phase /= alpha
+    values *= np.exp(phase, out=phase)
+    return values
+
+
+@pytest.mark.parametrize("dim,n", [(1, 0), (1, 64), (2, 3), (2, 16)])
+def test_lens_tiles_keep_the_whole_grid_bits(monkeypatch, dim, n):
+    # the least tiles (one slice; two points at d = 1, whose odd axes leave a lone last point to join
+    # the tile before), 1 KiB tiles (64 points at d = 1), 16 KiB tiles (3 of the 316-point d = 2 slices
+    # at N = 16), the default 256 KiB (7 tiles there, the last one short) and one whole-grid tile
+    basis = cached_basis(dim, n, 2 * (n + 1))
+    rng = np.random.default_rng(n)
+    u = SpectralField(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size))
+    for t in (-3.0, -0.5, 0.0, 0.25, 2.0, 10.0):
+        monkeypatch.undo()
+        frame = lens_forward(u, t)
+        want = _whole_grid_lens(u, t, frame.axis).tobytes()
+        assert frame.values.tobytes() == want, t
+        for tile_bytes in (1, 2**10, 2**14, 2**40):
+            monkeypatch.setattr(hermite, "GRID_TILE_BYTES", tile_bytes)
+            assert lens_forward(u, t).values.tobytes() == want, (t, tile_bytes)
+
+
+def test_d3_lens_tiles_keep_the_whole_grid_bits():
+    # 185^3 points (101 MB of values): every 548 KB first-axis slab is a tile of its own
+    basis = cached_basis(3, 0, 2)
+    u = SpectralField(basis, np.array([0.6 - 0.8j]))
+    for t in (-0.5, 2.0):
+        frame = lens_forward(u, t)
+        assert frame.values.tobytes() == _whole_grid_lens(u, t, frame.axis).tobytes(), t
+
+
+def test_d3_lens_frame_is_one_frame_and_a_tile(traced_peak):
+    # a 225^3-point frame (174 MiB): the whole-grid phase and its |x|^2 took the peak to 435 MiB
+    basis = cached_basis(3, 3, 8)
+    u = SpectralField(basis, np.ones(basis.size) / np.sqrt(basis.size))
+    frame, peak = traced_peak(lens_forward, u, 2.0)
+    assert peak <= 1.05 * frame.values.nbytes
+    assert peak < 200 * 2**20
 
 
 def test_free_propagate_identity_and_isometry(basis64, rng):
@@ -154,18 +197,17 @@ def test_aliasing_guard(basis64):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_aliasing_guard_prices_the_span_before_building_it(dim):
+def test_aliasing_guard_prices_the_span_before_building_it(dim, traced_peak):
     # the refused frame would be 214^dim points (157 MB of values at d = 3): the
     # guard prices it from the audit axis and refuses before allocating any of it
     u0 = unit_field(cached_basis(dim, 2, 6), (0,) * dim)
     frame_bytes = 16 * len(audit_axis(u0.basis.max_degree, dim)) ** dim
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(AliasingGuardError):
             free_propagate(u0, 50.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert peak < frame_bytes / 16
     assert peak < 2**20
 

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,7 +337,7 @@ def test_d1_solve_walks_once_per_evaluation(monkeypatch):
     assert per_call == [cfg.time_nodes] * traj.iterations
 
 
-def test_nonlinearity_holds_one_tile_of_grid_arrays():
+def test_nonlinearity_holds_one_tile_of_grid_arrays(traced_peak):
     # the whole 65-node pass held 38 MB here: 65 complex and 65 real grid slices of 29^3 points
     basis = cached_basis(3, 8, 18)
     cfg = SolverConfig(dim=3, N=8, time_nodes=65)
@@ -346,12 +345,7 @@ def test_nonlinearity_holds_one_tile_of_grid_arrays():
     rng = np.random.default_rng(8)
     u_mat = 0.3 * (rng.normal(size=(65, basis.size)) + 1j * rng.normal(size=(65, basis.size)))
     ws.nonlinearity(u_mat)  # the basis's cached index maps are built once, outside the trace
-    tracemalloc.start()
-    try:
-        ws.nonlinearity(u_mat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(ws.nonlinearity, u_mat)
     tile_bytes = 4 * ws.weights.size * (16 + 8)  # a 4-node tile's complex values and their real modulus
     # numpy's casting buffer for a complex *= real (8192 complex values) is the small rest
     assert peak <= tile_bytes + u_mat.nbytes + 2**18
@@ -359,7 +353,7 @@ def test_nonlinearity_holds_one_tile_of_grid_arrays():
 
 
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 6)])
-def test_nonlinearity_holds_one_complex_grid_array(dim, n):
+def test_nonlinearity_holds_one_complex_grid_array(dim, n, traced_peak):
     # unfused_nonlinearity holds about 3.4 complex (time nodes x grid) arrays at once
     basis = cached_basis(dim, n, 2 * (n + 1))
     cfg = SolverConfig(dim=dim, N=n, time_nodes=65)
@@ -367,12 +361,7 @@ def test_nonlinearity_holds_one_complex_grid_array(dim, n):
     rng = np.random.default_rng(dim)
     u_mat = 0.3 * (rng.normal(size=(65, basis.size)) + 1j * rng.normal(size=(65, basis.size)))
     ws.nonlinearity(u_mat)  # the basis's cached index maps are built once, outside the trace
-    tracemalloc.start()
-    try:
-        ws.nonlinearity(u_mat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(ws.nonlinearity, u_mat)
     grid_bytes = 65 * ws.weights.size * 16
     assert peak <= 1.75 * grid_bytes
 
@@ -545,17 +534,17 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.iterations == traj.iterations
 
 
-def test_d2_solve_and_frames_stay_small():
-    # the dense (modes x audit points) table alone was 122 MB here (476 MiB peak)
+def test_d2_solve_and_frames_stay_small(traced_peak):
+    # the dense (modes x audit points) table alone was 122 MB here (476 MiB peak), and the frames'
+    # whole-grid phase 5.7 MiB
     basis = cached_basis(2, 16, 34)
     u0 = SpectralField(basis, 0.1 * unit_field(basis, (0, 0)).coeffs)
     cfg = SolverConfig(dim=2, N=16, time_nodes=65)
-    tracemalloc.start()
-    try:
+
+    def solve_and_frames():
         traj = picard_solve(u0, cfg)
-        frames = [global_nls_solution(traj, t) for t in (0.5, 2.0)]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
+        return traj, [global_nls_solution(traj, t) for t in (0.5, 2.0)]
+
+    (_, frames), peak = traced_peak(solve_and_frames)
+    assert peak < 4.5 * 2**20
     assert all(abs(frame_l2_norm(f) - u0.l2_norm) <= 1e-8 for f in frames)

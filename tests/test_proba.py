@@ -1,5 +1,4 @@
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,32 +387,22 @@ def one_tile_and_the_chunk(points, size):
     return 2 * ensembles._GAIN_TILE * points * 16 + 7 * ensembles._GAIN_CHUNK * size * 8
 
 
-def test_good_set_memory_is_bounded_by_one_chunk():
+def test_good_set_memory_is_bounded_by_one_chunk(traced_peak):
     # omega's reference shape: a tile's largest array is its (rows x 308 audit points) complex values,
     # one zgemm's output.  Whole 1024-row chunks took 7.8 MiB, 4096-row chunks 24.7 MiB
     base = _flat_base()
     points = base.basis.audit_table().shape[1]
-    tracemalloc.start()
-    try:
-        rep = good_set_probability(base, make_ensemble("gaussian", seed=SEED), (0.75, 1.0, 1.5, 2.0, 3.0), 10**4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(good_set_probability, base, make_ensemble("gaussian", seed=SEED), (0.75, 1.0, 1.5, 2.0, 3.0), 10**4)
     assert rep["n_samples"] == 10**4
     assert peak <= one_tile_and_the_chunk(points, base.basis.size)
 
 
-def test_paley_zygmund_memory_is_bounded_by_one_tile():
+def test_paley_zygmund_memory_is_bounded_by_one_tile(traced_peak):
     # the s = 0.5 reference case: a tile's largest arrays are its (rows x 84 quadrature points) complex
     # hat values; whole 1024-row chunks took 6.0 MiB
     basis = cached_basis(1, 40, 84)
     points = product_quadrature(basis, 2 * basis.max_degree)[0].size
-    tracemalloc.start()
-    try:
-        _paley_zygmund_s05_reference(SEED)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(_paley_zygmund_s05_reference, SEED)
     assert peak <= one_tile_and_the_chunk(points, basis.size)
 
 
@@ -506,15 +495,10 @@ def test_eigen_l4_ground_state_value():
     assert abs(rep["ratios"][0] - (2 * np.pi) ** -0.125) < 1e-6
 
 
-def test_eigen_lp_works_in_its_table():
+def test_eigen_lp_works_in_its_table(traced_peak):
     # |h_n|^p overwrites the table after its max is taken; a fresh |table| and its power took 9.5 MiB at n_max = 400
     table_bytes = 401 * audit_axis(400, 1).size * 8
-    tracemalloc.start()
-    try:
-        reps = eigenfunction_lp_decay([4.0, np.inf], 400)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    reps, peak = traced_peak(eigenfunction_lp_decay, [4.0, np.inf], 400)
     assert [rep["p"] for rep in reps] == [4.0, np.inf] and all(rep["verdict"] for rep in reps)
     assert peak <= table_bytes + 2**20
 
@@ -589,7 +573,7 @@ def test_chernoff_partial_matches_outer_and_bool_matrix_forms(spec, start, count
     assert np.array_equal(partial(rows), want)
 
 
-def test_chernoff_memory_budget():
+def test_chernoff_memory_budget(traced_peak):
     # the command's two families over 10^6 rows x 16, 16 chunks of 2^16 rows: two 512 KiB
     # tiles and each family's two row statistics of a chunk (1 MiB), where the chunk of
     # gains alone took 8 MiB, and (21 x rows) MGF temporaries and a second chunk 37 MiB
@@ -597,12 +581,7 @@ def test_chernoff_memory_budget():
         (make_ensemble("gaussian", seed=SEED), np.linspace(1.0, 4.5, 15)),
         (make_ensemble("symmetric_weibull", seed=SEED, gamma=1.5), np.linspace(1.0, 6.0, 21)),
     ]
-    tracemalloc.start()
-    try:
-        reports = chernoff_tail(families, np.ones(16) / 4.0, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    reports, peak = traced_peak(chernoff_tail, families, np.ones(16) / 4.0, 10**6)
     assert [rep["n_samples"] for rep in reports] == [10**6] * 2
     assert peak < 4 * 2**20
 

@@ -314,12 +314,15 @@ def test_cli_refuses_a_bad_checkpoint(tmp_path, capsys, damage):
     ("omega", "n_modes=0"), ("omega", "thresholds=[]"),
     ("scattering", "amplitudes=[0.1]"), ("scattering", "amplitudes=[0.1,0.1]"),
     ("lens-check", "times=[]"), ("solve-nls", "times=[]"), ("norms", "modes=[]"),
+    ("basis-check", "N=-1"), ("norms", "N=-1"), ("lens-check", "N=-1"), ("smoothing", "N_fine=-3"),
+    ("solve-nlsh", "N=-2"), ("basis-check", "quad=1"), ("tails", "n_verify=10"),
 ])
 def test_cli_refuses_out_of_range_parameters(tmp_path, capsys, command, setting):
     # eigen-lp's trend window n = 10..n_max needs two points; b2p counts for p = 1..p; khinchin's moments
     # need an even q in [2, 24] and every Monte Carlo draw a sample and a mode; scattering fits its slope
     # through two distinct amplitudes; a verdict over an empty list of times, modes or thresholds would
-    # check nothing.  The message names the field that was set
+    # check nothing; a basis needs a degree N >= 0 and quad >= 2(N + 1) nodes, and a tail fit 10^5
+    # samples.  The message names the field that was set, not the library argument it feeds
     assert run_cli([command, "--tier", "smoke", "--out", str(tmp_path), "--set", setting]) == 3
     err = capsys.readouterr().err
     assert "must" in err and setting.partition("=")[0] in err
