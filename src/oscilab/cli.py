@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,12 +39,14 @@ plot '{csv}' using 1:2 with linespoints
 def _typed(key: str, value, preset, source: str):
     """A --config or --set value as the type of its preset field, and each
     element of a list as the type of the preset's elements; an int also
-    reads as a float."""
+    reads as a float, and a float must be finite."""
     kind = type(preset)
     if kind is float and type(value) is int:
         value = float(value)
     if type(value) is not kind:
         raise ConfigError(f"{source} {key}: cannot read {value!r} as {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{source} {key}: {value!r} is not a finite number")
     if kind is list and preset:
         value = [_typed(key, item, preset[0], source) for item in value]
     return value

@@ -247,14 +247,16 @@ def _solve_from_params(params):
     of the graded enumeration (at d = 1, h_mode).
     """
     _at_least(params, "N", 0)
-    n, dim, mode = params["N"], params.get("dim", 1), params.get("mode", 0)
+    n, dim, mode, p = params["N"], params.get("dim", 1), params.get("mode", 0), params.get("p", 5)
+    if p < 5 or p % 2 == 0:
+        raise ValueError(f"p must be odd >= 5, got {p}")
     basis = cached_basis(dim, n, 2 * (n + 1))
     if not 0 <= mode < basis.size:
         raise BasisError(f"mode {mode} outside the {basis.size} basis functions of d={dim}, N={n}")
     u0 = SpectralField(basis, params["amplitude"] * unit_field(basis, basis.indices[mode]).coeffs)
     cfg = SolverConfig(
         dim=dim,
-        nonlinearity_p=params.get("p", 5),
+        nonlinearity_p=p,
         K=params.get("K", 1),
         N=n,
         time_nodes=params["time_nodes"],
@@ -456,6 +458,7 @@ def b2p(params, ctx):
 
 def tails(params, ctx):
     _at_least(params, "n_verify", 10**5)  # verify_tail's least sample
+    _at_least(params, "n_tail", 10**4)  # norm_tail's least sample
     seed = ctx.seed
     n_weibull = max(params["n_verify"] // 5, 10**5)
     cases = {  # name: (ensemble, samples, thresholds)

@@ -262,7 +262,8 @@ class BasisGrid:
     array, and ``audit_tiles`` yields |u| tile by tile for L^r norms.
     ``audit_sup`` gives the max over those tiles bit for bit, but contracts
     only the slabs and pencils of the grid whose rigorous bound can beat the
-    running max.  Each method has one path for every dim, d = 1 included.
+    running max.  Each method has one path for every dim, d = 1 included,
+    except ``audit_sup_bound``, which at d = 1 returns ``audit_sup`` itself.
     """
 
     dim: int
@@ -320,6 +321,10 @@ class BasisGrid:
     @cached_property
     def _box_positions(self) -> np.ndarray:  # flat position of each enumerated index in the C-order (N+1)^dim box
         return _read_only(np.ravel_multi_index(tuple(self._index_array.T), (self.max_degree + 1,) * self.dim))
+
+    @cached_property
+    def audit_partial_points(self) -> int:  # entries per row of the audit sup's first-axis partial, built from no table
+        return audit_axis(self.max_degree, self.dim).size * (self.max_degree + 1) ** (self.dim - 1)
 
     @cached_property
     def _audit_table(self) -> np.ndarray:
@@ -602,9 +607,11 @@ def _cell_bounds(cells: np.ndarray, peak: np.ndarray) -> np.ndarray:
     return out
 
 
-def grid_radius2(axis: np.ndarray, dim: int) -> np.ndarray:
-    """|y|^2 on the C-order dim-fold tensor grid of a 1-D axis, shape (len(axis)^dim,), added first axis first."""
-    out = square = np.asarray(axis, dtype=float) ** 2
+def grid_radius2(axis: np.ndarray, dim: int, rows: slice = slice(None)) -> np.ndarray:
+    """|y|^2 on the C-order dim-fold tensor grid of a 1-D axis, flattened and added first axis
+    first; on the whole grid, or on the first-axis slices ``rows`` of it."""
+    square = np.asarray(axis, dtype=float) ** 2
+    out = square[rows]
     for _ in range(1, dim):
         out = np.add.outer(out, square).ravel()
     return out

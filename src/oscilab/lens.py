@@ -96,21 +96,17 @@ def lens_forward(u_internal: SpectralField, t: float) -> PhysicalFrame:
     axis = _scaled_axis(basis, t)
     # in place: the synthesis is the one frame-sized array.  The phase is built on tiles of
     # first-axis slices, at most GRID_TILE_BYTES of it but at least one slice, in the order
-    # ((1j |x|^2) t) / alpha, which its bits depend on; a tile's |x|^2 adds its own
-    # first-axis squares to the others' first axis first, as grid_radius2 does.  numpy
-    # multiplies a one-point complex array in place through another loop, with other bits,
-    # so at d = 1 a tile holds two points at least and a lone last point joins the tile before
+    # ((1j |x|^2) t) / alpha, which its bits depend on; a tile's |x|^2 is grid_radius2's
+    # on its first-axis slices.  numpy multiplies a one-point complex array in place
+    # through another loop, with other bits, so at d = 1 a tile holds two points at
+    # least and a lone last point joins the tile before
     values = basis.grid_values(u_internal.coeffs, basis.audit_table())
     values *= alpha ** (-dim / 4.0)
-    square = axis**2
     slab = axis.size ** (dim - 1)  # points per first-axis slice
     rows = max(hermite.GRID_TILE_BYTES // (16 * slab), 1 if dim > 1 else 2)
     bounds = [*range(0, axis.size - (dim == 1), rows), axis.size]
     for lo, hi in zip(bounds, bounds[1:]):
-        radius2 = square[lo:hi]
-        for _ in range(1, dim):
-            radius2 = np.add.outer(radius2, square).ravel()
-        phase = 1j * radius2
+        phase = 1j * hermite.grid_radius2(axis, dim, slice(lo, hi))
         phase *= t
         phase /= alpha
         values[lo * slab : hi * slab] *= np.exp(phase, out=phase)

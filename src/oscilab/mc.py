@@ -16,10 +16,10 @@ __all__ = ["run_chunked"]
 def run_chunked(total: int, kernel, workers: int, chunk_size: int):
     """Evaluate kernel(start, stop) over [0, total) in chunks of chunk_size.
 
-    kernel's result must be a pure function of its index range (state it keeps
-    may only hold memory, as ``ensembles.map_gains``' chunks do).  Returns the
-    ordered list of chunk results; callers reduce them in that order
-    (concatenation, or a left fold of partial sums).
+    kernel's result must be a pure function of its index range, and it may
+    write no object that another chunk reads or writes, so that threads share
+    no mutable state.  Returns the ordered list of chunk results; callers
+    reduce them in that order (concatenation, or a left fold of partial sums).
     """
     ranges = [(start, min(start + chunk_size, total)) for start in range(0, total, chunk_size)]
     if workers <= 1 or len(ranges) == 1:

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import SpectralField, classical_sobolev_norm, product_quadrature, trapezoid_weights
-from .hermite import BasisGrid, audit_axis, cached_basis
+from .hermite import BasisGrid, cached_basis
 from .lens import PhysicalFrame, lens_forward, lens_time_map
 
 __all__ = [
@@ -197,8 +197,7 @@ class _Workspace:
         self.filter_s = basis.lambda2 ** (cfg.s / 2.0)
         self.hs_weight = basis.lambda2**cfg.s
         self.time_weights = trapezoid_weights(len(self.times), self.h)
-        partial_points = audit_axis(basis.max_degree, basis.dim).size * (basis.max_degree + 1) ** (basis.dim - 1)
-        node_bytes = 16 * max(self.weights.size, partial_points)
+        node_bytes = 16 * max(self.weights.size, basis.audit_partial_points)
         self.tile = max(4, PICARD_TILE_BYTES // node_bytes // 4 * 4)
 
     def _by_tile(self, rows: np.ndarray, out: np.ndarray, pass_) -> np.ndarray:
@@ -415,9 +414,11 @@ def scattering_extract(traj: Trajectory, u0: SpectralField) -> ScatteringPair:
     exp(it del^2) (exp(i s H) v(s) - L_plus) at s = arctan(2t)/2, and the
     free flow preserves the classical Sobolev norm, so the norm is computed
     on the spectral side and stays accurate at large t where a multiplier
-    propagator would alias.
+    propagator would alias.  u0 must be the trajectory's initial data.
     """
     basis = traj.basis
+    if u0.basis != basis or not np.array_equal(u0.coeffs, traj.u0):
+        raise ValueError("u0 is not the initial data of the trajectory")
     cfg = traj.config
     t_end = float(traj.times[-1])
     lam2 = basis.lambda2

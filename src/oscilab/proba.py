@@ -377,9 +377,7 @@ def norm_tail(
     if n_samples < 10**4:
         raise ValueError(f"norm_tail needs n_samples >= 1e4, got {n_samples}")
     t_grid = np.asarray(t_grid, dtype=float)
-    samples = map_gains(
-        spec, n_samples, base.basis.size, lambda gains: (_data_norm_samples(base, gains), None), workers
-    )
+    samples = map_gains(spec, n_samples, base.basis.size, lambda gains: _data_norm_samples(base, gains), workers)
     survival = (samples[None, :] >= t_grid[:, None]).mean(axis=1)
 
     base_norm = float(np.sqrt(np.sum(_data_norm_weights(base) ** 2)))
@@ -470,7 +468,7 @@ def good_set_probability(
         raise ValueError("thresholds must be strictly increasing")
 
     def kernel(gains):
-        return np.stack([_data_norm_samples(base, gains), flow_sup_norm_samples(base, gains, 10.0)]), None
+        return np.stack([_data_norm_samples(base, gains), flow_sup_norm_samples(base, gains, 10.0)])
 
     a, b = map_gains(spec, n_samples, base.basis.size, kernel, workers)
     rows = []
@@ -561,11 +559,11 @@ def paley_zygmund_check(
     def kernel(gains):
         filtered = gains * (chi_vals * base.coeffs)[None, :]
         l2_sq = np.sum(np.abs(filtered) ** 2, axis=1)
-        hat_vals, frac_sq = None, 0.0
+        frac_sq = 0.0
         if cutoff.s != 0:
             hat_vals = basis.grid_values(filtered * fourier_phase[None, :], table)
             frac_sq = np.sum(weights[None, :] * xi_pow[None, :] * np.abs(hat_vals) ** 2, axis=1)
-        return l2_sq + frac_sq, (filtered, hat_vals)
+        return l2_sq + frac_sq
 
     s_sq = map_gains(spec, n_samples, basis.size, kernel, workers)
 

@@ -84,7 +84,7 @@ GAINS_PROBE = """
 from oscilab.ensembles import NDTRI_MODULE, fold_block, make_ensemble, map_gains
 g = make_ensemble("gaussian", seed=5)
 (folded,) = fold_block([(g, lambda stats: stats)], 1000, 7, lambda rows: rows.T.copy())
-mapped = map_gains(g, 600, 7, lambda gains: (gains.T.copy(), ()))
+mapped = map_gains(g, 600, 7, lambda gains: gains.T.copy())
 print(NDTRI_MODULE)
 print(folded.tobytes().hex() + mapped.tobytes().hex())
 """
@@ -504,25 +504,25 @@ def test_map_gains_concatenates_in_omega_order(workers):
     gains = sample_gain_matrix(spec, np.arange(n), width)
 
     def kernel(rows):
-        return np.stack([rows.sum(axis=1), rows[:, 0]]), rows * 2.0
+        return np.stack([rows.sum(axis=1), rows[:, 0]])
 
     got = map_gains(spec, n, width, kernel, workers)
     assert np.array_equal(got, np.stack([gains.sum(axis=1), gains[:, 0]]))
 
 
-def test_map_gains_holds_one_chunk_of_gains_until_the_next_exists():
-    # while chunk k's first tile runs, chunk k - 1's gains are still referenced and chunk k - 2's are freed
+def test_map_gains_frees_each_chunk_of_gains_before_the_next_runs():
+    # while chunk k's first tile runs, no earlier chunk's gains are referenced
     chunks, alive = [], []
 
     def kernel(rows):
         if not chunks or chunks[-1]() is not rows.base:
             alive.append([chunk() is not None for chunk in chunks])
             chunks.append(weakref.ref(rows.base))
-        return rows.sum(axis=1), None
+        return rows.sum(axis=1)
 
     spec = make_ensemble("gaussian", seed=SEED)
     map_gains(spec, 3 * ensembles._GAIN_CHUNK + 5, 3, kernel, workers=1)
-    assert alive == [[], [True], [False, True], [False, False, True]]
+    assert alive == [[], [False], [False, False], [False, False, False]]
 
 
 def test_independence_surrogate():

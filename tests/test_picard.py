@@ -482,6 +482,18 @@ def test_scattering_amplitude_slope():
     assert abs(slope - 5.0) <= 0.3
 
 
+def test_scattering_refuses_data_other_than_the_trajectorys():
+    basis, u0, cfg = reference_data()
+    traj = picard_solve(u0, cfg)
+    other_basis = cached_basis(1, 32, 68)
+    for wrong in (
+        SpectralField(basis, 2.0 * u0.coeffs),
+        SpectralField(other_basis, 0.1 * unit_field(other_basis, 0).coeffs),
+    ):
+        with pytest.raises(ValueError, match="initial data"):
+            scattering_extract(traj, wrong)
+
+
 # ------------------------------------------------------------- lens-route solution
 
 

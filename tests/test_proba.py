@@ -375,16 +375,15 @@ def test_kernel_tiles_leave_no_lone_row():
     size = base.basis.size
     for seed in (1, 2):
         spec = make_ensemble("gaussian", seed=seed)
-        got = ensembles.map_gains(spec, 769, size, lambda gains: (flow_sup_norm_samples(base, gains, 10.0), None))
+        got = ensembles.map_gains(spec, 769, size, lambda gains: flow_sup_norm_samples(base, gains, 10.0))
         want = flow_sup_norm_samples(base, sample_gain_matrix(spec, np.arange(769), size), 10.0)
         assert got.tobytes() == want.tobytes()
 
 
 def one_tile_and_the_chunk(points, size):
     """A map_gains run's tracemalloc bound: two complex (tile rows x points) arrays of one kernel tile,
-    and the chunk's Philox draw, which peaks at about five arrays the size of the chunk's gains, with
-    two chunks of gains held."""
-    return 2 * ensembles._GAIN_TILE * points * 16 + 7 * ensembles._GAIN_CHUNK * size * 8
+    and the chunk's Philox draw, which peaks at about five arrays the size of the chunk's gains."""
+    return 2 * ensembles._GAIN_TILE * points * 16 + 5 * ensembles._GAIN_CHUNK * size * 8
 
 
 def test_good_set_memory_is_bounded_by_one_chunk(traced_peak):

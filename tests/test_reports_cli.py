@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,22 @@ def test_cli_checks_every_list_element(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("omega", "thresholds", "[0.5,Infinity]"), ("norms", "T", "inf"), ("lens-check", "times", "[NaN]"),
+    ("solve-nls", "times", "[0.5,NaN]"), ("solve-nlsh", "amplitude", "nan"),
+    ("scattering", "amplitudes", "[0.05,Infinity]"),
+])
+def test_cli_refuses_non_finite_floats(tmp_path, capsys, command, key, value):
+    # a non-finite float is no JSON number for the manifest, and no value any field means
+    assert run_cli([command, "--tier", "smoke", "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
+    assert f"--set {key}: " in (err := capsys.readouterr().err) and "not a finite number" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: json.loads(value) if value.startswith("[") else float(value)}))
+    assert run_cli([command, "--tier", "smoke", "--out", str(tmp_path), "--config", str(cfg)]) == 2
+    assert f"--config {key}: " in (err := capsys.readouterr().err) and "not a finite number" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_cli_reads_an_int_list_element_as_a_float():
     args = argparse.Namespace(tier="smoke", config=None, override=["times=[1, 0.5]"])
     times = _resolve_params("lens-check", args)["times"]
@@ -315,17 +332,19 @@ def test_cli_refuses_a_bad_checkpoint(tmp_path, capsys, damage):
     ("scattering", "amplitudes=[0.1]"), ("scattering", "amplitudes=[0.1,0.1]"),
     ("lens-check", "times=[]"), ("solve-nls", "times=[]"), ("norms", "modes=[]"),
     ("basis-check", "N=-1"), ("norms", "N=-1"), ("lens-check", "N=-1"), ("smoothing", "N_fine=-3"),
-    ("solve-nlsh", "N=-2"), ("basis-check", "quad=1"), ("tails", "n_verify=10"),
+    ("solve-nlsh", "N=-2"), ("basis-check", "quad=1"), ("tails", "n_verify=10"), ("tails", "n_tail=10"),
+    ("solve-nlsh", "p=4"),
 ])
 def test_cli_refuses_out_of_range_parameters(tmp_path, capsys, command, setting):
     # eigen-lp's trend window n = 10..n_max needs two points; b2p counts for p = 1..p; khinchin's moments
     # need an even q in [2, 24] and every Monte Carlo draw a sample and a mode; scattering fits its slope
     # through two distinct amplitudes; a verdict over an empty list of times, modes or thresholds would
     # check nothing; a basis needs a degree N >= 0 and quad >= 2(N + 1) nodes, and a tail fit 10^5
-    # samples.  The message names the field that was set, not the library argument it feeds
+    # samples (a norm tail 10^4), and a Picard solve an odd p >= 5.  The message names the field that was
+    # set as a whole word, not the library argument it feeds
     assert run_cli([command, "--tier", "smoke", "--out", str(tmp_path), "--set", setting]) == 3
     err = capsys.readouterr().err
-    assert "must" in err and setting.partition("=")[0] in err
+    assert "must" in err and re.search(rf"\b{setting.partition('=')[0]}\b", err)
     name = command.replace("-", "_")
     assert json.loads((tmp_path / name / "error.json").read_text())["stats"]["error_type"] == "ValueError"
     assert not (tmp_path / name / f"{name}.json").exists()
